@@ -5,6 +5,11 @@ coherence sum_{i != j} |rho_ij| collapses to (sum_i |c_i|)**2 - 1 and the
 relative entropy of coherence to the Shannon entropy of {|c_i|**2} (the
 pure-state von Neumann entropy vanishes).  Neither a density matrix nor
 an eigensolve is needed, which keeps 20-qubit states tractable.
+
+Phase-basis coherence of a hypergraph state is read from its spectral
+profile (``operators.spectral_profile``).  ``l1_coherence`` and
+``rel_entropy_coherence`` take the coefficients of any pure state; applied
+to ``operators.phase_overlaps(psi)`` they give the same phase-basis values.
 """
 
 from __future__ import annotations
@@ -16,8 +21,8 @@ import numpy as np
 
 from .errors import GuardError
 from .hypergraph import Hypergraph, edges_text
-from .operators import phase_overlaps
-from .state import hypergraph_state
+from .operators import spectral_profile
+from .state import hypergraph_amplitudes, hypergraph_state
 
 MAX_QUBITS_NUMBER_BASIS = 24
 MAX_QUBITS_PHASE_BASIS = 20
@@ -52,11 +57,6 @@ def rel_entropy_coherence(psi: np.ndarray) -> float:
     return float(-np.sum(positive * np.log(positive)))
 
 
-def to_phase_basis(psi: np.ndarray) -> np.ndarray:
-    """Coefficient vector of ``psi`` in the phase basis (unit norm kept)."""
-    return phase_overlaps(psi)
-
-
 @dataclass(frozen=True)
 class CoherenceReport:
     """Both coherence measures of one hypergraph state in one basis."""
@@ -78,13 +78,16 @@ def coherence_report(g: Hypergraph, basis: str = "number") -> CoherenceReport:
     limit = MAX_QUBITS_NUMBER_BASIS if basis == "number" else MAX_QUBITS_PHASE_BASIS
     if g.d > limit:
         raise GuardError(f"d={g.d} exceeds the {limit}-qubit guard for the {basis} basis")
-    coeffs = hypergraph_state(g)
     if basis == "phase":
-        coeffs = to_phase_basis(coeffs)
+        profile = spectral_profile(hypergraph_amplitudes([g])[0])
+        c_l1, c_rel_ent = float(profile.c_l1_phase), float(profile.c_rel_phase)
+    else:
+        coeffs = hypergraph_state(g)
+        c_l1, c_rel_ent = l1_coherence(coeffs), rel_entropy_coherence(coeffs)
     return CoherenceReport(
         d=g.d,
         edges=edges_text(g),
         basis=basis,
-        c_l1=l1_coherence(coeffs),
-        c_rel_ent=rel_entropy_coherence(coeffs),
+        c_l1=c_l1,
+        c_rel_ent=c_rel_ent,
     )

@@ -4,8 +4,7 @@ Each check mirrors one block of the published results at desk scale and
 reports PASS/FAIL plus discrepancy notes.  Comparisons that hinge on
 suspect published cells (the moment-witness A_4 table, extended sweep
 rows) document the disagreement instead of failing: the exact-rational
-pipeline and the dual dense/FFT evaluation routes adjudicate which side
-is wrong.
+pipeline and the dense-operator oracles adjudicate which side is wrong.
 """
 
 from __future__ import annotations
@@ -102,6 +101,10 @@ class Reproducer:
     extended: bool = False
     threads: int = 1
     _dminus1_cache: dict[int, tuple[list[SweepRecord], SweepSummary]] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.threads < 1:
+            raise ValueError(f"threads must be at least 1, got {self.threads}")
 
     def dminus1(self, d: int) -> tuple[list[SweepRecord], SweepSummary]:
         if d not in self._dminus1_cache:

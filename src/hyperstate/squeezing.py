@@ -3,7 +3,10 @@
 The degree of squeezing of an observable A against the half commutator
 h = |<[N, P]>| / 2 is (Var A - h) / h; negative values signal squeezing.
 Number statistics admit closed forms independent of the hypergraph:
-mean (2**d - 1)/2 and variance (2**d - 1)(2**d + 1)/12.
+mean (2**d - 1)/2 and variance (2**d - 1)(2**d + 1)/12.  The phase
+statistics and h of a hypergraph state come from its spectral profile
+(``operators.spectral_profile``); ``phase_stats`` evaluates the phase
+moments of any complex state directly from its phase-basis overlaps.
 """
 
 from __future__ import annotations
@@ -12,19 +15,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import GuardError
 from .hypergraph import Hypergraph, edges_text
-from .operators import (
-    number_phase_commutator_dense,
-    number_phase_commutator_expectation,
-    phase_angles,
-    phase_overlaps,
-)
-from .state import MAX_QUBITS, hypergraph_state
-
-# Dense evaluation of the number/phase commutator is preferred up to this
-# many qubits; beyond it the FFT route is used (tables extend to d = 13).
-DENSE_QUBIT_LIMIT = 8
+from .operators import phase_angles, phase_overlaps, spectral_profile
+from .state import hypergraph_amplitudes
 
 # Below this the commutator expectation counts as vanishing and squeezing
 # degrees are undefined (except the var_p = 0 case, which is -1).
@@ -48,15 +41,11 @@ def phase_stats(psi: np.ndarray) -> tuple[float, float]:
     return mean, second - mean**2
 
 
-def half_commutator(psi: np.ndarray) -> float:
-    """|<[N, P]>| / 2, dense for small dimensions, FFT-applied otherwise."""
-    dim = len(psi)
-    if dim <= 1 << DENSE_QUBIT_LIMIT:
-        comm = number_phase_commutator_dense(dim)
-        value = complex(np.vdot(psi, comm @ psi))
-    else:
-        value = number_phase_commutator_expectation(psi)
-    return abs(value) / 2.0
+def squeeze_degrees(var_n: float, var_p: float, half: float) -> tuple[float | None, float | None]:
+    """(s_n, s_p) against the half commutator ``half``; None where undefined."""
+    if half >= HALF_COMM_FLOOR:
+        return (var_n - half) / half, (var_p - half) / half
+    return None, (-1.0 if abs(var_p) < HALF_COMM_FLOOR else None)
 
 
 @dataclass(frozen=True)
@@ -84,18 +73,10 @@ class SqueezeReport:
 
 def squeeze_report(g: Hypergraph) -> SqueezeReport:
     """Assemble the squeezing report of the hypergraph state of ``g``."""
-    if g.d > MAX_QUBITS:
-        raise GuardError(f"d={g.d} exceeds the {MAX_QUBITS}-qubit state guard")
-    psi = hypergraph_state(g)
+    profile = spectral_profile(hypergraph_amplitudes([g])[0])
     mean_n, var_n = number_stats(g.d)
-    mean_p, var_p = phase_stats(psi)
-    half = half_commutator(psi)
-    if half >= HALF_COMM_FLOOR:
-        s_n = (var_n - half) / half
-        s_p = (var_p - half) / half
-    else:
-        s_n = None
-        s_p = -1.0 if abs(var_p) < HALF_COMM_FLOOR else None
+    mean_p, var_p, half = float(profile.mean_p), float(profile.var_p), float(profile.half_comm)
+    s_n, s_p = squeeze_degrees(var_n, var_p, half)
     return SqueezeReport(
         d=g.d,
         edges=edges_text(g),

@@ -9,6 +9,7 @@ followed by one multi-controlled sign flip per hyperedge.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -52,12 +53,24 @@ class CircuitDescription:
             raise ValueError("expected exactly one H per qubit")
 
 
+def hypergraph_amplitudes(graphs: Sequence[Hypergraph]) -> np.ndarray:
+    """Real amplitudes (-1)**f(n) / sqrt(2**d), one row per hypergraph.
+
+    All hypergraphs share one vertex count d; the result has shape
+    ``(len(graphs), 2**d)``.
+    """
+    d = graphs[0].d
+    if any(g.d != d for g in graphs):
+        raise ValueError("hypergraphs in one batch must share the vertex count")
+    if d > MAX_QUBITS:
+        raise GuardError(f"d={d} exceeds the {MAX_QUBITS}-qubit state guard")
+    tables = np.stack([boolean_function(g).truth_table for g in graphs])
+    return (1.0 - 2.0 * tables) / np.sqrt(float(1 << d))
+
+
 def hypergraph_state(g: Hypergraph) -> np.ndarray:
     """State vector of ``g``: amplitudes (-1)**f(n) / sqrt(2**d)."""
-    if g.d > MAX_QUBITS:
-        raise GuardError(f"d={g.d} exceeds the {MAX_QUBITS}-qubit state guard")
-    signs = 1.0 - 2.0 * boolean_function(g).truth_table.astype(np.float64)
-    return (signs / np.sqrt(float(g.dim))).astype(np.complex128)
+    return hypergraph_amplitudes([g])[0].astype(np.complex128)
 
 
 def emit_circuit(g: Hypergraph) -> CircuitDescription:

@@ -11,6 +11,11 @@ summary ranges over the configurations that actually exhibit squeezing
 (negative degree) whenever any exist, since extremal squeezing is a
 statement about the squeezed subpopulation; all other metrics (and the
 fallback when nothing is squeezed) use plain extrema over defined values.
+
+Configurations are evaluated in fixed-size chunks: one stack of real
+amplitudes and one ``spectral_profile`` call per chunk.  Chunk boundaries
+depend only on record index, and the profile reduces each row on its own,
+so the thread count never changes a digit.
 """
 
 from __future__ import annotations
@@ -20,13 +25,13 @@ import hashlib
 import io
 import json
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from . import __version__
-from .coherence import l1_coherence, rel_entropy_coherence, to_phase_basis
 from .errors import SchemaError
 from .hypergraph import (
     Hypergraph,
@@ -36,8 +41,9 @@ from .hypergraph import (
     k_uniform_family,
     single_full_edge,
 )
-from .squeezing import squeeze_report
-from .state import hypergraph_state
+from .operators import spectral_profile
+from .squeezing import number_stats, squeeze_degrees
+from .state import hypergraph_amplitudes
 
 METRIC_NAMES = ("s_p", "s_n", "var_p", "var_n", "half_comm", "c_l1_phase", "c_rel_phase")
 SQUEEZE_METRICS = frozenset({"s_p", "s_n"})
@@ -47,6 +53,14 @@ CSV_HEADER = ("d", "edges") + METRIC_NAMES
 FAMILY_KINDS = ("dminus1", "complete-k", "single-full")
 
 CACHE_ENV_VAR = "HYPERSTATE_CACHE"
+
+# Version of the computed values, part of the cache key.  Bump it whenever a
+# change moves any digit of a record, so stale cache entries miss.
+# 2: one spectral profile per state (values moved by about 1e-12).
+RESULTS_VERSION = 2
+
+# Rows per spectral-profile call: about 1 MiB of complex128 rfft output.
+CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -139,20 +153,46 @@ class SweepSummary:
         }
 
 
+def _evaluate_chunk(graphs: Sequence[Hypergraph]) -> list[SweepRecord]:
+    """Records of hypergraphs on a common d, from one spectral profile."""
+    d = graphs[0].d
+    profile = spectral_profile(hypergraph_amplitudes(graphs))
+    var_n = number_stats(d)[1]
+    records = []
+    for g, var_p, half, c_l1, c_rel in zip(
+        graphs,
+        profile.var_p.tolist(),
+        profile.half_comm.tolist(),
+        profile.c_l1_phase.tolist(),
+        profile.c_rel_phase.tolist(),
+    ):
+        s_n, s_p = squeeze_degrees(var_n, var_p, half)
+        metrics: dict[str, float | None] = {
+            "s_p": s_p,
+            "s_n": s_n,
+            "var_p": var_p,
+            "var_n": var_n,
+            "half_comm": half,
+            "c_l1_phase": c_l1,
+            "c_rel_phase": c_rel,
+        }
+        records.append(SweepRecord(d=d, edges=edges_text(g), metrics=metrics))
+    return records
+
+
 def evaluate_record(g: Hypergraph) -> SweepRecord:
-    """Compute all sweep metrics for one hypergraph."""
-    report = squeeze_report(g)
-    phase_coeffs = to_phase_basis(hypergraph_state(g))
-    metrics: dict[str, float | None] = {
-        "s_p": report.s_p,
-        "s_n": report.s_n,
-        "var_p": report.var_p,
-        "var_n": report.var_n,
-        "half_comm": report.half_comm,
-        "c_l1_phase": l1_coherence(phase_coeffs),
-        "c_rel_phase": rel_entropy_coherence(phase_coeffs),
-    }
-    return SweepRecord(d=g.d, edges=edges_text(g), metrics=metrics)
+    """Compute all sweep metrics for one hypergraph (a chunk of one)."""
+    return _evaluate_chunk([g])[0]
+
+
+def worker_count(threads: int, chunks: int) -> int:
+    """Pool size for ``chunks`` chunks: min(threads, chunks, CPU count)."""
+    return min(threads, chunks, os.cpu_count() or 1)
+
+
+def _require_threads(threads: int) -> None:
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
 
 
 def _summarize(records: Sequence[SweepRecord], metric: str) -> MetricSummary:
@@ -185,6 +225,7 @@ def sweep_family(
     Evaluation order (hence record order) is the generator order; the
     worker pool preserves it, so output is independent of ``threads``.
     """
+    _require_threads(threads)
     chosen = tuple(metrics) if metrics is not None else METRIC_NAMES
     for name in chosen:
         if name not in METRIC_NAMES:
@@ -196,11 +237,15 @@ def sweep_family(
         configs = [g for g in configs if is_connected(g)]
     if not configs:
         raise ValueError(f"family {family.descriptor} is empty after filtering")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(evaluate_record, configs))
+    rows = max(1, CHUNK_BYTES // (16 * (1 << family.d)))
+    chunks = [configs[i : i + rows] for i in range(0, len(configs), rows)]
+    workers = worker_count(threads, len(chunks))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_evaluate_chunk, chunks))
     else:
-        records = [evaluate_record(g) for g in configs]
+        parts = [_evaluate_chunk(chunk) for chunk in chunks]
+    records = [record for part in parts for record in part]
     summary = SweepSummary(
         family=family.descriptor,
         count=len(records),
@@ -257,34 +302,57 @@ def render_results(records: Iterable[SweepRecord], fmt: str) -> str:
 
 
 def write_results(records: Iterable[SweepRecord], path: str | os.PathLike, fmt: str | None = None) -> None:
-    """Write records to ``path``; format from arg or file extension."""
+    """Write records to ``path``; format from arg or file extension.
+
+    The text goes to a temporary file beside ``path`` that then replaces
+    it, so a reader never sees a partly written file.
+    """
     path = Path(path)
     if fmt is None:
         fmt = path.suffix.lstrip(".").lower()
-    Path(path).write_text(render_results(records, fmt), encoding="utf-8")
+    text = render_results(records, fmt)
+    partial = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(partial, "x", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
 
 
-def _record_from_fields(d: str, edges: str, values: dict[str, float | None]) -> SweepRecord:
-    return SweepRecord(d=int(d), edges=edges, metrics={name: values[name] for name in METRIC_NAMES})
+def _record_from_fields(path: Path, d, edges, values: dict) -> SweepRecord:
+    try:
+        if not isinstance(edges, str):
+            raise TypeError(f"edges {edges!r} is not text")
+        metrics = {name: None if values[name] is None else float(values[name]) for name in METRIC_NAMES}
+        return SweepRecord(d=int(d), edges=edges, metrics=metrics)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: malformed record: {exc}") from None
 
 
 def read_results(path: str | os.PathLike) -> list[SweepRecord]:
-    """Read records back from a CSV or JSON results file."""
+    """Read records back from a CSV or JSON results file.
+
+    Raises SchemaError for anything that is not a well-formed results file.
+    """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text: {exc}") from None
     if path.suffix.lower() == ".json":
         try:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: not valid JSON: {exc}") from None
+        if not isinstance(payload, list) or not all(isinstance(e, dict) for e in payload):
+            raise SchemaError(f"{path}: expected a JSON list of record objects")
         records = []
         expected = {"d", "edges", *METRIC_NAMES}
         for entry in payload:
             if set(entry) != expected:
                 raise SchemaError(f"{path}: record keys {sorted(entry)} do not match schema")
-            records.append(
-                _record_from_fields(entry["d"], entry["edges"], {k: entry[k] for k in METRIC_NAMES})
-            )
+            records.append(_record_from_fields(path, entry["d"], entry["edges"], entry))
         return records
     if path.suffix.lower() == ".csv":
         rows = list(csv.reader(io.StringIO(text)))
@@ -294,11 +362,8 @@ def read_results(path: str | os.PathLike) -> list[SweepRecord]:
         for row in rows[1:]:
             if len(row) != len(CSV_HEADER):
                 raise SchemaError(f"{path}: row has {len(row)} fields, expected {len(CSV_HEADER)}")
-            values = {
-                name: (None if cell == "" else float(cell))
-                for name, cell in zip(METRIC_NAMES, row[2:])
-            }
-            records.append(_record_from_fields(row[0], row[1], values))
+            values = {name: (None if cell == "" else cell) for name, cell in zip(METRIC_NAMES, row[2:])}
+            records.append(_record_from_fields(path, row[0], row[1], values))
         return records
     raise SchemaError(f"{path}: unknown results format (expected .csv or .json)")
 
@@ -308,11 +373,14 @@ def cache_key(
     metrics: Sequence[str] | None = None,
     connectivity_filter: bool | None = None,
 ) -> str:
-    """Stable content hash of family + metrics + filter + artifact version."""
+    """Stable content hash of family + metrics + filter + package and results versions."""
     if connectivity_filter is None:
         connectivity_filter = family.default_connectivity_filter
     chosen = tuple(metrics) if metrics is not None else METRIC_NAMES
-    blob = f"{family.descriptor}|filter={connectivity_filter}|metrics={','.join(chosen)}|v{__version__}"
+    blob = (
+        f"{family.descriptor}|filter={connectivity_filter}|metrics={','.join(chosen)}"
+        f"|v{__version__}|results={RESULTS_VERSION}"
+    )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -331,14 +399,23 @@ def cached_sweep(
     threads: int = 1,
     cache_dir: str | os.PathLike | None = None,
 ) -> tuple[list[SweepRecord], SweepSummary]:
-    """Sweep with a content-addressed cache of the record list."""
+    """Sweep with a content-addressed cache of the record list.
+
+    An unreadable cache entry counts as a miss: a warning goes to stderr and
+    the entry is recomputed and replaced.
+    """
+    _require_threads(threads)
     if cache_dir is None:
         return sweep_family(family, metrics, connectivity_filter, threads)
     cache_dir = Path(cache_dir)
     cache_file = cache_dir / f"{cache_key(family, metrics, connectivity_filter)}.json"
     if cache_file.exists():
-        records = read_results(cache_file)
-        return records, summarize_records(records, family.descriptor, metrics)
+        try:
+            records = read_results(cache_file)
+        except SchemaError as exc:
+            print(f"warning: ignoring cache entry: {exc}", file=sys.stderr)
+        else:
+            return records, summarize_records(records, family.descriptor, metrics)
     records, summary = sweep_family(family, metrics, connectivity_filter, threads)
     cache_dir.mkdir(parents=True, exist_ok=True)
     write_results(records, cache_file, "json")

@@ -202,3 +202,31 @@ def test_reproduce_cli(capsys, tmp_path):
     assert len(series) >= 9
     table1 = (tmp_path / "plots" / "single_full_s_p.dat").read_text().splitlines()
     assert table1[0].startswith("#") and len(table1) == 11
+
+
+@pytest.mark.parametrize("content", ["[1, 2]", '[{"d": 4, "edges": "0,1,2;0,1,3", "s_p"', '{}'],
+                         ids=["list-of-numbers", "truncated", "object"])
+def test_sweep_malformed_cache_entry_is_recomputed(capsys, tmp_path, content):
+    from hyperstate.sweep import cache_key, dminus1_family
+
+    argv = ("sweep", "--family", "dminus1", "--d", "4", "--format", "csv")
+    code, fresh, _ = run_cli(capsys, *argv)
+    assert code == 0
+    entry = tmp_path / f"{cache_key(dminus1_family(4))}.json"
+    entry.write_text(content)
+    code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert out == fresh
+    assert err.startswith("warning:") and err.count("\n") == 1
+    code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert (code, out, err) == (0, fresh, "")
+
+
+@pytest.mark.parametrize("command", ["sweep", "reproduce"])
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_nonpositive_threads_is_user_error(capsys, command, threads):
+    extra = ("--family", "dminus1", "--d", "4") if command == "sweep" else ()
+    code, out, err = run_cli(capsys, command, *extra, "--threads", threads)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "threads" in err and err.count("\n") == 1

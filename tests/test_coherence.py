@@ -5,15 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from hyperstate.coherence import (
-    coherence_report,
-    l1_coherence,
-    rel_entropy_coherence,
-    to_phase_basis,
-)
+from hyperstate.coherence import coherence_report, l1_coherence, rel_entropy_coherence
 from hyperstate.errors import GuardError
 from hyperstate.hypergraph import Hypergraph, complete_k_graph, single_full_edge
-from hyperstate.operators import phase_state
+from hyperstate.operators import phase_overlaps, phase_state
 from hyperstate.state import hypergraph_state
 
 from conftest import random_hypergraph
@@ -39,19 +34,19 @@ def test_basis_state_has_no_coherence():
     assert rel_entropy_coherence(basis_vec) == 0.0
 
 
-def test_to_phase_basis_maps_phase_state_to_basis_vector():
-    coeffs = to_phase_basis(phase_state(8, 3))
+def test_phase_overlaps_map_phase_state_to_basis_vector():
+    coeffs = phase_overlaps(phase_state(8, 3))
     expected = np.zeros(8, dtype=complex)
     expected[3] = 1.0
     assert np.max(np.abs(coeffs - expected)) < 1e-12
 
 
-def test_to_phase_basis_preserves_norm():
+def test_phase_overlaps_preserve_norm():
     rng = np.random.default_rng(3)
     for _ in range(5):
         psi = rng.normal(size=16) + 1j * rng.normal(size=16)
         psi /= np.linalg.norm(psi)
-        assert abs(np.linalg.norm(to_phase_basis(psi)) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(phase_overlaps(psi)) - 1.0) < 1e-12
 
 
 def test_edgeless_state_has_no_phase_coherence():

@@ -10,11 +10,11 @@ from hyperstate.operators import (
     number_phase_commutator_dense,
     number_phase_commutator_expectation,
     phase_state,
+    spectral_profile,
     variance,
 )
-from hyperstate.squeezing import half_commutator, number_stats, phase_stats, squeeze_report
+from hyperstate.squeezing import number_stats, phase_stats, squeeze_report
 from hyperstate.state import hypergraph_state
-
 
 
 @pytest.mark.parametrize(
@@ -99,15 +99,19 @@ def test_variance_dominates_half_gershgorin_formula():
         assert number_stats(d)[1] - gershgorin_bound(1 << d) / 2 >= 0
 
 
-def test_half_commutator_dense_fft_cross_check_at_boundary():
-    # d = 8 uses the dense route, d = 9 the FFT route; both must agree with
-    # the other path wherever the dense operator is available.
-    for d in (8, 9):
-        psi = hypergraph_state(single_full_edge(d))
-        dense = abs(np.vdot(psi, number_phase_commutator_dense(1 << d) @ psi)) / 2
-        fft = abs(number_phase_commutator_expectation(psi)) / 2
-        assert abs(dense - fft) < 1e-10
-        assert abs(half_commutator(psi) - dense) < 1e-10
+def test_profile_half_comm_matches_dense_and_fft_oracles():
+    # d = 8 against the dense [N, P]; d = 9, 10 against two FFT-applied
+    # operator products; squeeze_report carries the profile value.
+    for d in (8, 9, 10):
+        g = single_full_edge(d)
+        psi = hypergraph_state(g)
+        if d == 8:
+            oracle = abs(np.vdot(psi, number_phase_commutator_dense(1 << d) @ psi)) / 2
+        else:
+            oracle = abs(number_phase_commutator_expectation(psi)) / 2
+        half = float(spectral_profile(psi.real).half_comm)
+        assert abs(half - oracle) < 1e-10
+        assert squeeze_report(g).half_comm == half
 
 
 def test_squeeze_report_guard():

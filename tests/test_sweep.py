@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import hyperstate.sweep as sweep_mod
 from hyperstate.errors import SchemaError
-from hyperstate.hypergraph import Hypergraph, canonical_edges
+from hyperstate.hypergraph import Hypergraph, canonical_edges, is_connected
+from hyperstate.reproduce import Reproducer
 from hyperstate.squeezing import squeeze_report
 from hyperstate.sweep import (
     CSV_HEADER,
@@ -19,6 +21,7 @@ from hyperstate.sweep import (
     render_results,
     single_full_family,
     sweep_family,
+    worker_count,
     write_results,
 )
 
@@ -166,13 +169,85 @@ def test_read_rejects_unknown_extension(tmp_path):
         read_results(path)
 
 
-def test_cache_key_stability():
+def test_cache_key_stability(monkeypatch):
     family = dminus1_family(5)
     assert cache_key(family) == cache_key(family)
     assert cache_key(family) != cache_key(dminus1_family(6))
     assert cache_key(family) != cache_key(family, metrics=("s_p",))
     assert cache_key(family) != cache_key(family, connectivity_filter=False)
     assert cache_key(complete_k_family(5, 4)) != cache_key(complete_k_family(5, 3))
+    current = cache_key(family)
+    monkeypatch.setattr(sweep_mod, "RESULTS_VERSION", sweep_mod.RESULTS_VERSION - 1)
+    assert cache_key(family) != current
+
+
+def _valid_text(records):
+    return render_results(records, "json")
+
+
+MALFORMED = {
+    "list-of-numbers": lambda records: "[1, 2]",
+    "truncated": lambda records: _valid_text(records)[: len(_valid_text(records)) // 2],
+    "object": lambda records: '{"records": []}',
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED))
+def test_read_rejects_malformed_json(tmp_path, kind):
+    records, _ = sweep_family(dminus1_family(4))
+    path = tmp_path / "bad.json"
+    path.write_text(MALFORMED[kind](records))
+    with pytest.raises(SchemaError):
+        read_results(path)
+
+
+@pytest.mark.parametrize("text", [
+    '[{"d": "x", "edges": "", "s_p": 1, "s_n": 1, "var_p": 1, "var_n": 1,'
+    ' "half_comm": 1, "c_l1_phase": 1, "c_rel_phase": 1}]',
+    '[{"d": 4, "edges": 7, "s_p": 1, "s_n": 1, "var_p": 1, "var_n": 1,'
+    ' "half_comm": 1, "c_l1_phase": 1, "c_rel_phase": 1}]',
+    '[{"d": 4, "edges": "", "s_p": "low", "s_n": 1, "var_p": 1, "var_n": 1,'
+    ' "half_comm": 1, "c_l1_phase": 1, "c_rel_phase": 1}]',
+])
+def test_read_rejects_malformed_json_values(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(SchemaError):
+        read_results(path)
+
+
+def test_read_rejects_malformed_csv_values(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text(",".join(CSV_HEADER) + "\n4,0,1,x,,,,,,\n")
+    with pytest.raises(SchemaError):
+        read_results(path)
+    path.write_bytes(b"\xff\xfe\x00")
+    with pytest.raises(SchemaError):
+        read_results(path)
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED))
+def test_cached_sweep_recomputes_malformed_entry(tmp_path, capsys, kind):
+    family = dminus1_family(4)
+    fresh, fresh_summary = sweep_family(family)
+    entry = tmp_path / f"{cache_key(family)}.json"
+    entry.write_text(MALFORMED[kind](fresh))
+    records, summary = cached_sweep(family, cache_dir=tmp_path)
+    assert records == fresh
+    assert summary == fresh_summary
+    assert read_results(entry) == fresh
+    err = capsys.readouterr().err
+    assert err.startswith("warning:") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == [entry.name]
+
+
+def test_write_results_leaves_no_partial_file(tmp_path):
+    records, _ = sweep_family(dminus1_family(4))
+    path = tmp_path / "out.json"
+    path.write_text("old")
+    write_results(records, path)
+    assert read_results(path) == records
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
 
 def test_cached_sweep_round_trip(tmp_path, monkeypatch):
@@ -184,20 +259,51 @@ def test_cached_sweep_round_trip(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("sweep recomputed despite warm cache")
 
-    import hyperstate.sweep as sweep_mod
-
     monkeypatch.setattr(sweep_mod, "sweep_family", boom)
     cached_records, cached_summary = cached_sweep(family, cache_dir=tmp_path)
     assert cached_records == records
     assert cached_summary.metrics["s_p"] == summary.metrics["s_p"]
 
 
-def test_thread_count_does_not_change_output():
+def test_thread_count_does_not_change_output(monkeypatch):
+    # Small chunks give the pool several chunks to split at d = 5.
+    monkeypatch.setattr(sweep_mod, "CHUNK_BYTES", 16 * 32 * 3)
     family = dminus1_family(5)
     records_1, _ = sweep_family(family, threads=1)
     records_4, _ = sweep_family(family, threads=4)
     for fmt in ("csv", "json"):
         assert render_results(records_1, fmt) == render_results(records_4, fmt)
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_nonpositive_threads_rejected(tmp_path, threads):
+    family = dminus1_family(4)
+    with pytest.raises(ValueError, match="threads"):
+        sweep_family(family, threads=threads)
+    cached_sweep(family, cache_dir=tmp_path)
+    with pytest.raises(ValueError, match="threads"):
+        cached_sweep(family, threads=threads, cache_dir=tmp_path)
+    with pytest.raises(ValueError, match="threads"):
+        Reproducer(threads=threads)
+
+
+def test_worker_count_is_capped(monkeypatch):
+    monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: 2)
+    assert worker_count(1, 100) == 1
+    assert worker_count(8, 1) == 1
+    assert worker_count(8, 100) == 2
+    assert worker_count(10_000, 100) == 2
+    monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: None)
+    assert worker_count(8, 100) == 1
+
+
+def test_chunked_records_equal_single_records(monkeypatch):
+    family = dminus1_family(5)
+    whole, _ = sweep_family(family)
+    monkeypatch.setattr(sweep_mod, "CHUNK_BYTES", 16 * 32 * 4)
+    chunked, _ = sweep_family(family)
+    single = [evaluate_record(g) for g in family.configurations() if is_connected(g)]
+    assert whole == chunked == single
 
 
 def test_complete_k_metrics_invariant_under_relabeling():

@@ -19,7 +19,7 @@ from . import __version__, reproduce as reproduce_mod
 from .coherence import BASES, coherence_report
 from .errors import GuardError
 from .hypergraph import Hypergraph, parse_edges
-from .moments import agarwal_tara, m_moment, mu_moment
+from .moments import agarwal_tara, moment_sequences, presentable
 from .operators import (
     apply_phase_operator,
     gershgorin_bound,
@@ -131,9 +131,11 @@ def emit_plot_data(series: Sequence[tuple[float, float]], path: str, name: str =
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _fmt(value: float | None, precision: str = ".6g") -> str:
+def _fmt(value: float | str | None, precision: str = ".6g") -> str:
     if value is None:
         return "undefined"
+    if isinstance(value, str):  # exact text of a value beyond float range
+        return value
     return format(value, precision)
 
 
@@ -328,14 +330,8 @@ def _summary_text(summary) -> str:
 def _cmd_agarwal_tara(args: argparse.Namespace) -> int:
     result = agarwal_tara(args.d, args.n)
     discrepancies = witness_discrepancies(d=args.d, n=args.n)
-    data = {
-        "d": result.d,
-        "n": result.n,
-        "det_m": float(result.det_m),
-        "det_mu": float(result.det_mu),
-        "a_n": float(result.a_n),
-        "paper_discrepancies": [disc.describe() for disc in discrepancies],
-    }
+    data = result.to_dict()
+    data["paper_discrepancies"] = [disc.describe() for disc in discrepancies]
     if args.exact:
         data["det_m_exact"] = str(result.det_m)
         data["det_mu_exact"] = str(result.det_mu)
@@ -352,12 +348,12 @@ def _cmd_agarwal_tara(args: argparse.Namespace) -> int:
             if args.exact:
                 text += f"  (= {data[key + '_exact']})"
             pairs.append((key, text))
-        moments_used = 2 * args.n - 2
+        m_seq, mu_seq = moment_sequences(args.d, 2 * args.n - 2)
         pairs.append(("moments", ", ".join(
-            f"m_{k}={_fmt(float(m_moment(args.d, k)))}" for k in range(1, moments_used + 1)
+            f"m_{k}={_fmt(presentable(m))}" for k, m in enumerate(m_seq[1:], start=1)
         )))
         pairs.append(("number moments", ", ".join(
-            f"mu_{k}={_fmt(float(mu_moment(args.d, k)))}" for k in range(1, moments_used + 1)
+            f"mu_{k}={_fmt(presentable(mu))}" for k, mu in enumerate(mu_seq[1:], start=1)
         )))
         payload = _aligned(pairs)
         for disc in discrepancies:

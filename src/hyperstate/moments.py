@@ -1,23 +1,36 @@
 """Moment-based nonclassicality witness with exact rational arithmetic.
 
-For a hypergraph state on d qubits the factorial moments
+For a hypergraph state on d qubits, with D = 2**d, the factorial moments
 m_k = <(a-dagger)**k a**k> factor as W_1 W_2 ... W_k with
-W_k = k (2**d - k) / (k + 1), and the number-operator moments
+W_k = k (D - k) / (k + 1), which telescopes to the closed form
+m_k = (D - 1)(D - 2) ... (D - k) / (k + 1).  The number-operator moments
 mu_k = <N**k> expand over the m_j with Stirling-second-kind coefficients.
-Both admit independent summation oracles over the uniform amplitude
-distribution: m_k is the mean falling factorial and mu_k the mean power.
+``moment_sequences`` builds both sequences in one pass: a running falling
+factorial for m and one Stirling table for mu.  Both admit independent
+summation oracles over the uniform amplitude distribution: m_k is the mean
+falling factorial and mu_k the mean power.
 
 The witness A_n = det m / (det mu - det m) is negative for nonclassical
-states; it is built from n x n Hankel-type matrices whose (i, j) entry is
-the moment of order i + j.  Everything is carried in ``fractions.Fraction``
-because the determinants cancel catastrophically in floats; floats appear
-only at the presentation edge.
+states; it is built from n x n Hankel matrices whose (i, j) entry is the
+moment of order i + j.  ``determinant`` clears denominators and runs
+fraction-free (Bareiss) elimination on integers.  The mu_k are the moments
+of the uniform distribution on {0, ..., D - 1}, so det mu is the product
+of the squared norms of the monic discrete Chebyshev (Gram) polynomials,
+``mu_hankel_determinant``; Bareiss on the mu Hankel is its test oracle.
+det m has no such product and stays on Bareiss.  Results are exact
+``fractions.Fraction`` values because the determinants cancel
+catastrophically in floats; floats appear only at the presentation edge,
+and ``presentable`` renders values beyond float range as exact decimal
+scientific text instead.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from decimal import MAX_EMAX, Decimal, localcontext
 from fractions import Fraction
+from typing import Sequence
 
 __all__ = [
     "w_factor",
@@ -25,11 +38,14 @@ __all__ = [
     "m_moment_oracle",
     "mu_moment",
     "mu_moment_oracle",
+    "moment_sequences",
     "moment_set",
     "MomentSet",
     "StirlingTable",
     "stirling_coefficients",
     "determinant",
+    "mu_hankel_determinant",
+    "presentable",
     "AgarwalTaraResult",
     "agarwal_tara",
 ]
@@ -48,13 +64,23 @@ def w_factor(d: int, k: int) -> Fraction:
     return Fraction(k * ((1 << d) - k), k + 1)
 
 
-def m_moment(d: int, k: int) -> Fraction:
-    """Factorial moment m_k = W_1 W_2 ... W_k (m_0 = 1), exact."""
-    _check_k(d, k, 0)
-    out = Fraction(1)
-    for i in range(1, k + 1):
-        out *= w_factor(d, i)
+def _m_sequence(dim: int, top: int) -> list[Fraction]:
+    """m_0 .. m_top from one running falling factorial (dim - 1) ... (dim - k)."""
+    out = [Fraction(1)]
+    falling = 1
+    for k in range(1, top + 1):
+        falling *= dim - k
+        out.append(Fraction(falling, k + 1))
     return out
+
+
+def m_moment(d: int, k: int) -> Fraction:
+    """Factorial moment m_k = W_1 W_2 ... W_k (m_0 = 1), exact.
+
+    The product telescopes to (2**d - 1)(2**d - 2) ... (2**d - k) / (k + 1).
+    """
+    _check_k(d, k, 0)
+    return _m_sequence(1 << d, k)[k]
 
 
 def m_moment_oracle(d: int, k: int) -> Fraction:
@@ -110,14 +136,28 @@ def stirling_coefficients(max_k: int) -> StirlingTable:
     return StirlingTable(max_k=max_k, rows=tuple(rows))
 
 
+def moment_sequences(d: int, top: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """(m_0 .. m_top, mu_0 .. mu_top) in one pass, exact; m_0 = mu_0 = 1.
+
+    m_k comes from a running falling factorial, and mu_k = sum_j S(k, j) m_j
+    from one Stirling table, summed as integers over the common denominator
+    of the m_j.
+    """
+    _check_k(d, top, 0)
+    m = _m_sequence(1 << d, top)
+    scale = math.lcm(*(x.denominator for x in m))
+    scaled = [x.numerator * (scale // x.denominator) for x in m[1:]]
+    mu = [Fraction(1)]
+    if top:
+        for row in stirling_coefficients(top).rows:
+            mu.append(Fraction(sum(s * x for s, x in zip(row, scaled)), scale))
+    return tuple(m), tuple(mu)
+
+
 def mu_moment(d: int, k: int) -> Fraction:
     """Number-operator moment mu_k = sum_j S(k, j) m_j, exact."""
     _check_k(d, k, 1)
-    table = stirling_coefficients(k)
-    return sum(
-        (table.value(k, j) * m_moment(d, j) for j in range(1, k + 1)),
-        Fraction(0),
-    )
+    return moment_sequences(d, k)[1][k]
 
 
 def mu_moment_oracle(d: int, k: int) -> Fraction:
@@ -144,23 +184,34 @@ class MomentSet:
 def moment_set(d: int, max_k: int) -> MomentSet:
     """Bundle W_k, m_k, mu_k for k = 1 .. max_k."""
     _check_k(d, max_k, 1)
+    m, mu = moment_sequences(d, max_k)
     return MomentSet(
         d=d,
         max_k=max_k,
         w=tuple(w_factor(d, k) for k in range(1, max_k + 1)),
-        m=tuple(m_moment(d, k) for k in range(1, max_k + 1)),
-        mu=tuple(mu_moment(d, k) for k in range(1, max_k + 1)),
+        m=m[1:],
+        mu=mu[1:],
     )
 
 
-def determinant(matrix: list[list[Fraction]]) -> Fraction:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+def determinant(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Exact determinant by fraction-free (Bareiss) elimination.
+
+    Entries may be Fractions, ints or floats (taken exactly).  The matrix is
+    scaled to integers by the lcm of its denominators, eliminated with exact
+    integer division, and the scale divided back out.  The 0 x 0
+    determinant is the empty product, 1.
+    """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square")
-    work = [[Fraction(x) for x in row] for row in matrix]
+    if n == 0:
+        return Fraction(1)
+    exact = [[Fraction(x) for x in row] for row in matrix]
+    scale = math.lcm(*(x.denominator for row in exact for x in row))
+    work = [[x.numerator * (scale // x.denominator) for x in row] for row in exact]
     sign = 1
-    prev = Fraction(1)
+    prev = 1
     for i in range(n - 1):
         if work[i][i] == 0:
             for r in range(i + 1, n):
@@ -170,12 +221,56 @@ def determinant(matrix: list[list[Fraction]]) -> Fraction:
                     break
             else:
                 return Fraction(0)
+        pivot_row = work[i]
+        pivot = pivot_row[i]
         for r in range(i + 1, n):
+            row = work[r]
+            lead = row[i]
             for c in range(i + 1, n):
-                work[r][c] = (work[r][c] * work[i][i] - work[r][i] * work[i][c]) / prev
-            work[r][i] = Fraction(0)
-        prev = work[i][i]
-    return sign * work[n - 1][n - 1]
+                row[c] = (row[c] * pivot - lead * pivot_row[c]) // prev
+            row[i] = 0
+        prev = pivot
+    return Fraction(sign * work[n - 1][n - 1], scale**n)
+
+
+def mu_hankel_determinant(d: int, n: int) -> Fraction:
+    """det [mu_{i+j}] for 0 <= i, j < n in closed form, exact.
+
+    The mu_k are the moments of the uniform distribution on
+    {0, .., D - 1}, D = 2**d, so the Hankel determinant is the product of
+    the squared norms of the monic discrete Chebyshev (Gram) polynomials,
+    h_k = (k!)**4 prod_{j=1..k} (D**2 - j**2) / ((2k)! (2k + 1)!).
+    """
+    if d < 1:
+        raise ValueError(f"need d >= 1, got {d}")
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    dim_sq = 1 << (2 * d)
+    norm_num = norm_den = 1
+    num = den = 1
+    for k in range(1, n):
+        norm_num *= k**4 * (dim_sq - k * k)
+        norm_den *= (2 * k) ** 2 * (2 * k - 1) * (2 * k + 1)
+        num *= norm_num
+        den *= norm_den
+    return Fraction(num, den)
+
+
+def presentable(value: Fraction) -> float | str:
+    """``float(value)``, or exact scientific text when that would overflow.
+
+    Out-of-range values are rounded half-even to 10 significant digits and
+    rendered like ``format(x, ".10g")`` (trailing zeros dropped), e.g.
+    ``-5.530442026e+724``, so JSON and CSV output stay valid.
+    """
+    try:
+        return float(value)
+    except OverflowError:
+        with localcontext() as ctx:
+            ctx.prec = 10
+            ctx.Emax = MAX_EMAX
+            quotient = Decimal(value.numerator) / Decimal(value.denominator)
+            return format(quotient.normalize(), "e")
 
 
 @dataclass(frozen=True)
@@ -196,9 +291,9 @@ class AgarwalTaraResult:
         return {
             "d": self.d,
             "n": self.n,
-            "det_m": float(self.det_m),
-            "det_mu": float(self.det_mu),
-            "a_n": float(self.a_n),
+            "det_m": presentable(self.det_m),
+            "det_mu": presentable(self.det_mu),
+            "a_n": presentable(self.a_n),
         }
 
 
@@ -208,6 +303,8 @@ def agarwal_tara(d: int, n: int) -> AgarwalTaraResult:
     Requires moments up to order 2n - 2, so 2n - 2 <= 2**d - 1; at d = 2
     this limits the witness to n = 2.
     """
+    if d < 1:
+        raise ValueError(f"need d >= 1, got {d}")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     top = 2 * n - 2
@@ -216,10 +313,9 @@ def agarwal_tara(d: int, n: int) -> AgarwalTaraResult:
             f"A_{n} needs moments up to order {top}, beyond the 2**{d} - 1 "
             f"available at d={d}"
         )
-    m_seq = [m_moment(d, k) for k in range(top + 1)]
-    mu_seq = [Fraction(1)] + [mu_moment(d, k) for k in range(1, top + 1)]
-    det_m = determinant([[m_seq[i + j] for j in range(n)] for i in range(n)])
-    det_mu = determinant([[mu_seq[i + j] for j in range(n)] for i in range(n)])
+    m_seq = _m_sequence(1 << d, top)
+    det_m = determinant([m_seq[i : i + n] for i in range(n)])
+    det_mu = mu_hankel_determinant(d, n)
     if det_mu == det_m:
         raise ArithmeticError("witness undefined: det mu equals det m exactly")
     return AgarwalTaraResult(d=d, n=n, det_m=det_m, det_mu=det_mu, a_n=det_m / (det_mu - det_m))

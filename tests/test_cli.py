@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -78,6 +79,41 @@ def test_agarwal_tara_insufficient_dimension(capsys):
     code, _, err = run_cli(capsys, "agarwal-tara", "--d", "2", "--n", "3")
     assert code == 1
     assert err.startswith("error:")
+
+
+WIDE_WITNESS = ("agarwal-tara", "--d", "16", "--n", "32")  # determinants near 10**4186
+
+
+def _reject_constant(name):
+    raise AssertionError(f"non-standard JSON constant {name}")
+
+
+def test_agarwal_tara_beyond_float_range_json(capsys):
+    code, out, _ = run_cli(capsys, *WIDE_WITNESS, "--exact", "--format", "json")
+    assert code == 0
+    data = json.loads(out, parse_constant=_reject_constant)
+    for key in ("det_m", "det_mu"):
+        exact = Fraction(data[key + "_exact"])
+        exponent = len(str(abs(exact.numerator) // exact.denominator)) - 1
+        assert exponent == 4186
+        assert data[key].endswith(f"e+{exponent}")
+        # 10 significant digits: within half a unit of the last one
+        assert abs(Fraction(data[key]) - exact) <= Fraction(10) ** (exponent - 9) / 2
+    assert data["a_n"] == pytest.approx(float(Fraction(data["a_n_exact"])))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "table"])
+def test_agarwal_tara_beyond_float_range_text(capsys, fmt):
+    code, out, _ = run_cli(capsys, *WIDE_WITNESS, "--format", fmt)
+    assert code == 0
+    assert "-1.073748079e+4186" in out  # det_m
+    assert "2.592234359e+4186" in out  # det_mu
+
+
+def test_agarwal_tara_rejects_nonpositive_d(capsys):
+    code, _, err = run_cli(capsys, "agarwal-tara", "--d", "-1", "--n", "2")
+    assert code == 1
+    assert err == "error: need d >= 1, got -1\n"
 
 
 def test_coherence_json(capsys):

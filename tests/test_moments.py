@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hyperstate.hypergraph import Hypergraph, complete_k_graph, single_full_edge
 from hyperstate.moments import (
@@ -11,9 +13,12 @@ from hyperstate.moments import (
     determinant,
     m_moment,
     m_moment_oracle,
+    moment_sequences,
     moment_set,
+    mu_hankel_determinant,
     mu_moment,
     mu_moment_oracle,
+    presentable,
     stirling_coefficients,
     w_factor,
 )
@@ -148,6 +153,22 @@ def test_moments_match_dense_expectations():
                 assert dense == pytest.approx(exact, rel=1e-9, abs=1e-12)
 
 
+def test_moment_sequences_agree_with_oracles_exactly():
+    for d in range(1, 7):
+        top = (1 << d) - 1
+        m, mu = moment_sequences(d, top)
+        assert m == tuple(m_moment_oracle(d, k) for k in range(top + 1))
+        assert mu == tuple(mu_moment_oracle(d, k) for k in range(top + 1))
+
+
+def test_moment_sequences_range():
+    assert moment_sequences(3, 0) == ((Fraction(1),), (Fraction(1),))
+    with pytest.raises(ValueError):
+        moment_sequences(2, 4)
+    with pytest.raises(ValueError):
+        moment_sequences(0, 0)
+
+
 def test_moment_set_bundle():
     bundle = moment_set(3, 5)
     assert bundle.w == tuple(w_factor(3, k) for k in range(1, 6))
@@ -172,6 +193,114 @@ def test_determinant_known_values():
 def test_determinant_rejects_nonsquare():
     with pytest.raises(ValueError):
         determinant([[Fraction(1), Fraction(2)]])
+
+
+def test_determinant_of_empty_matrix_is_one():
+    assert determinant([]) == Fraction(1)
+
+
+def test_determinant_int_and_float_entries_are_exact():
+    assert determinant([[2, 3], [4, 5]]) == -2
+    floats = [[0.1, 0.5], [0.25, 3.0]]
+    exact = [[Fraction(x) for x in row] for row in floats]
+    assert determinant(floats) == exact[0][0] * exact[1][1] - exact[0][1] * exact[1][0]
+
+
+def _gauss_determinant(matrix):
+    """Independent route: plain Fraction elimination with row swaps."""
+    work = [[Fraction(x) for x in row] for row in matrix]
+    n = len(work)
+    det = Fraction(1)
+    for i in range(n):
+        pivot = next((r for r in range(i, n) if work[r][i] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != i:
+            work[i], work[pivot] = work[pivot], work[i]
+            det = -det
+        det *= work[i][i]
+        for r in range(i + 1, n):
+            factor = work[r][i] / work[i][i]
+            for c in range(i, n):
+                work[r][c] -= factor * work[i][c]
+    return det
+
+
+# Zero entries are drawn often, so leading pivots vanish and need a swap.
+_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)),
+)
+
+
+@st.composite
+def rational_matrices(draw):
+    n = draw(st.integers(0, 6))
+    rows = [draw(st.lists(_entries, min_size=n, max_size=n)) for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        # make it singular: one row a rational multiple of another
+        src, dst = draw(st.permutations(range(n)))[:2]
+        factor = draw(_entries)
+        rows[dst] = [factor * x for x in rows[src]]
+    return rows
+
+
+@given(rational_matrices())
+def test_determinant_matches_gaussian_elimination(matrix):
+    assert determinant(matrix) == _gauss_determinant(matrix)
+
+
+def _hankel(seq, n):
+    return [[seq[i + j] for j in range(n)] for i in range(n)]
+
+
+def test_mu_hankel_closed_form_matches_oracle_bareiss():
+    """Gram-norm product equals Bareiss on the power-sum-oracle Hankel."""
+    for d in range(1, 7):
+        dim = 1 << d
+        for n in range(1, (dim + 1) // 2 + 1):
+            mu = [mu_moment_oracle(d, k) for k in range(2 * n - 1)]
+            assert mu_hankel_determinant(d, n) == determinant(_hankel(mu, n)), (d, n)
+
+
+def test_mu_hankel_closed_form_matches_sequence_bareiss():
+    for d in (7, 8):
+        mu = moment_sequences(d, 26)[1]
+        for n in range(1, 15):
+            assert mu_hankel_determinant(d, n) == determinant(_hankel(mu, n)), (d, n)
+
+
+def test_mu_hankel_closed_form_vanishes_beyond_rank():
+    """D support points give a Hankel of rank D: zero from n = D + 1 on."""
+    for d in (1, 2):
+        dim = 1 << d
+        for n in range(1, dim + 3):
+            mu = [mu_moment_oracle(d, k) for k in range(2 * n - 1)]
+            assert mu_hankel_determinant(d, n) == determinant(_hankel(mu, n)), (d, n)
+        assert mu_hankel_determinant(d, dim + 1) == 0
+
+
+def test_mu_hankel_closed_form_range():
+    with pytest.raises(ValueError):
+        mu_hankel_determinant(0, 2)
+    with pytest.raises(ValueError):
+        mu_hankel_determinant(3, 0)
+
+
+# presentation
+
+
+def test_presentable_in_float_range_is_float():
+    assert presentable(Fraction(-245, 4)) == -61.25
+    assert isinstance(presentable(Fraction(10**300)), float)
+
+
+def test_presentable_beyond_float_range_is_exact_text():
+    big = 10**400
+    assert presentable(Fraction(12345678905 * big)) == "1.23456789e+410"  # half-even down
+    assert presentable(Fraction(12345678915 * big)) == "1.234567892e+410"  # half-even up
+    assert presentable(Fraction(-7 * big, 3)) == "-2.333333333e+400"
+    assert presentable(Fraction(5 * big)) == "5e+400"
 
 
 # witness
@@ -205,6 +334,28 @@ def test_witness_a3_published_decimals(d, expected):
 def test_witness_dimension_requirement():
     with pytest.raises(ValueError):
         agarwal_tara(2, 3)  # needs moments to order 4, beyond 2**2 - 1
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_witness_rejects_nonpositive_d(d):
+    with pytest.raises(ValueError, match=f"need d >= 1, got {d}"):
+        agarwal_tara(d, 2)
+
+
+def test_witness_d8_n12_matches_oracle_hankels():
+    result = agarwal_tara(8, 12)
+    m = [m_moment_oracle(8, k) for k in range(23)]
+    mu = [mu_moment_oracle(8, k) for k in range(23)]
+    assert result.det_m == determinant(_hankel(m, 12))
+    assert result.det_mu == determinant(_hankel(mu, 12))
+    assert result.a_n == result.det_m / (result.det_mu - result.det_m)
+
+
+def test_witness_to_dict_beyond_float_range():
+    data = agarwal_tara(12, 16).to_dict()
+    assert data["det_m"] == "-5.530442026e+724"
+    assert data["det_mu"] == "1.313021061e+725"
+    assert data["a_n"] == pytest.approx(-0.29636916, abs=1e-8)
 
 
 def test_witness_n1_degenerate():

@@ -13,7 +13,9 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from . import __version__, reproduce as reproduce_mod
 from .coherence import BASES, coherence_report
@@ -24,7 +26,9 @@ from .operators import (
     apply_phase_operator,
     gershgorin_bound,
     number_phase_commutator_dense,
+    phase_angles,
     phase_operator_dense,
+    spectral_bound_check,
     verify_structure,
 )
 from .reference_tables import witness_discrepancies
@@ -144,14 +148,17 @@ def _aligned(pairs: list[tuple[str, str]]) -> str:
     return "\n".join(f"{k:<{width}}  {v}" for k, v in pairs) + "\n"
 
 
-def _csv_row(fields: Sequence[str], values: Sequence) -> str:
+def _csv(fields: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """Header plus rows; None is an empty cell, text stays, numbers use repr."""
     import csv
     import io
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(fields)
-    writer.writerow(["" if v is None else (v if isinstance(v, str) else repr(v)) for v in values])
+    writer.writerows(
+        ["" if v is None else (v if isinstance(v, str) else repr(v)) for v in row] for row in rows
+    )
     return buffer.getvalue()
 
 
@@ -164,15 +171,8 @@ def _cmd_state(args: argparse.Namespace) -> int:
     if args.format == "json":
         payload = json.dumps([[a.real, a.imag] for a in psi]) + "\n"
     elif args.format == "csv":
-        import csv
-        import io
-
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(("n", "re", "im"))
-        for n, a in enumerate(psi):
-            writer.writerow((n, repr(float(a.real)), repr(float(a.imag))))
-        payload = buffer.getvalue()
+        rows = ((n, float(a.real), float(a.imag)) for n, a in enumerate(psi))
+        payload = _csv(("n", "re", "im"), rows)
     else:
         rows = [(f"|{n}>", f"{a.real:+.10f}{a.imag:+.10f}j") for n, a in enumerate(psi)]
         payload = _aligned(rows)
@@ -187,15 +187,8 @@ def _cmd_circuit(args: argparse.Namespace) -> int:
             {"d": circ.d, "gates": [[kind, list(qs)] for kind, qs in circ.gates]}
         ) + "\n"
     elif args.format == "csv":
-        import csv
-        import io
-
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(("gate", "qubits"))
-        for kind, qs in circ.gates:
-            writer.writerow((kind, " ".join(str(q) for q in qs)))
-        payload = buffer.getvalue()
+        rows = ((kind, " ".join(map(str, qs))) for kind, qs in circ.gates)
+        payload = _csv(("gate", "qubits"), rows)
     else:
         payload = circuit_text(circ) + "\n"
     _emit(payload, args.out)
@@ -204,6 +197,12 @@ def _cmd_circuit(args: argparse.Namespace) -> int:
 
 def _cmd_operators(args: argparse.Namespace) -> int:
     dim = 1 << args.d
+    if args.check_all:
+        rng = np.random.default_rng(7)
+        state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        state /= np.linalg.norm(state)
+        # First, so that its eigensolver guard fires before any dense matrix is built.
+        bound = spectral_bound_check(state)
     phase_op = phase_operator_dense(dim)
     comm = number_phase_commutator_dense(dim)
     report: dict = {
@@ -213,35 +212,24 @@ def _cmd_operators(args: argparse.Namespace) -> int:
         "number_phase_commutator": verify_structure(comm).to_dict(),
     }
     if args.check_all:
-        import numpy as np
-
-        from .operators import phase_angles
-
         n = np.arange(dim)
         fourier = np.exp(2j * np.pi * np.outer(n, n) / dim) / np.sqrt(dim)
         spectral = (fourier * phase_angles(dim)) @ fourier.conj().T
-        rng = np.random.default_rng(7)
-        state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        state /= np.linalg.norm(state)
-        eigenvalues = np.linalg.eigvalsh(1j * comm)
-        radius = float(np.max(np.abs(eigenvalues)))
-        row_sum = float(np.max(np.sum(np.abs(comm), axis=1)))
         report["check_all"] = {
             "spectral_sum_max_error": float(np.max(np.abs(phase_op - spectral))),
             "fft_vs_dense_max_error": float(
                 np.max(np.abs(apply_phase_operator(state) - phase_op @ state))
             ),
-            "spectral_radius": radius,
-            "row_sum_bound": row_sum,
-            "eigenvalues_within_row_sum": bool(radius <= row_sum * (1.0 + 1e-12)),
-            "eigenvalues_within_stated_formula": bool(radius <= gershgorin_bound(dim)),
+            "spectral_radius": bound.spectral_radius,
+            "row_sum_bound": bound.row_sum_bound,
+            "eigenvalues_within_row_sum": bound.within_row_sum,
+            "eigenvalues_within_stated_formula": bound.spectral_radius <= bound.stated_bound,
             "commutator_diagonal_max": float(np.max(np.abs(np.diag(comm)))),
         }
     if args.format == "json":
         payload = json.dumps(report, indent=2) + "\n"
     elif args.format == "csv":
-        pairs = _flatten("", report)
-        payload = "key,value\n" + "\n".join(f"{k},{v}" for k, v in pairs) + "\n"
+        payload = _csv(("key", "value"), _flatten("", report))
     else:
         pairs = _flatten("", report)
         payload = _aligned([(k, str(v)) for k, v in pairs])
@@ -266,7 +254,7 @@ def _cmd_squeeze(args: argparse.Namespace) -> int:
     if args.format == "json":
         payload = json.dumps({k: data[k] for k in SQUEEZE_FIELDS}) + "\n"
     elif args.format == "csv":
-        payload = _csv_row(SQUEEZE_FIELDS, [data[k] for k in SQUEEZE_FIELDS])
+        payload = _csv(SQUEEZE_FIELDS, [[data[k] for k in SQUEEZE_FIELDS]])
     else:
         payload = _aligned(
             [(k, data[k] if isinstance(data[k], (str, int)) else _fmt(data[k]))
@@ -340,7 +328,7 @@ def _cmd_agarwal_tara(args: argparse.Namespace) -> int:
         payload = json.dumps(data, indent=2) + "\n"
     elif args.format == "csv":
         fields = ("d", "n", "det_m", "det_mu", "a_n")
-        payload = _csv_row(fields, [data[k] for k in fields])
+        payload = _csv(fields, [[data[k] for k in fields]])
     else:
         pairs = [("d", str(result.d)), ("n", str(result.n))]
         for key in ("det_m", "det_mu", "a_n"):
@@ -368,7 +356,7 @@ def _cmd_coherence(args: argparse.Namespace) -> int:
     if args.format == "json":
         payload = json.dumps({k: data[k] for k in COHERENCE_FIELDS}) + "\n"
     elif args.format == "csv":
-        payload = _csv_row(COHERENCE_FIELDS, [data[k] for k in COHERENCE_FIELDS])
+        payload = _csv(COHERENCE_FIELDS, [[data[k] for k in COHERENCE_FIELDS]])
     else:
         payload = _aligned(
             [(k, data[k] if isinstance(data[k], (str, int)) else _fmt(data[k], ".10g"))

@@ -11,11 +11,13 @@ sum_m theta_m |theta_m><theta_m|, a Hermitian circulant matrix; its
 commutator with the number operator is skew-Hermitian Toeplitz.
 
 Squeezing and phase-basis coherence of real states are evaluated along one
-route, ``spectral_profile``: one zero-padded real FFT and its inverse per
-state, batched over a stack of states.  Dense matrices and the complex-state
-FFT helpers (``phase_overlaps``, ``apply_phase_operator``,
-``number_phase_commutator_expectation``) serve general states, structure and
-spectral checks, and act as the profile's test oracles.
+route, ``spectral_profile``: the half spectra of psi and n psi from one
+length-dim real FFT, batched over a stack of states and read with mirror
+weights (Parseval turns <[N, P]> into a weighted sum over those bins).
+Dense matrices and the complex-state FFT helpers (``phase_overlaps``,
+``apply_phase_operator``, ``number_phase_commutator_expectation``) serve
+general states, structure and spectral checks, and act as the profile's
+test oracles.
 """
 
 from __future__ import annotations
@@ -143,17 +145,29 @@ class SpectralProfile:
 
 
 def spectral_profile(psi: np.ndarray) -> SpectralProfile:
-    """Phase statistics of real states ``psi`` (shape ``(..., dim)``) from two FFTs.
+    """Phase statistics of real states ``psi`` (shape ``(..., dim)``) from one batched rfft.
 
-    With F = rfft(psi, 2 dim), the even bins F[2m] equal fft(psi)[m], so
-    p_m = |F[2m]|**2 / dim for m <= dim/2; real amplitudes make the phase
-    distribution mirror-symmetric, p_{dim-m} = p_m.  irfft(|F|**2, 2 dim) is
-    the linear autocorrelation R(s) = sum_n psi_n psi_{n+s}.  [N, P] is
-    Toeplitz with Im P[s, 0] = -(pi/dim) cot(pi s/dim), so
-    |<[N, P]>| / 2 = (pi/dim) |sum_{s=1}^{dim-1} s R(s) cot(pi s/dim)|.
+    With F = fft(psi) and G = fft(n psi), the phase probabilities are
+    p_m = |F_m|**2 / dim.  Real amplitudes make the spectra Hermitian,
+    F_{dim-m} = conj(F_m), so p_{dim-m} = p_m and the half spectrum
+    m = 0 .. dim/2 carries everything: each bin counts with its mirror
+    weight, 1 at m = 0 and m = dim/2 and 2 elsewhere.  The mirrored angle of
+    theta_m is 2 pi - theta_m, so
+      mean_p = pi sum_{m>0} p_m (mirror-weighted);
+      var_p pairs (theta_m - mean)**2 + (2 pi - theta_m - mean)**2, which
+      equals 2 (theta_m - pi)**2 + 2 (pi - mean)**2, so every term is a
+      square and nothing cancels (E[theta**2] - mean**2 loses ~1e-14, enough
+      to reorder near-tied variances in a sweep summary).
+    Both operators are Hermitian, so <[N, P]> = 2i Im <N psi|P psi>, and by
+    Parseval <N psi|P psi> = (1/dim) sum_m theta_m conj(G_m) F_m.  The
+    mirrored bin contributes the conjugate at angle 2 pi - theta_m, and both
+    end bins are real, hence
+      |<[N, P]>| / 2 = |sum_{0<m<dim/2} (2 theta_m - 2 pi) Im(conj(G_m) F_m)| / dim.
+    The two coherences are mirror-weighted sums over the same p_m.
 
-    Every reduction is a row-wise ``np.sum``, so a state's values do not
-    depend on which other states share its batch.
+    F and G come from one ``rfft`` of length dim over the stacked rows of
+    psi and n psi.  Every reduction is a row-wise ``np.sum``, so a state's
+    values do not depend on which other states share its batch.
     """
     psi = np.asarray(psi)
     if np.iscomplexobj(psi):
@@ -163,25 +177,30 @@ def spectral_profile(psi: np.ndarray) -> SpectralProfile:
     if dim < 2:
         raise ValueError(f"need dim >= 2, got {dim}")
     rows = psi.reshape(-1, dim).astype(np.float64, copy=False)
-    spectrum = np.fft.rfft(rows, 2 * dim, axis=-1)
-    power = spectrum.real**2 + spectrum.imag**2
-    half = power[:, ::2] / dim
-    prob = np.concatenate((half, half[:, dim // 2 - 1 : 0 : -1]), axis=-1)
-    theta = phase_angles(dim)
-    mean = np.sum(theta * prob, axis=-1)
-    # Centered form: E[theta**2] - mean**2 loses ~1e-14 to cancellation,
-    # enough to reorder near-tied variances in a sweep summary.
-    var = np.sum(prob * (theta - mean[:, None]) ** 2, axis=-1)
-    autocorr = np.fft.irfft(power, 2 * dim, axis=-1)[:, 1:dim]
-    s = np.arange(1, dim)
-    weight = s / np.tan(np.pi * s / dim)
-    weight[dim // 2 - 1] = 0.0  # s = dim/2: cot(pi/2) is exactly zero
-    half_comm = (np.pi / dim) * np.abs(np.sum(autocorr * weight, axis=-1))
-    total = np.sum(prob, axis=-1)
-    c_l1 = np.sum(np.sqrt(prob), axis=-1) ** 2 / total - 1.0
+    count = len(rows)
+    spectra = np.fft.rfft(np.concatenate((rows, rows * np.arange(dim))), axis=-1)
+    f, g = spectra[:count], spectra[count:]
+    prob = (f.real**2 + f.imag**2) / dim
+    mirror = np.full(dim // 2 + 1, 2.0)
+    mirror[[0, -1]] = 1.0
+    offset = phase_angles(dim)[: dim // 2 + 1] - np.pi
+    # Sums over m >= 1 are taken directly, not as total - p_0, which would
+    # cancel when p_0 is close to 1.  The m = 0 bin has no mirror; its
+    # variance term is p_0 mean**2.
+    p0 = prob[:, 0]
+    rest = np.sum(mirror[1:] * prob[:, 1:], axis=-1)
+    total = p0 + rest
+    mean = np.pi * rest
+    spread = np.sum(prob[:, 1:] * (mirror[1:] * offset[1:] ** 2), axis=-1)
+    var = spread + (np.pi - mean) ** 2 * rest + p0 * mean**2
+    cross = g.real * f.imag - g.imag * f.real
+    weight = 2.0 * offset
+    weight[[0, -1]] = 0.0
+    half_comm = np.abs(np.sum(cross * weight, axis=-1)) / dim
+    c_l1 = np.sum(mirror * np.sqrt(prob), axis=-1) ** 2 / total - 1.0
     prob /= total[:, None]
     logs = np.log(prob, out=np.zeros_like(prob), where=prob > 0.0)
-    c_rel = -np.sum(prob * logs, axis=-1)
+    c_rel = -np.sum(mirror * prob * logs, axis=-1)
     shape = psi.shape[:-1]
     return SpectralProfile(
         *(value.reshape(shape) for value in (mean, var, half_comm, c_l1, c_rel))

@@ -14,11 +14,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GuardError
-from .hypergraph import Hypergraph, boolean_function
+from .hypergraph import Hypergraph
 
 # 2**24 amplitudes (256 MiB complex128) is the largest state we build.
 MAX_QUBITS = 24
 _SIM_MAX_QUBITS = 20
+# Edge indicator rows are built in blocks of at most this many bytes, so a
+# graph with many edges at large d needs no edges-by-2**d matrix at once.
+_INDICATOR_BYTES = 1 << 24
 
 Gate = tuple[str, tuple[int, ...]]
 
@@ -57,15 +60,33 @@ def hypergraph_amplitudes(graphs: Sequence[Hypergraph]) -> np.ndarray:
     """Real amplitudes (-1)**f(n) / sqrt(2**d), one row per hypergraph.
 
     All hypergraphs share one vertex count d; the result has shape
-    ``(len(graphs), 2**d)``.
+    ``(len(graphs), 2**d)``.  f(n) counts, mod 2, the edges whose vertex
+    bits are all set in n (``hypergraph.boolean_function``), so the whole
+    batch's truth tables are one product: (graph-by-edge membership) @
+    (edge-by-n indicator rows of the batch's distinct edges), mod 2.  The
+    float32 product of 0/1 entries is exact, since d <= 24 allows fewer than
+    2**24 distinct edges.
     """
     d = graphs[0].d
     if any(g.d != d for g in graphs):
         raise ValueError("hypergraphs in one batch must share the vertex count")
     if d > MAX_QUBITS:
         raise GuardError(f"d={d} exceeds the {MAX_QUBITS}-qubit state guard")
-    tables = np.stack([boolean_function(g).truth_table for g in graphs])
-    return (1.0 - 2.0 * tables) / np.sqrt(float(1 << d))
+    edges = sorted({e for g in graphs for e in g.edges})
+    column = {e: i for i, e in enumerate(edges)}
+    membership = np.zeros((len(graphs), len(edges)), dtype=np.float32)
+    for row, g in enumerate(graphs):
+        membership[row, [column[e] for e in g.edges]] = 1.0
+    n = np.arange(1 << d)
+    counts = np.zeros((len(graphs), 1 << d), dtype=np.float32)
+    step = max(1, _INDICATOR_BYTES >> (d + 2))  # edges per block of float32 rows
+    for start in range(0, len(edges), step):
+        block = edges[start : start + step]
+        masks = np.array([sum(1 << (d - 1 - v) for v in e) for e in block])[:, None]
+        indicators = ((n & masks) == masks).astype(np.float32)
+        counts += membership[:, start : start + step] @ indicators
+    odd = counts.astype(np.int32) & 1
+    return (1 - 2 * odd) / np.sqrt(float(1 << d))
 
 
 def hypergraph_state(g: Hypergraph) -> np.ndarray:

@@ -13,9 +13,11 @@ statement about the squeezed subpopulation; all other metrics (and the
 fallback when nothing is squeezed) use plain extrema over defined values.
 
 Configurations are evaluated in fixed-size chunks: one stack of real
-amplitudes and one ``spectral_profile`` call per chunk.  Chunk boundaries
-depend only on record index, and the profile reduces each row on its own,
-so the thread count never changes a digit.
+amplitudes (truth tables from one membership-by-indicator product,
+``state.hypergraph_amplitudes``) and one ``spectral_profile`` call, hence
+one batched ``rfft``, per chunk.  Chunk boundaries depend only on record
+index, the truth tables are exact integers, and the profile reduces each
+row on its own, so the thread count never changes a digit.
 """
 
 from __future__ import annotations
@@ -57,9 +59,12 @@ CACHE_ENV_VAR = "HYPERSTATE_CACHE"
 # Version of the computed values, part of the cache key.  Bump it whenever a
 # change moves any digit of a record, so stale cache entries miss.
 # 2: one spectral profile per state (values moved by about 1e-12).
-RESULTS_VERSION = 2
+# 3: half-spectrum profile from one length-2**d rfft of psi and n psi
+#    (half_comm moved by up to about 6e-12 relative).
+RESULTS_VERSION = 3
 
-# Rows per spectral-profile call: about 1 MiB of complex128 rfft output.
+# Rows per spectral-profile call: each row stacks the half spectra of psi
+# and n psi, 2 (2**(d-1) + 1) complex128 values, about 1 MiB per chunk.
 CHUNK_BYTES = 1 << 20
 
 

@@ -206,6 +206,29 @@ def test_guard_violation_exit_code(capsys):
     assert err.startswith("error: guard:")
 
 
+def test_squeeze_edgeless_d12_has_undefined_number_squeezing(capsys):
+    code, out, _ = run_cli(capsys, "squeeze", "--d", "12", "--edges", "")
+    assert code == 0
+    fields = {line.split()[0]: line.split()[1:] for line in out.splitlines()}
+    assert fields["half_comm"] == ["0"]
+    assert fields["s_n"] == ["undefined"]
+    assert fields["s_p"] == ["-1"]
+
+
+def test_agarwal_tara_beyond_work_budget_is_guarded(capsys):
+    code, out, err = run_cli(capsys, "agarwal-tara", "--d", "20", "--n", "64")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: guard:") and err.count("\n") == 1
+
+
+def test_operators_check_all_beyond_eigensolver_guard(capsys):
+    code, out, err = run_cli(capsys, "operators", "--d", "12", "--check-all")
+    assert code == 2
+    assert out == ""
+    assert err == "error: guard: dim=4096 exceeds the eigensolver guard (256)\n"
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--version"])

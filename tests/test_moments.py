@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import hyperstate.moments as moments_mod
+from hyperstate.errors import GuardError
 from hyperstate.hypergraph import Hypergraph, complete_k_graph, single_full_edge
 from hyperstate.moments import (
+    MAX_WITNESS_BITS,
     agarwal_tara,
     determinant,
     m_moment,
@@ -356,6 +359,25 @@ def test_witness_to_dict_beyond_float_range():
     assert data["det_m"] == "-5.530442026e+724"
     assert data["det_mu"] == "1.313021061e+725"
     assert data["a_n"] == pytest.approx(-0.29636916, abs=1e-8)
+
+
+@pytest.mark.parametrize("d,n", [(20, 64), (16, 48), (10**9, 3)])
+def test_witness_beyond_work_budget_is_refused_before_any_work(monkeypatch, d, n):
+    def no_work(*args):
+        raise AssertionError("the guard must fire before any moment or determinant")
+
+    monkeypatch.setattr(moments_mod, "_m_sequence", no_work)
+    monkeypatch.setattr(moments_mod, "determinant", no_work)
+    monkeypatch.setattr(moments_mod, "mu_hankel_determinant", no_work)
+    with pytest.raises(GuardError, match="witness budget"):
+        agarwal_tara(d, n)
+
+
+def test_witness_budget_admits_every_pair_in_use():
+    # Benchmark witnesses, the largest test and CLI pairs, and the guard's own edge.
+    for d, n in ((12, 16), (16, 32), (20, 24), (14, 24), (8, 12), (64, 3), (20, 40)):
+        assert n * n * d <= MAX_WITNESS_BITS
+    assert 20 * 41 * 41 > MAX_WITNESS_BITS
 
 
 def test_witness_n1_degenerate():

@@ -4,7 +4,9 @@ Random hypergraphs at d <= 8: the profile must agree with ``phase_stats``,
 with the dense number-phase commutator, and with the coherence measures of
 the phase-basis overlaps; a stacked batch must equal per-row calls bit for
 bit.  Tolerances follow from float64 sums of at most 256 terms of size
-<= (2 pi)**2 (means, variances) or <= 2**8 (l1 coherence).
+<= (2 pi)**2 (means, variances) or <= 2**8 (l1 coherence).  Fixed
+hypergraphs at d = 10, 12 check it against the FFT-applied commutator and
+``phase_stats``.
 """
 
 import numpy as np
@@ -13,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperstate.coherence import l1_coherence, rel_entropy_coherence
-from hyperstate.hypergraph import Hypergraph
+from hyperstate.hypergraph import Hypergraph, single_full_edge
 from hyperstate.operators import (
     number_phase_commutator_dense,
+    number_phase_commutator_expectation,
     phase_overlaps,
     spectral_profile,
 )
@@ -76,6 +79,26 @@ def test_batch_equals_rows_bit_for_bit(graphs):
             assert getattr(batch, name).shape == (len(graphs),)
             assert getattr(row, name).shape == ()
             assert getattr(batch, name)[i].tobytes() == getattr(row, name).tobytes(), name
+
+
+@pytest.mark.parametrize("d", [10, 12])
+def test_profile_matches_fft_oracles_beyond_dense_sizes(d):
+    # The Parseval weights grow with dim, so check past the dense d <= 8 range.
+    # Either route's round-off is O(eps dim) relative, about 1e-12 at d = 12.
+    graphs = [
+        single_full_edge(d),
+        Hypergraph(d, [(0, 3), (0, 2, 3), (1, 2, 3)]),
+        Hypergraph(d, [tuple(range(d - 1)), tuple(range(1, d)), (0,)]),
+        Hypergraph(d, [tuple(range(1, d))]),
+    ]
+    profile = spectral_profile(hypergraph_amplitudes(graphs))
+    for i, g in enumerate(graphs):
+        psi = hypergraph_state(g)
+        oracle = abs(number_phase_commutator_expectation(psi)) / 2
+        assert profile.half_comm[i] == pytest.approx(oracle, rel=1e-12)
+        mean, var = phase_stats(psi)
+        assert profile.mean_p[i] == pytest.approx(mean, abs=1e-12)
+        assert profile.var_p[i] == pytest.approx(var, abs=1e-12)
 
 
 def test_profile_keeps_leading_shape():

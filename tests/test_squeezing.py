@@ -13,7 +13,7 @@ from hyperstate.operators import (
     spectral_profile,
     variance,
 )
-from hyperstate.squeezing import number_stats, phase_stats, squeeze_report
+from hyperstate.squeezing import HALF_COMM_FLOOR, number_stats, phase_stats, squeeze_report
 from hyperstate.state import hypergraph_state
 
 
@@ -63,6 +63,16 @@ def test_squeeze_report_edgeless_sentinels():
     assert report.s_n is None
     assert report.half_comm < 1e-14
     assert report.var_p == pytest.approx(0.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("d", [8, 12, 16, 20])
+def test_edgeless_commutator_vanishes_at_every_size(d):
+    # |+>^d has all its phase weight at theta_0 = 0, so <[N, P]> = 0 exactly;
+    # round-off growing like eps D**2 would cross the floor from d = 8 on.
+    report = squeeze_report(Hypergraph(d, ()))
+    assert report.half_comm < HALF_COMM_FLOOR
+    assert report.s_n is None
+    assert report.s_p == -1.0
 
 
 def test_squeeze_report_example_not_squeezed(example_hypergraph):

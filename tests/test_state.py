@@ -2,13 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hyperstate.state as state_mod
 from hyperstate.errors import GuardError
-from hyperstate.hypergraph import Hypergraph, boolean_function, k_uniform_family, single_full_edge
+from hyperstate.hypergraph import (
+    Hypergraph,
+    boolean_function,
+    complete_k_graph,
+    k_uniform_family,
+    single_full_edge,
+)
 from hyperstate.state import (
     CircuitDescription,
     circuit_text,
     emit_circuit,
+    hypergraph_amplitudes,
     hypergraph_state,
     simulate_circuit,
 )
@@ -96,3 +106,38 @@ def test_simulated_circuit_matches_state_small():
     for g in graphs:
         sim = simulate_circuit(emit_circuit(g))
         assert np.max(np.abs(sim - hypergraph_state(g))) < 1e-12
+
+
+def _batches():
+    """Hypergraphs on one d <= 8 with 0-6 edges each, drawn from a shared edge pool."""
+
+    def on(d):
+        pool = st.lists(st.integers(1, (1 << d) - 1), min_size=1, max_size=8, unique=True)
+        return pool.flatmap(lambda masks: st.lists(
+            st.lists(st.sampled_from(masks), max_size=6), min_size=1, max_size=6
+        ).map(lambda rows: [
+            Hypergraph(d, [tuple(v for v in range(d) if m >> v & 1) for m in row]) for row in rows
+        ]))
+
+    return st.integers(1, 8).flatmap(on)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_batches())
+def test_batched_amplitudes_match_boolean_functions_and_circuits(graphs):
+    amplitudes = hypergraph_amplitudes(graphs)
+    scale = np.sqrt(float(graphs[0].dim))
+    for row, g in zip(amplitudes, graphs):
+        table = boolean_function(g).truth_table
+        assert row.tobytes() == ((1.0 - 2.0 * table) / scale).tobytes()
+        simulated = simulate_circuit(emit_circuit(g))
+        assert np.array_equal(np.sign(simulated.real), np.sign(row))
+
+
+@pytest.mark.parametrize("edges_per_block", [1, 3])
+def test_amplitudes_do_not_depend_on_indicator_block_size(monkeypatch, edges_per_block):
+    rng = np.random.default_rng(3)
+    graphs = [random_hypergraph(rng, 6) for _ in range(8)] + [complete_k_graph(6, 3)]
+    whole = hypergraph_amplitudes(graphs)
+    monkeypatch.setattr(state_mod, "_INDICATOR_BYTES", edges_per_block * 4 << 6)
+    assert hypergraph_amplitudes(graphs).tobytes() == whole.tobytes()

@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .coherence import CoherenceReport, coherence_report, l1_coherence, rel_entropy_coherence
 from .errors import GuardError, SchemaError
 from .hypergraph import (
-    BooleanFunction,
     Hypergraph,
     boolean_function,
     complete_k_graph,
@@ -30,7 +29,6 @@ from .sweep import Family, SweepRecord, SweepSummary, sweep_family
 __all__ = [
     "__version__",
     "AgarwalTaraResult",
-    "BooleanFunction",
     "CircuitDescription",
     "CoherenceReport",
     "Family",

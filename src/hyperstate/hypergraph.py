@@ -5,6 +5,8 @@ hyperedges, each a nonempty vertex subset.  Its Boolean function assigns to
 every basis index ``n`` the XOR, over edges, of the AND of the bits of ``n``
 selected by the edge.  Bit convention is MSB-first: vertex ``j`` reads the
 bit of weight ``2**(d-1-j)``, so vertex 0 is the most significant bit.
+A family can also be one candidate edge list plus 0/1 membership rows, one
+row per hypergraph; ``connected_rows`` is ``is_connected`` over such rows.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -51,22 +53,6 @@ class Hypergraph:
         return 1 << self.d
 
 
-@dataclass(eq=False)
-class BooleanFunction:
-    """Truth table of a d-variable Boolean function, entry n = f(n)."""
-
-    d: int
-    truth_table: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.truth_table = np.asarray(self.truth_table, dtype=np.uint8)
-        if self.truth_table.shape != (1 << self.d,):
-            raise ValueError(
-                f"truth table must have length 2**{self.d}, "
-                f"got {self.truth_table.shape}"
-            )
-
-
 def canonical_edges(edges: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
     """Normalize an edge collection to the canonical sorted-tuple form."""
     seen = {tuple(sorted(set(e))) for e in edges}
@@ -75,17 +61,19 @@ def canonical_edges(edges: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ..
     return tuple(sorted(seen, key=lambda e: (len(e), e)))
 
 
-def boolean_function(g: Hypergraph) -> BooleanFunction:
-    """Boolean function of ``g``: f(n) = XOR over edges of AND over bits.
+def vertex_mask(d: int, edge: Iterable[int]) -> int:
+    """Bits of the edge's vertices in an index on d vertices (MSB-first)."""
+    return sum(1 << (d - 1 - v) for v in edge)
 
-    Vertex j contributes the bit of weight 2**(d-1-j) of the input index.
-    """
+
+def boolean_function(g: Hypergraph) -> np.ndarray:
+    """Truth table of ``g``'s Boolean function: uint8 entry n is f(n)."""
     n = np.arange(g.dim, dtype=np.int64)
     table = np.zeros(g.dim, dtype=np.uint8)
     for edge in g.edges:
-        mask = sum(1 << (g.d - 1 - v) for v in edge)
+        mask = vertex_mask(g.d, edge)
         table ^= ((n & mask) == mask).astype(np.uint8)
-    return BooleanFunction(g.d, table)
+    return table
 
 
 def is_connected(g: Hypergraph) -> bool:
@@ -117,6 +105,17 @@ def is_connected(g: Hypergraph) -> bool:
             if root != anchor:
                 parent[root] = anchor
     return len({find(v) for v in range(g.d)}) == 1
+
+
+def connected_rows(d: int, edges: Sequence[tuple[int, ...]], rows: np.ndarray) -> np.ndarray:
+    """``is_connected`` of each 0/1 row over ``edges``: d rounds of growth from vertex 0."""
+    masks = np.array([vertex_mask(d, e) for e in edges], dtype=np.int64)
+    chosen = np.asarray(rows, dtype=bool)
+    reached = np.full(len(chosen), 1 << (d - 1), dtype=np.int64)
+    for _ in range(d):
+        meets = chosen & ((masks & reached[:, None]) != 0)
+        reached |= np.bitwise_or.reduce(np.where(meets, masks, 0), axis=1)
+    return reached == (1 << d) - 1
 
 
 def single_full_edge(d: int) -> Hypergraph:

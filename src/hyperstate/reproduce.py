@@ -46,7 +46,7 @@ from .operators import (
 )
 from .squeezing import squeeze_report
 from .state import hypergraph_state
-from .sweep import SweepRecord, SweepSummary, dminus1_family, render_results, sweep_family
+from .sweep import Family, SweepRecord, SweepSummary, dminus1_family, render_results, sweep_family
 
 VALUE_TOL = 1e-3
 EXACT_TOL = 1e-9
@@ -420,18 +420,11 @@ class Reproducer:
         failures = []
         notes = []
         count = 0
-        reports = []
-        for d in (4, 5, 6, 7, 8):
-            reports.extend(
-                (record.edges, record.metrics["s_n"], d) for record in self.dminus1(d)[0]
-            )
+        swept = [self.dminus1(d)[0] for d in (4, 5, 6, 7, 8)]
         for d in range(2, 9):
-            reports.append((edges_text(single_full_edge(d)),
-                            squeeze_report(single_full_edge(d)).s_n, d))
-            for k in range(2, d + 1):
-                g = complete_k_graph(d, k)
-                reports.append((edges_text(g), squeeze_report(g).s_n, d))
-        for edges, s_n, d in reports:
+            families = [Family("single-full", d)] + [Family("complete-k", d, k) for k in range(2, d + 1)]
+            swept.extend(sweep_family(family)[0] for family in families)
+        for edges, s_n, d in ((r.edges, r.metrics["s_n"], r.d) for records in swept for r in records):
             if s_n is None:
                 notes.append(f"s_n undefined at d={d}, edges {edges}")
                 continue

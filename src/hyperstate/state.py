@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GuardError
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, vertex_mask
 
 # 2**24 amplitudes (256 MiB complex128) is the largest state we build.
 MAX_QUBITS = 24
@@ -56,37 +56,37 @@ class CircuitDescription:
             raise ValueError("expected exactly one H per qubit")
 
 
-def hypergraph_amplitudes(graphs: Sequence[Hypergraph]) -> np.ndarray:
-    """Real amplitudes (-1)**f(n) / sqrt(2**d), one row per hypergraph.
+def membership_amplitudes(d: int, edges: Sequence[tuple[int, ...]], rows: np.ndarray) -> np.ndarray:
+    """Real amplitudes (-1)**f(n) / sqrt(2**d), one per 0/1 row over ``edges``.
 
-    All hypergraphs share one vertex count d; the result has shape
-    ``(len(graphs), 2**d)``.  f(n) counts, mod 2, the edges whose vertex
-    bits are all set in n (``hypergraph.boolean_function``), so the whole
-    batch's truth tables are one product: (graph-by-edge membership) @
-    (edge-by-n indicator rows of the batch's distinct edges), mod 2.  The
-    float32 product of 0/1 entries is exact, since d <= 24 allows fewer than
-    2**24 distinct edges.
+    Row r selects hypergraph r's edges; f(n) counts, mod 2, those whose
+    vertex bits are all set in n (``hypergraph.boolean_function``), so the
+    truth tables are one product: rows @ (edge-by-n indicators), mod 2.  The
+    float32 product is exact: d <= 24 allows fewer than 2**24 distinct edges.
     """
-    d = graphs[0].d
-    if any(g.d != d for g in graphs):
-        raise ValueError("hypergraphs in one batch must share the vertex count")
     if d > MAX_QUBITS:
         raise GuardError(f"d={d} exceeds the {MAX_QUBITS}-qubit state guard")
-    edges = sorted({e for g in graphs for e in g.edges})
-    column = {e: i for i, e in enumerate(edges)}
-    membership = np.zeros((len(graphs), len(edges)), dtype=np.float32)
-    for row, g in enumerate(graphs):
-        membership[row, [column[e] for e in g.edges]] = 1.0
+    membership = np.asarray(rows, dtype=np.float32)
+    masks = np.array([vertex_mask(d, e) for e in edges], dtype=np.int64)[:, None]
     n = np.arange(1 << d)
-    counts = np.zeros((len(graphs), 1 << d), dtype=np.float32)
+    counts = np.zeros((len(membership), 1 << d), dtype=np.float32)
     step = max(1, _INDICATOR_BYTES >> (d + 2))  # edges per block of float32 rows
-    for start in range(0, len(edges), step):
-        block = edges[start : start + step]
-        masks = np.array([sum(1 << (d - 1 - v) for v in e) for e in block])[:, None]
-        indicators = ((n & masks) == masks).astype(np.float32)
+    for start in range(0, len(masks), step):
+        block = masks[start : start + step]
+        indicators = ((n & block) == block).astype(np.float32)
         counts += membership[:, start : start + step] @ indicators
     odd = counts.astype(np.int32) & 1
     return (1 - 2 * odd) / np.sqrt(float(1 << d))
+
+
+def hypergraph_amplitudes(graphs: Sequence[Hypergraph]) -> np.ndarray:
+    """``membership_amplitudes`` of hypergraphs on one d, each row over its own edges."""
+    d = graphs[0].d
+    if any(g.d != d for g in graphs):
+        raise ValueError("hypergraphs in one batch must share the vertex count")
+    edges = [e for g in graphs for e in g.edges]
+    rows = np.repeat(np.eye(len(graphs)), [len(g.edges) for g in graphs], axis=1)
+    return membership_amplitudes(d, edges, rows)
 
 
 def hypergraph_state(g: Hypergraph) -> np.ndarray:
@@ -128,6 +128,6 @@ def simulate_circuit(circ: CircuitDescription) -> np.ndarray:
             high = (idx & weight) != 0
             psi = np.where(high, partner - psi, psi + partner) / np.sqrt(2.0)
         else:
-            mask = sum(1 << (circ.d - 1 - v) for v in qubits)
+            mask = vertex_mask(circ.d, qubits)
             psi = np.where((idx & mask) == mask, -psi, psi)
     return psi

@@ -1,8 +1,9 @@
 """Exhaustive metric sweeps over hypergraph families, with persistence.
 
-A sweep evaluates every configuration of a family (optionally filtered to
-connected hypergraphs), producing one record per configuration in the
-generator's deterministic order plus a per-metric extremal summary.
+A family is one candidate edge list plus 0/1 membership rows (``Family``).
+A sweep evaluates every row (optionally filtered to connected hypergraphs,
+``hypergraph.connected_rows``), producing one record per configuration in
+row order plus a per-metric extremal summary, and builds no Hypergraph.
 Records serialize to CSV/JSON with shortest round-trip float formatting,
 so repeated runs are byte-identical regardless of the worker count.
 
@@ -12,9 +13,9 @@ summary ranges over the configurations that actually exhibit squeezing
 statement about the squeezed subpopulation; all other metrics (and the
 fallback when nothing is squeezed) use plain extrema over defined values.
 
-Configurations are evaluated in fixed-size chunks: one stack of real
-amplitudes (truth tables from one membership-by-indicator product,
-``state.hypergraph_amplitudes``) and one ``spectral_profile`` call, hence
+Rows are evaluated in fixed-size chunks: one stack of real amplitudes
+(truth tables from one membership-by-indicator product,
+``state.membership_amplitudes``) and one ``spectral_profile`` call, hence
 one batched ``rfft``, per chunk.  Chunk boundaries depend only on record
 index, the truth tables are exact integers, and the profile reduces each
 row on its own, so the thread count never changes a digit.
@@ -25,27 +26,25 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
+from math import comb
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from . import __version__
-from .errors import SchemaError
-from .hypergraph import (
-    Hypergraph,
-    complete_k_graph,
-    edges_text,
-    is_connected,
-    k_uniform_family,
-    single_full_edge,
-)
+from .errors import GuardError, SchemaError
+from .hypergraph import Hypergraph, connected_rows
 from .operators import spectral_profile
 from .squeezing import number_stats, squeeze_degrees
-from .state import hypergraph_amplitudes
+from .state import membership_amplitudes
 
 METRIC_NAMES = ("s_p", "s_n", "var_p", "var_n", "half_comm", "c_l1_phase", "c_rel_phase")
 SQUEEZE_METRICS = frozenset({"s_p", "s_n"})
@@ -63,6 +62,12 @@ CACHE_ENV_VAR = "HYPERSTATE_CACHE"
 #    (half_comm moved by up to about 6e-12 relative).
 RESULTS_VERSION = 3
 
+# Work budget of one sweep, in configurations x 2**d x (candidate edges + d):
+# a configuration costs one indicator product over the candidate edges and
+# about d passes over its 2**d amplitudes.  dminus1 sweeps pass up to d = 16
+# (1.4e11) and fail from d = 17 (5.8e11).  Keep the error text in step.
+MAX_SWEEP_WORK = 1 << 38
+
 # Rows per spectral-profile call: each row stacks the half spectra of psi
 # and n psi, 2 (2**(d-1) + 1) complex128 values, about 1 MiB per chunk.
 CHUNK_BYTES = 1 << 20
@@ -70,17 +75,44 @@ CHUNK_BYTES = 1 << 20
 
 @dataclass(frozen=True)
 class Family:
-    """A named hypergraph family: generator plus stable descriptor."""
+    """A named hypergraph family: candidate edges plus 0/1 membership rows.
+
+    ``edges`` are the (d-1)-, k- or d-subsets in lexicographic order.  dminus1
+    rows are the bits of masks 1 .. 2**C(d,d-1) - 1 (bit i selects edge i);
+    the other kinds have one all-ones row.
+    """
 
     kind: str
     d: int
     k: int | None = None
+    edges: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in FAMILY_KINDS:
             raise ValueError(f"kind must be one of {FAMILY_KINDS}, got {self.kind!r}")
-        if self.kind == "complete-k" and self.k is None:
-            raise ValueError("complete-k family needs k")
+        least_d = 2 if self.kind == "dminus1" else 1
+        if self.d < least_d:
+            raise ValueError(f"{self.kind} family needs d >= {least_d}, got d={self.d}")
+        if self.kind == "complete-k" and not 1 <= (self.k or 0) <= self.d:
+            raise ValueError(f"complete-k family needs 1 <= k <= d, got k={self.k}, d={self.d}")
+        size = {"dminus1": self.d - 1, "complete-k": self.k}.get(self.kind, self.d)
+        # 2**d alone exceeds the budget from this d on; below it the count is exact.
+        small = self.d < MAX_SWEEP_WORK.bit_length()
+        n_edges = comb(self.d, size) if small else 0
+        configurations = (1 << n_edges) - 1 if self.kind == "dminus1" else 1
+        if not small or configurations * (1 << self.d) * (n_edges + self.d) > MAX_SWEEP_WORK:
+            raise GuardError(
+                f"sweep of {self.descriptor} exceeds the work budget of 2**38"
+                " (configurations x 2**d x (candidate edges + d))"
+            )
+        edges = tuple(itertools.combinations(range(self.d), size))
+        rows = np.ones((1, n_edges), dtype=np.uint8)
+        if self.kind == "dminus1":
+            rows = (np.arange(1, 1 << n_edges)[:, None] >> np.arange(n_edges) & 1).astype(np.uint8)
+        rows.flags.writeable = False
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def descriptor(self) -> str:
@@ -95,24 +127,12 @@ class Family:
         return self.kind == "dminus1"
 
     def configurations(self) -> Iterator[Hypergraph]:
-        if self.kind == "dminus1":
-            yield from k_uniform_family(self.d, self.d - 1)
-        elif self.kind == "complete-k":
-            yield complete_k_graph(self.d, self.k)  # type: ignore[arg-type]
-        else:
-            yield single_full_edge(self.d)
+        for row in self.rows.tolist():
+            yield Hypergraph(self.d, tuple(itertools.compress(self.edges, row)))
 
 
 def dminus1_family(d: int) -> Family:
     return Family("dminus1", d)
-
-
-def complete_k_family(d: int, k: int) -> Family:
-    return Family("complete-k", d, k)
-
-
-def single_full_family(d: int) -> Family:
-    return Family("single-full", d)
 
 
 @dataclass(frozen=True)
@@ -158,14 +178,15 @@ class SweepSummary:
         }
 
 
-def _evaluate_chunk(graphs: Sequence[Hypergraph]) -> list[SweepRecord]:
-    """Records of hypergraphs on a common d, from one spectral profile."""
-    d = graphs[0].d
-    profile = spectral_profile(hypergraph_amplitudes(graphs))
+def _evaluate_chunk(
+    d: int, edges: Sequence[tuple[int, ...]], texts: Sequence[str], rows: np.ndarray
+) -> list[SweepRecord]:
+    """Records of 0/1 rows over ``edges`` (whose texts are ``texts``), from one profile."""
+    profile = spectral_profile(membership_amplitudes(d, edges, rows))
     var_n = number_stats(d)[1]
     records = []
-    for g, var_p, half, c_l1, c_rel in zip(
-        graphs,
+    for row, var_p, half, c_l1, c_rel in zip(
+        rows.tolist(),
         profile.var_p.tolist(),
         profile.half_comm.tolist(),
         profile.c_l1_phase.tolist(),
@@ -181,13 +202,17 @@ def _evaluate_chunk(graphs: Sequence[Hypergraph]) -> list[SweepRecord]:
             "c_l1_phase": c_l1,
             "c_rel_phase": c_rel,
         }
-        records.append(SweepRecord(d=d, edges=edges_text(g), metrics=metrics))
+        records.append(SweepRecord(d, ";".join(itertools.compress(texts, row)), metrics))
     return records
+
+
+def _edge_texts(edges: Sequence[tuple[int, ...]]) -> list[str]:
+    return [",".join(map(str, e)) for e in edges]
 
 
 def evaluate_record(g: Hypergraph) -> SweepRecord:
     """Compute all sweep metrics for one hypergraph (a chunk of one)."""
-    return _evaluate_chunk([g])[0]
+    return _evaluate_chunk(g.d, g.edges, _edge_texts(g.edges), np.ones((1, len(g.edges))))[0]
 
 
 def worker_count(threads: int, chunks: int) -> int:
@@ -198,6 +223,14 @@ def worker_count(threads: int, chunks: int) -> int:
 def _require_threads(threads: int) -> None:
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
+
+
+def _metric_names(metrics: Sequence[str] | None) -> tuple[str, ...]:
+    chosen = tuple(metrics) if metrics is not None else METRIC_NAMES
+    for name in chosen:
+        if name not in METRIC_NAMES:
+            raise ValueError(f"unknown metric {name!r}")
+    return chosen
 
 
 def _summarize(records: Sequence[SweepRecord], metric: str) -> MetricSummary:
@@ -219,6 +252,11 @@ def _summarize(records: Sequence[SweepRecord], metric: str) -> MetricSummary:
     )
 
 
+def _summary(family: Family, records: Sequence[SweepRecord], metrics: Sequence[str] | None) -> SweepSummary:
+    chosen = _metric_names(metrics)
+    return SweepSummary(family.descriptor, len(records), {m: _summarize(records, m) for m in chosen})
+
+
 def sweep_family(
     family: Family,
     metrics: Sequence[str] | None = None,
@@ -227,48 +265,29 @@ def sweep_family(
 ) -> tuple[list[SweepRecord], SweepSummary]:
     """Evaluate every configuration of ``family`` and summarize extrema.
 
-    Evaluation order (hence record order) is the generator order; the
-    worker pool preserves it, so output is independent of ``threads``.
+    Record order is row order; the worker pool preserves it, so output is
+    independent of ``threads``.
     """
     _require_threads(threads)
-    chosen = tuple(metrics) if metrics is not None else METRIC_NAMES
-    for name in chosen:
-        if name not in METRIC_NAMES:
-            raise ValueError(f"unknown metric {name!r}")
+    _metric_names(metrics)  # reject unknown metrics before any work
     if connectivity_filter is None:
         connectivity_filter = family.default_connectivity_filter
-    configs = list(family.configurations())
+    rows = family.rows
     if connectivity_filter:
-        configs = [g for g in configs if is_connected(g)]
-    if not configs:
+        rows = rows[connected_rows(family.d, family.edges, rows)]
+    if not len(rows):
         raise ValueError(f"family {family.descriptor} is empty after filtering")
-    rows = max(1, CHUNK_BYTES // (16 * (1 << family.d)))
-    chunks = [configs[i : i + rows] for i in range(0, len(configs), rows)]
+    step = max(1, CHUNK_BYTES // (16 * (1 << family.d)))
+    chunks = [rows[i : i + step] for i in range(0, len(rows), step)]
+    evaluate = partial(_evaluate_chunk, family.d, family.edges, _edge_texts(family.edges))
     workers = worker_count(threads, len(chunks))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_evaluate_chunk, chunks))
+            parts = list(pool.map(evaluate, chunks))
     else:
-        parts = [_evaluate_chunk(chunk) for chunk in chunks]
+        parts = [evaluate(chunk) for chunk in chunks]
     records = [record for part in parts for record in part]
-    summary = SweepSummary(
-        family=family.descriptor,
-        count=len(records),
-        metrics={name: _summarize(records, name) for name in chosen},
-    )
-    return records, summary
-
-
-def summarize_records(
-    records: Sequence[SweepRecord], family_descriptor: str, metrics: Sequence[str] | None = None
-) -> SweepSummary:
-    """Rebuild a summary from records (used when serving from cache)."""
-    chosen = tuple(metrics) if metrics is not None else METRIC_NAMES
-    return SweepSummary(
-        family=family_descriptor,
-        count=len(records),
-        metrics={name: _summarize(records, name) for name in chosen},
-    )
+    return records, _summary(family, records, metrics)
 
 
 def _format_value(value: float | int | None) -> str:
@@ -381,9 +400,8 @@ def cache_key(
     """Stable content hash of family + metrics + filter + package and results versions."""
     if connectivity_filter is None:
         connectivity_filter = family.default_connectivity_filter
-    chosen = tuple(metrics) if metrics is not None else METRIC_NAMES
     blob = (
-        f"{family.descriptor}|filter={connectivity_filter}|metrics={','.join(chosen)}"
+        f"{family.descriptor}|filter={connectivity_filter}|metrics={','.join(_metric_names(metrics))}"
         f"|v{__version__}|results={RESULTS_VERSION}"
     )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -420,7 +438,7 @@ def cached_sweep(
         except SchemaError as exc:
             print(f"warning: ignoring cache entry: {exc}", file=sys.stderr)
         else:
-            return records, summarize_records(records, family.descriptor, metrics)
+            return records, _summary(family, records, metrics)
     records, summary = sweep_family(family, metrics, connectivity_filter, threads)
     cache_dir.mkdir(parents=True, exist_ok=True)
     write_results(records, cache_file, "json")

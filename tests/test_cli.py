@@ -163,6 +163,29 @@ def test_sweep_requires_k_for_complete(capsys):
     assert code == 1 and "requires --k" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("dminus1", "--d", "1"),
+    ("dminus1", "--d", "0"),
+    ("dminus1", "--d", "-3"),
+    ("complete-k", "--d", "8", "--k", "0"),
+    ("complete-k", "--d", "8", "--k", "9"),
+    ("single-full", "--d", "0"),
+])
+def test_sweep_rejects_family_out_of_range(capsys, argv):
+    code, out, err = run_cli(capsys, "sweep", "--family", *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {argv[0]} family needs") and err.count("\n") == 1
+    if argv[0] != "complete-k":
+        assert "k=" not in err
+
+
+@pytest.mark.parametrize("d", ["17", "30"])
+def test_sweep_beyond_work_budget_is_guarded(capsys, d):
+    code, out, err = run_cli(capsys, "sweep", "--family", "dminus1", "--d", d)
+    assert code == 2 and out == ""
+    assert err.startswith("error: guard:") and "work budget" in err and err.count("\n") == 1
+
+
 def test_sweep_cache_dir(capsys, tmp_path):
     for _ in range(2):
         code, out, _ = run_cli(capsys, "sweep", "--family", "dminus1", "--d", "4",

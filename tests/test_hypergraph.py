@@ -1,5 +1,7 @@
 """Unit tests for hypergraph structures, families, and text round-trips."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from hyperstate.hypergraph import (
     Hypergraph,
     boolean_function,
     complete_k_graph,
+    connected_rows,
     edges_text,
     is_connected,
     k_uniform_family,
@@ -58,23 +61,23 @@ def test_dim():
 
 def test_boolean_function_example_support():
     """The published 4-vertex example is 1 exactly at n = 7, 9, 13, 15."""
-    table = boolean_function(Hypergraph(4, EXAMPLE_EDGES)).truth_table
+    table = boolean_function(Hypergraph(4, EXAMPLE_EDGES))
     assert np.flatnonzero(table).tolist() == [7, 9, 13, 15]
 
 
 def test_boolean_function_no_edges_is_zero():
-    table = boolean_function(Hypergraph(3)).truth_table
+    table = boolean_function(Hypergraph(3))
     assert not table.any()
 
 
 def test_boolean_function_full_edge_hits_all_ones_input():
-    table = boolean_function(Hypergraph(3, [(0, 1, 2)])).truth_table
+    table = boolean_function(Hypergraph(3, [(0, 1, 2)]))
     assert np.flatnonzero(table).tolist() == [7]
 
 
 def test_boolean_function_single_vertex_edge_msb_convention():
     # vertex 0 reads the most significant of the d bits
-    table = boolean_function(Hypergraph(3, [(0,)])).truth_table
+    table = boolean_function(Hypergraph(3, [(0,)]))
     assert np.flatnonzero(table).tolist() == [4, 5, 6, 7]
 
 
@@ -85,14 +88,14 @@ def test_boolean_function_xor_linear_in_edge_sets():
         g1 = random_hypergraph(rng, d)
         g2 = random_hypergraph(rng, d)
         symmetric_difference = set(g1.edges) ^ set(g2.edges)
-        combined = boolean_function(Hypergraph(d, symmetric_difference)).truth_table
-        expected = boolean_function(g1).truth_table ^ boolean_function(g2).truth_table
+        combined = boolean_function(Hypergraph(d, symmetric_difference))
+        expected = boolean_function(g1) ^ boolean_function(g2)
         assert np.array_equal(combined, expected)
 
 
 @pytest.mark.parametrize("d,k", [(4, 2), (4, 3), (5, 4)])
 def test_complete_k_graph_symmetric_under_bit_permutation(d, k):
-    table = boolean_function(complete_k_graph(d, k)).truth_table
+    table = boolean_function(complete_k_graph(d, k))
     rng = np.random.default_rng(d * 10 + k)
     perm = rng.permutation(d)
     permuted = np.zeros_like(table)
@@ -138,6 +141,15 @@ def test_connected_star_of_4_subsets():
 
 def test_d1_counts_as_connected():
     assert is_connected(Hypergraph(1))
+
+
+@pytest.mark.parametrize("d, k", [(d, k) for d in range(1, 6) for k in range(1, d + 1)])
+def test_connected_rows_match_is_connected_on_every_k_uniform_subset(d, k):
+    edges = tuple(itertools.combinations(range(d), k))
+    masks = np.arange(1, 1 << len(edges))
+    rows = (masks[:, None] >> np.arange(len(edges))) & 1
+    expected = [is_connected(g) for g in k_uniform_family(d, k)]
+    assert connected_rows(d, edges, rows).tolist() == expected
 
 
 # generators

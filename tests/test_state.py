@@ -58,7 +58,7 @@ def test_state_guard():
 def test_injective_from_truth_tables():
     seen = {}
     for g in k_uniform_family(3, 2):
-        key = boolean_function(g).truth_table.tobytes()
+        key = boolean_function(g).tobytes()
         vec = hypergraph_state(g)
         for other_key, other_vec in seen.items():
             assert not np.array_equal(vec, other_vec) or key == other_key
@@ -128,7 +128,7 @@ def test_batched_amplitudes_match_boolean_functions_and_circuits(graphs):
     amplitudes = hypergraph_amplitudes(graphs)
     scale = np.sqrt(float(graphs[0].dim))
     for row, g in zip(amplitudes, graphs):
-        table = boolean_function(g).truth_table
+        table = boolean_function(g)
         assert row.tobytes() == ((1.0 - 2.0 * table) / scale).tobytes()
         simulated = simulate_circuit(emit_circuit(g))
         assert np.array_equal(np.sign(simulated.real), np.sign(row))

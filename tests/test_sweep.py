@@ -1,11 +1,25 @@
 """Unit tests for family sweeps, persistence, and caching."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hyperstate.hypergraph as hypergraph_mod
 import hyperstate.sweep as sweep_mod
-from hyperstate.errors import SchemaError
-from hyperstate.hypergraph import Hypergraph, canonical_edges, is_connected
+from hyperstate.errors import GuardError, SchemaError
+from hyperstate.hypergraph import (
+    Hypergraph,
+    canonical_edges,
+    connected_rows,
+    edges_text,
+    is_connected,
+    k_uniform_family,
+    parse_hypergraph,
+    serialize_hypergraph,
+)
 from hyperstate.reproduce import Reproducer
 from hyperstate.squeezing import squeeze_report
 from hyperstate.sweep import (
@@ -14,12 +28,10 @@ from hyperstate.sweep import (
     Family,
     cache_key,
     cached_sweep,
-    complete_k_family,
     dminus1_family,
     evaluate_record,
     read_results,
     render_results,
-    single_full_family,
     sweep_family,
     worker_count,
     write_results,
@@ -28,8 +40,8 @@ from hyperstate.sweep import (
 
 def test_family_descriptors():
     assert dminus1_family(5).descriptor == "dminus1(d=5)"
-    assert complete_k_family(6, 4).descriptor == "complete-k(d=6,k=4)"
-    assert single_full_family(7).descriptor == "single-full(d=7)"
+    assert Family("complete-k", 6, 4).descriptor == "complete-k(d=6,k=4)"
+    assert Family("single-full", 7).descriptor == "single-full(d=7)"
 
 
 def test_family_validation():
@@ -39,10 +51,74 @@ def test_family_validation():
         Family("complete-k", 5)
 
 
+@pytest.mark.parametrize("kind, d, k, rule", [
+    ("dminus1", 1, None, "d >= 2"),
+    ("dminus1", -3, None, "d >= 2"),
+    ("complete-k", 0, 1, "d >= 1"),
+    ("complete-k", 5, 0, "1 <= k <= d"),
+    ("complete-k", 5, 6, "1 <= k <= d"),
+    ("single-full", 0, None, "d >= 1"),
+])
+def test_family_states_its_own_range_rule(kind, d, k, rule):
+    with pytest.raises(ValueError, match=f"^{kind} family needs {rule}"):
+        Family(kind, d, k)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_dminus1_rows_decode_to_k_uniform_family(d):
+    family = dminus1_family(d)
+    assert family.edges == tuple(itertools.combinations(range(d), d - 1))
+    assert list(family.configurations()) == list(k_uniform_family(d, d - 1))
+
+
+def _k_uniform_rows():
+    """(d, candidate k-subsets, membership rows over them) with d <= 7."""
+
+    def rows_on(d, k):
+        edges = tuple(itertools.combinations(range(d), k))
+        row = st.lists(st.integers(0, 1), min_size=len(edges), max_size=len(edges))
+        return st.lists(row, min_size=1, max_size=6).map(
+            lambda rows: (d, edges, np.array(rows, dtype=np.uint8).reshape(len(rows), -1)))
+
+    return st.integers(1, 7).flatmap(
+        lambda d: st.integers(1, d).flatmap(lambda k: rows_on(d, k)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_k_uniform_rows())
+def test_rows_agree_with_decoded_hypergraphs(case):
+    d, edges, rows = case
+    graphs = [Hypergraph(d, itertools.compress(edges, row)) for row in rows.tolist()]
+    assert connected_rows(d, edges, rows).tolist() == [is_connected(g) for g in graphs]
+    texts = [",".join(map(str, e)) for e in edges]
+    records = sweep_mod._evaluate_chunk(d, edges, texts, rows)
+    for record, g in zip(records, graphs):
+        assert record.edges == edges_text(g)
+        assert record == evaluate_record(g)
+        assert parse_hypergraph(serialize_hypergraph(g)) == g
+
+
+def test_sweep_builds_no_per_configuration_objects(monkeypatch):
+    family = dminus1_family(8)
+    expected = [evaluate_record(g) for g in family.configurations() if is_connected(g)]
+
+    def refuse(name):
+        def fail(*args, **kwargs):
+            raise AssertionError(f"sweep called {name}")
+        return fail
+
+    monkeypatch.setattr(Hypergraph, "__post_init__", refuse("Hypergraph"))
+    for name in ("is_connected", "edges_text"):
+        monkeypatch.setattr(hypergraph_mod, name, refuse(name))
+        monkeypatch.setattr(sweep_mod, name, refuse(name), raising=False)
+    records, summary = sweep_family(family)
+    assert records == expected and summary.count == 247  # 255 subsets, 8 single edges
+
+
 def test_family_default_filters():
     assert dminus1_family(5).default_connectivity_filter
-    assert not complete_k_family(5, 4).default_connectivity_filter
-    assert not single_full_family(5).default_connectivity_filter
+    assert not Family("complete-k", 5, 4).default_connectivity_filter
+    assert not Family("single-full", 5).default_connectivity_filter
 
 
 def test_sweep_counts_and_order():
@@ -74,10 +150,29 @@ def test_summary_extrema_attained_by_listed_sets():
 
 
 def test_family_enumeration_guard():
-    from hyperstate.errors import GuardError
-
     with pytest.raises(GuardError):
         sweep_family(dminus1_family(32))  # C(32,31) = 32 candidate edges
+
+
+@pytest.mark.parametrize("kind, d, k", [
+    ("dminus1", 17, None),
+    ("dminus1", 30, None),
+    ("dminus1", 10**6, None),
+    ("complete-k", 24, 12),
+])
+def test_sweep_work_guard_refuses_before_enumeration(monkeypatch, kind, d, k):
+    def boom(*args, **kwargs):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(sweep_mod.itertools, "combinations", boom)
+    for name in ("connected_rows", "membership_amplitudes", "spectral_profile"):
+        monkeypatch.setattr(sweep_mod, name, boom)
+    with pytest.raises(GuardError, match="work budget"):
+        sweep_family(Family(kind, d, k))
+
+
+def test_sweep_work_guard_admits_dminus1_up_to_d16():
+    assert dminus1_family(16).rows.shape == ((1 << 16) - 1, 16)
 
 
 def test_squeeze_extrema_range_over_squeezed_configs():
@@ -98,7 +193,7 @@ def test_constant_metric_keeps_all_ties():
 
 
 def test_single_configuration_family_min_equals_max():
-    _, summary = sweep_family(complete_k_family(5, 4))
+    _, summary = sweep_family(Family("complete-k", 5, 4))
     s_p = summary.metrics["s_p"]
     assert s_p.min_value == s_p.max_value == pytest.approx(-0.401, abs=1e-3)
     assert s_p.argmin == s_p.argmax
@@ -175,7 +270,7 @@ def test_cache_key_stability(monkeypatch):
     assert cache_key(family) != cache_key(dminus1_family(6))
     assert cache_key(family) != cache_key(family, metrics=("s_p",))
     assert cache_key(family) != cache_key(family, connectivity_filter=False)
-    assert cache_key(complete_k_family(5, 4)) != cache_key(complete_k_family(5, 3))
+    assert cache_key(Family("complete-k", 5, 4)) != cache_key(Family("complete-k", 5, 3))
     current = cache_key(family)
     monkeypatch.setattr(sweep_mod, "RESULTS_VERSION", sweep_mod.RESULTS_VERSION - 1)
     assert cache_key(family) != current

@@ -38,6 +38,7 @@ from .sweep import (
     METRIC_NAMES,
     Family,
     cached_sweep,
+    records_payload,
     render_results,
     resolve_cache_dir,
 )
@@ -284,11 +285,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 0
     if args.format == "json":
         payload = json.dumps(
-            {
-                "records": json.loads(render_results(records, "json")),
-                "summary": summary.to_dict(),
-            },
-            indent=2,
+            {"records": records_payload(records), "summary": summary.to_dict()}, indent=2
         ) + "\n"
         _emit(payload, args.out)
     elif args.format == "csv":

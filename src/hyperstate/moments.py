@@ -17,8 +17,11 @@ fraction-free (Bareiss) elimination on integers.  The mu_k are the moments
 of the uniform distribution on {0, ..., D - 1}, so det mu is the product
 of the squared norms of the monic discrete Chebyshev (Gram) polynomials,
 ``mu_hankel_determinant``; Bareiss on the mu Hankel is its test oracle.
-det m has no such product and stays on Bareiss.  Results are exact
-``fractions.Fraction`` values because the determinants cancel
+det m has no such product, but its Hankel minors obey the Desnanot-Jacobi
+(Dodgson condensation) identity and every row carries a falling factorial;
+``m_hankel_determinant`` runs that condensation on integers in about n**2
+steps, with Bareiss as its test oracle and zero-divisor fallback.  Results
+are exact ``fractions.Fraction`` values because the determinants cancel
 catastrophically in floats; floats appear only at the presentation edge,
 and ``presentable`` renders values beyond float range as exact decimal
 scientific text instead.
@@ -47,6 +50,7 @@ __all__ = [
     "stirling_coefficients",
     "determinant",
     "mu_hankel_determinant",
+    "m_hankel_determinant",
     "presentable",
     "AgarwalTaraResult",
     "agarwal_tara",
@@ -54,9 +58,11 @@ __all__ = [
 ]
 
 # Work budget of one witness: the estimated bit length n**2 d of det m (measured
-# 13906 at (d, n) = (16, 32) and 28102 at (20, 40)).  Bareiss costs n**3
-# big-integer products of up to that many bits; (20, 40) takes about 2.4 s on
-# 2 vCPUs, while (20, 64), at about 8e4 bits, took 50 s.
+# 13906 at (d, n) = (16, 32) and 28102 at (20, 40)).  Condensation costs about
+# n**2 big-integer steps on numbers of up to that many bits.  On 2 vCPUs the
+# dearest pairs in budget are (7, 64) and (8, 64) at about 0.5-0.7 s (Bareiss:
+# 4-7 s), and (20, 40) takes about 0.13 s; beyond it, det m alone takes 1.4 s at
+# (20, 64).
 MAX_WITNESS_BITS = 1 << 15
 
 
@@ -265,6 +271,56 @@ def mu_hankel_determinant(d: int, n: int) -> Fraction:
     return Fraction(num, den)
 
 
+def _m_hankel_determinant(big_n: int, n: int) -> Fraction:
+    """det [m_{i+j}] for m_j = (N)_j / (j + 1), 0 <= i, j < n, any N >= 2n - 2.
+
+    Row i of the shifted Hankel [m_{s+i+j}] carries the falling factorial
+    (N)_{s+i}; with L = lcm(1 .. 2n - 1) the rest is the integer minor
+    G(s, k) = det [L (N - s - i)_j / (s + i + j + 1)] over 0 <= i, j < k.
+    Desnanot-Jacobi condensation of the Hankel minors, with those row
+    factors taken out, gives the exact integer recurrence
+    G(s, k + 1) G(s + 2, k - 1) = (N - s - k) G(s, k) G(s + 2, k)
+    - (N - s) G(s + 1, k)**2, from G(s, 0) = 1 and G(s, 1) = L / (s + 1).
+    Then det m = G(0, n) prod_{i<n} (N)_i / L**n.  A zero divisor voids
+    the identity; Bareiss on the Hankel takes over.
+    """
+    top = 2 * n - 2
+    scale = math.lcm(*range(1, top + 2))
+    prev = [1] * (top + 3)
+    cur = [scale // (s + 1) for s in range(top + 1)]
+    for k in range(1, n):
+        nxt = []
+        for s in range(top + 1 - 2 * k):
+            divisor = prev[s + 2]
+            if divisor == 0:
+                m_seq = _m_sequence(big_n + 1, top)
+                return determinant([m_seq[i : i + n] for i in range(n)])
+            nxt.append(((big_n - s - k) * cur[s] * cur[s + 2] - (big_n - s) * cur[s + 1] ** 2) // divisor)
+        prev, cur = cur, nxt
+    rows = falling = 1
+    for i in range(n):
+        rows *= falling
+        falling *= big_n - i
+    return Fraction(cur[0] * rows, scale**n)
+
+
+def m_hankel_determinant(d: int, n: int) -> Fraction:
+    """det [m_{i+j}] for 0 <= i, j < n by Hankel condensation, exact.
+
+    The m_k are the factorial moments with N = 2**d - 1; the order-(2n - 2)
+    moment must exist, so 2n - 2 <= N.  About n**2 integer steps instead
+    of Bareiss's n**3 / 3; Bareiss on the m Hankel is its test oracle.
+    """
+    if d < 1:
+        raise ValueError(f"need d >= 1, got {d}")
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    big_n = (1 << d) - 1
+    if 2 * n - 2 > big_n:
+        raise ValueError(f"det m for n={n} needs moments up to order {2 * n - 2}, beyond 2**{d} - 1")
+    return _m_hankel_determinant(big_n, n)
+
+
 def presentable(value: Fraction) -> float | str:
     """``float(value)``, or exact scientific text when that would overflow.
 
@@ -328,8 +384,7 @@ def agarwal_tara(d: int, n: int) -> AgarwalTaraResult:
             f"A_{n} needs moments up to order {top}, beyond the 2**{d} - 1 "
             f"available at d={d}"
         )
-    m_seq = _m_sequence(1 << d, top)
-    det_m = determinant([m_seq[i : i + n] for i in range(n)])
+    det_m = m_hankel_determinant(d, n)
     det_mu = mu_hankel_determinant(d, n)
     if det_mu == det_m:
         raise ArithmeticError("witness undefined: det mu equals det m exactly")

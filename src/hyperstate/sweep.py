@@ -308,12 +308,16 @@ def _records_to_csv(records: Iterable[SweepRecord]) -> str:
     return buffer.getvalue()
 
 
-def _records_to_json(records: Iterable[SweepRecord]) -> str:
-    payload = [
+def records_payload(records: Iterable[SweepRecord]) -> list[dict]:
+    """Records as JSON-ready dicts, the one record shape of all sweep JSON."""
+    return [
         {"d": r.d, "edges": r.edges, **{name: r.metrics[name] for name in METRIC_NAMES}}
         for r in records
     ]
-    return json.dumps(payload, indent=2) + "\n"
+
+
+def _records_to_json(records: Iterable[SweepRecord]) -> str:
+    return json.dumps(records_payload(records), indent=2) + "\n"
 
 
 def render_results(records: Iterable[SweepRecord], fmt: str) -> str:
@@ -329,7 +333,8 @@ def write_results(records: Iterable[SweepRecord], path: str | os.PathLike, fmt: 
     """Write records to ``path``; format from arg or file extension.
 
     The text goes to a temporary file beside ``path`` that then replaces
-    it, so a reader never sees a partly written file.
+    it, so a reader never sees a partly written file.  An OSError names
+    ``path``, not the temporary file.
     """
     path = Path(path)
     if fmt is None:
@@ -340,6 +345,8 @@ def write_results(records: Iterable[SweepRecord], path: str | os.PathLike, fmt: 
         with open(partial, "x", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(partial, path)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
     finally:
         partial.unlink(missing_ok=True)
 

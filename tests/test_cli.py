@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hyperstate.cli import main
+from hyperstate.sweep import Family, cached_sweep, render_results
 
 EXAMPLE_EDGES_FLAG = "0,3;0,2,3;1,2,3"
 
@@ -156,6 +157,26 @@ def test_sweep_json_stdout(capsys):
     payload = json.loads(out)
     assert payload["summary"]["count"] == 1
     assert payload["records"][0]["s_p"] == pytest.approx(-0.401, abs=1e-3)
+
+
+@pytest.mark.parametrize("metrics", [None, ["s_n", "c_l1_phase"]])
+def test_sweep_json_stdout_matches_records_then_summary_text(capsys, tmp_path, metrics):
+    """Byte-identical to the earlier render, re-parse and re-dump of the records."""
+    flags = [arg for name in metrics or () for arg in ("--metric", name)]
+    code, out, _ = run_cli(capsys, "sweep", "--family", "dminus1", "--d", "5", "--format", "json",
+                           "--cache-dir", str(tmp_path), *flags)
+    assert code == 0
+    records, summary = cached_sweep(Family("dminus1", 5), metrics=metrics, cache_dir=tmp_path)
+    expected = {"records": json.loads(render_results(records, "json")), "summary": summary.to_dict()}
+    assert out == json.dumps(expected, indent=2) + "\n"
+
+
+def test_sweep_out_in_missing_directory_names_the_target(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(capsys, "sweep", "--family", "dminus1", "--d", "4", "--format", "csv",
+                             "--out", str(target), "--cache-dir", str(tmp_path / "cache"))
+    assert code == 1 and out == ""
+    assert err == f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
 
 
 def test_sweep_requires_k_for_complete(capsys):

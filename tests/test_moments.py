@@ -1,5 +1,6 @@
 """Unit tests for the exact-rational moment and witness machinery."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from hyperstate.moments import (
     MAX_WITNESS_BITS,
     agarwal_tara,
     determinant,
+    m_hankel_determinant,
     m_moment,
     m_moment_oracle,
     moment_sequences,
@@ -290,6 +292,60 @@ def test_mu_hankel_closed_form_range():
         mu_hankel_determinant(3, 0)
 
 
+def _falling_m(big_n, top):
+    """m_j = (N)_j / (j + 1) for j = 0 .. top, straight from the definition."""
+    return [Fraction(math.perm(big_n, j), j + 1) for j in range(top + 1)]
+
+
+def test_m_hankel_condensation_matches_oracle_bareiss():
+    """Condensation equals Bareiss on the summation-oracle Hankel, every valid (d, n), d <= 6."""
+    for d in range(1, 7):
+        dim = 1 << d
+        m = [m_moment_oracle(d, k) for k in range(dim)]
+        for n in range(1, (dim + 1) // 2 + 1):
+            assert m_hankel_determinant(d, n) == determinant(_hankel(m, n)), (d, n)
+
+
+@pytest.mark.parametrize("d,n", [(8, 12), (16, 32), (20, 24), (14, 24), (12, 16)])
+def test_m_hankel_condensation_matches_bareiss_at_witness_pairs(d, n):
+    m = _falling_m((1 << d) - 1, 2 * n - 2)
+    assert m_hankel_determinant(d, n) == determinant(_hankel(m, n))
+
+
+@pytest.mark.extended
+@pytest.mark.parametrize("d,n", [(20, 40), (16, 45)])
+def test_m_hankel_condensation_matches_bareiss_at_budget_edge(d, n):
+    assert n * n * d <= MAX_WITNESS_BITS
+    m = _falling_m((1 << d) - 1, 2 * n - 2)
+    assert m_hankel_determinant(d, n) == determinant(_hankel(m, n))
+
+
+def test_m_hankel_condensation_matches_bareiss_at_general_n(monkeypatch):
+    """Every N <= 30 with 2n - 2 <= N, zero-divisor fallbacks included."""
+    fallbacks = []
+
+    def recording_determinant(matrix):
+        fallbacks.append((big_n, n))
+        return determinant(matrix)
+
+    monkeypatch.setattr(moments_mod, "determinant", recording_determinant)
+    for big_n in range(31):
+        for n in range(1, big_n // 2 + 2):
+            m = _falling_m(big_n, 2 * n - 2)
+            assert moments_mod._m_hankel_determinant(big_n, n) == determinant(_hankel(m, n)), (big_n, n)
+    assert fallbacks == [(18, n) for n in range(4, 11)] + [(28, n) for n in range(5, 16)]
+
+
+def test_m_hankel_condensation_range():
+    with pytest.raises(ValueError, match="need d >= 1"):
+        m_hankel_determinant(0, 2)
+    with pytest.raises(ValueError, match="need n >= 1"):
+        m_hankel_determinant(3, 0)
+    with pytest.raises(ValueError, match="order 4"):
+        m_hankel_determinant(1, 3)
+    assert m_hankel_determinant(2, 2) == Fraction(-1, 4)  # m_0, m_1, m_2 = 1, 3/2, 2
+
+
 # presentation
 
 
@@ -369,6 +425,8 @@ def test_witness_beyond_work_budget_is_refused_before_any_work(monkeypatch, d, n
     monkeypatch.setattr(moments_mod, "_m_sequence", no_work)
     monkeypatch.setattr(moments_mod, "determinant", no_work)
     monkeypatch.setattr(moments_mod, "mu_hankel_determinant", no_work)
+    monkeypatch.setattr(moments_mod, "m_hankel_determinant", no_work)
+    monkeypatch.setattr(moments_mod, "_m_hankel_determinant", no_work)
     with pytest.raises(GuardError, match="witness budget"):
         agarwal_tara(d, n)
 

@@ -345,6 +345,16 @@ def test_write_results_leaves_no_partial_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
 
+def test_write_results_error_names_the_target_not_the_temporary(tmp_path):
+    records, _ = sweep_family(dminus1_family(4))
+    target = tmp_path / "missing" / "out.csv"
+    with pytest.raises(FileNotFoundError) as info:
+        write_results(records, target)
+    assert info.value.filename == str(target)
+    assert ".tmp" not in str(info.value)
+    assert not (tmp_path / "missing").exists()
+
+
 def test_cached_sweep_round_trip(tmp_path, monkeypatch):
     family = dminus1_family(4)
     records, summary = cached_sweep(family, cache_dir=tmp_path)

@@ -13,20 +13,19 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import __version__, reproduce as reproduce_mod
 from .coherence import BASES, coherence_report
-from .errors import GuardError
+from .errors import GuardError, dimension, require_bytes
 from .hypergraph import Hypergraph, parse_edges
 from .moments import agarwal_tara, moment_sequences, presentable
 from .operators import (
-    apply_phase_operator,
     gershgorin_bound,
     number_phase_commutator_dense,
-    phase_angles,
+    phase_operator_agreement,
     phase_operator_dense,
     spectral_bound_check,
     verify_structure,
@@ -45,6 +44,8 @@ from .sweep import (
 
 SQUEEZE_FIELDS = ("d", "edges", "mean_n", "var_n", "mean_p", "var_p", "half_comm", "s_n", "s_p")
 COHERENCE_FIELDS = ("d", "edges", "basis", "c_l1", "c_rel_ent")
+# Amplitudes per block of ``state`` output; its text for all 2**d is never held.
+STATE_BLOCK = 1 << 16
 
 
 class _UsageError(Exception):
@@ -122,11 +123,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _emit(payload: str, out: str | None) -> None:
+def _emit(payload: str | Iterable[str], out: str | None) -> None:
+    parts = [payload] if isinstance(payload, str) else payload
     if out:
-        Path(out).write_text(payload, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as handle:
+            handle.writelines(parts)
     else:
-        sys.stdout.write(payload)
+        sys.stdout.writelines(parts)
 
 
 def emit_plot_data(series: Sequence[tuple[float, float]], path: str, name: str = "series") -> None:
@@ -167,17 +170,23 @@ def _hypergraph(args: argparse.Namespace) -> Hypergraph:
     return Hypergraph(args.d, parse_edges(args.edges))
 
 
+def _state_text(psi: np.ndarray, fmt: str) -> Iterator[str]:
+    """``state`` output, one block of STATE_BLOCK amplitudes at a time."""
+    width = len(f"|{len(psi) - 1}>")
+    yield {"json": "[", "csv": "n,re,im\n"}.get(fmt, "")
+    for start in range(0, len(psi), STATE_BLOCK):
+        block = enumerate(psi[start : start + STATE_BLOCK].tolist(), start)
+        if fmt == "json":
+            yield ("" if start == 0 else ", ") + ", ".join(f"[{a.real!r}, {a.imag!r}]" for _, a in block)
+        elif fmt == "csv":
+            yield "".join(f"{n},{a.real!r},{a.imag!r}\n" for n, a in block)
+        else:
+            yield "".join(f"{f'|{n}>':<{width}}  {a.real:+.10f}{a.imag:+.10f}j\n" for n, a in block)
+    yield "]\n" if fmt == "json" else ""
+
+
 def _cmd_state(args: argparse.Namespace) -> int:
-    psi = hypergraph_state(_hypergraph(args))
-    if args.format == "json":
-        payload = json.dumps([[a.real, a.imag] for a in psi]) + "\n"
-    elif args.format == "csv":
-        rows = ((n, float(a.real), float(a.imag)) for n, a in enumerate(psi))
-        payload = _csv(("n", "re", "im"), rows)
-    else:
-        rows = [(f"|{n}>", f"{a.real:+.10f}{a.imag:+.10f}j") for n, a in enumerate(psi)]
-        payload = _aligned(rows)
-    _emit(payload, args.out)
+    _emit(_state_text(hypergraph_state(_hypergraph(args)), args.format), args.out)
     return 0
 
 
@@ -197,12 +206,17 @@ def _cmd_circuit(args: argparse.Namespace) -> int:
 
 
 def _cmd_operators(args: argparse.Namespace) -> int:
+    if args.d < 1:
+        raise ValueError(f"need d >= 1, got {args.d}")
+    # Both operators beside verify_structure's or --check-all's temporaries:
+    # measured 88 and 107 bytes per entry.
+    require_bytes(f"dense operators at d={args.d}", 112 * dimension(args.d) ** 2)
     dim = 1 << args.d
     if args.check_all:
         rng = np.random.default_rng(7)
         state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         state /= np.linalg.norm(state)
-        # First, so that its eigensolver guard fires before any dense matrix is built.
+        # First, so that its cubic work guard fires before any dense matrix is built.
         bound = spectral_bound_check(state)
     phase_op = phase_operator_dense(dim)
     comm = number_phase_commutator_dense(dim)
@@ -213,14 +227,10 @@ def _cmd_operators(args: argparse.Namespace) -> int:
         "number_phase_commutator": verify_structure(comm).to_dict(),
     }
     if args.check_all:
-        n = np.arange(dim)
-        fourier = np.exp(2j * np.pi * np.outer(n, n) / dim) / np.sqrt(dim)
-        spectral = (fourier * phase_angles(dim)) @ fourier.conj().T
+        spectral_error, fft_error = phase_operator_agreement(phase_op, [state])
         report["check_all"] = {
-            "spectral_sum_max_error": float(np.max(np.abs(phase_op - spectral))),
-            "fft_vs_dense_max_error": float(
-                np.max(np.abs(apply_phase_operator(state) - phase_op @ state))
-            ),
+            "spectral_sum_max_error": spectral_error,
+            "fft_vs_dense_max_error": fft_error,
             "spectral_radius": bound.spectral_radius,
             "row_sum_bound": bound.row_sum_bound,
             "eigenvalues_within_row_sum": bound.within_row_sum,

@@ -3,13 +3,14 @@
 For a pure state with coefficients c_i in the reference basis, the l1
 coherence sum_{i != j} |rho_ij| collapses to (sum_i |c_i|)**2 - 1 and the
 relative entropy of coherence to the Shannon entropy of {|c_i|**2} (the
-pure-state von Neumann entropy vanishes).  Neither a density matrix nor
-an eigensolve is needed, which keeps 20-qubit states tractable.
+pure-state von Neumann entropy vanishes).  ``l1_coherence`` and
+``rel_entropy_coherence`` take the coefficients of any pure state.
 
-Phase-basis coherence of a hypergraph state is read from its spectral
-profile (``operators.spectral_profile``).  ``l1_coherence`` and
-``rel_entropy_coherence`` take the coefficients of any pure state; applied
-to ``operators.phase_overlaps(psi)`` they give the same phase-basis values.
+``coherence_report`` builds no state in the number basis: all 2**d
+coefficients of a hypergraph state have one magnitude, so the values are
+2**d - 1 and d ln 2.  In the phase basis it reads the spectral profile
+(``operators.spectral_profile``), which equals the general measures applied
+to ``operators.phase_overlaps(psi)``.
 """
 
 from __future__ import annotations
@@ -19,13 +20,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import GuardError
 from .hypergraph import Hypergraph, edges_text
-from .operators import spectral_profile
-from .state import hypergraph_amplitudes, hypergraph_state
-
-MAX_QUBITS_NUMBER_BASIS = 24
-MAX_QUBITS_PHASE_BASIS = 20
+from .state import hypergraph_profile
 
 BASES = ("number", "phase")
 
@@ -75,15 +71,11 @@ def coherence_report(g: Hypergraph, basis: str = "number") -> CoherenceReport:
     """Coherence of the hypergraph state of ``g`` in the requested basis."""
     if basis not in BASES:
         raise ValueError(f"basis must be one of {BASES}, got {basis!r}")
-    limit = MAX_QUBITS_NUMBER_BASIS if basis == "number" else MAX_QUBITS_PHASE_BASIS
-    if g.d > limit:
-        raise GuardError(f"d={g.d} exceeds the {limit}-qubit guard for the {basis} basis")
     if basis == "phase":
-        profile = spectral_profile(hypergraph_amplitudes([g])[0])
+        profile = hypergraph_profile(g)
         c_l1, c_rel_ent = float(profile.c_l1_phase), float(profile.c_rel_phase)
     else:
-        coeffs = hypergraph_state(g)
-        c_l1, c_rel_ent = l1_coherence(coeffs), rel_entropy_coherence(coeffs)
+        c_l1, c_rel_ent = math.ldexp(1.0, g.d) - 1.0, g.d * math.log(2.0)
     return CoherenceReport(
         d=g.d,
         edges=edges_text(g),

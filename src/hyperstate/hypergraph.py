@@ -18,11 +18,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import GuardError
-
-# Enumerating a k-uniform family walks all 2**C(d,k) - 1 nonempty edge
-# subsets; refuse families whose subset count would not stay desk-scale.
-MAX_FAMILY_EDGES = 30
+from .errors import require_sweep_work
 
 
 @dataclass(frozen=True)
@@ -139,11 +135,11 @@ def k_uniform_family(d: int, k: int) -> Iterator[Hypergraph]:
     if not 1 <= k <= d:
         raise ValueError(f"k must satisfy 1 <= k <= d, got k={k}, d={d}")
     n_edges = comb(d, k)
-    if n_edges > MAX_FAMILY_EDGES:
-        raise GuardError(
-            f"family with C({d},{k}) = {n_edges} candidate edges exceeds "
-            f"the enumeration guard ({MAX_FAMILY_EDGES})"
-        )
+    require_sweep_work(
+        f"family with C({d},{k}) = {n_edges} candidate edges",
+        ((1 << min(n_edges, 64)) - 1) * n_edges,
+        "configurations x candidate edges",
+    )
     subsets = list(itertools.combinations(range(d), k))
     for mask in range(1, 1 << n_edges):
         yield Hypergraph(

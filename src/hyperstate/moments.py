@@ -35,7 +35,7 @@ from decimal import MAX_EMAX, Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import GuardError
+from .errors import require_witness_bits
 
 __all__ = [
     "w_factor",
@@ -54,16 +54,7 @@ __all__ = [
     "presentable",
     "AgarwalTaraResult",
     "agarwal_tara",
-    "MAX_WITNESS_BITS",
 ]
-
-# Work budget of one witness: the estimated bit length n**2 d of det m (measured
-# 13906 at (d, n) = (16, 32) and 28102 at (20, 40)).  Condensation costs about
-# n**2 big-integer steps on numbers of up to that many bits.  On 2 vCPUs the
-# dearest pairs in budget are (7, 64) and (8, 64) at about 0.5-0.7 s (Bareiss:
-# 4-7 s), and (20, 40) takes about 0.13 s; beyond it, det m alone takes 1.4 s at
-# (20, 64).
-MAX_WITNESS_BITS = 1 << 15
 
 
 def _check_k(d: int, k: int, low: int) -> None:
@@ -367,17 +358,13 @@ def agarwal_tara(d: int, n: int) -> AgarwalTaraResult:
 
     Requires moments up to order 2n - 2, so 2n - 2 <= 2**d - 1; at d = 2
     this limits the witness to n = 2.  Raises GuardError, before any work,
-    when n**2 d exceeds ``MAX_WITNESS_BITS``.
+    when n**2 d exceeds ``errors.MAX_WITNESS_BITS``.
     """
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if n * n * d > MAX_WITNESS_BITS:
-        raise GuardError(
-            f"A_{n} at d={d}: det m would have about n**2 d = {n * n * d} bits, "
-            f"beyond the witness budget of {MAX_WITNESS_BITS}"
-        )
+    require_witness_bits(f"A_{n} at d={d}", n * n * d)
     top = 2 * n - 2
     if top > (1 << d) - 1:
         raise ValueError(

@@ -23,13 +23,11 @@ test oracles.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .errors import GuardError
-
-MAX_DENSE_DIM = 4096
-MAX_EIG_DIM = 256
+from .errors import require_bytes, require_cubic_work
 
 
 def _require_power_of_two(dim: int, what: str = "dimension") -> None:
@@ -144,6 +142,14 @@ class SpectralProfile:
     c_rel_phase: np.ndarray
 
 
+def profile_bytes(count: int, dim: int) -> int:
+    """Bytes ``spectral_profile`` holds at its peak, the rfft, for ``count`` states of length ``dim``."""
+    # The float64 states (8 per amplitude), the stacked psi and n psi (16), their
+    # half spectra, at most one float64 buffer per transformed row (16) and the
+    # length-dim plan (8 per amplitude of one state).
+    return count * (40 * dim + 32 * (dim // 2 + 1)) + 8 * dim
+
+
 def spectral_profile(psi: np.ndarray) -> SpectralProfile:
     """Phase statistics of real states ``psi`` (shape ``(..., dim)``) from one batched rfft.
 
@@ -176,8 +182,9 @@ def spectral_profile(psi: np.ndarray) -> SpectralProfile:
     _require_power_of_two(dim)
     if dim < 2:
         raise ValueError(f"need dim >= 2, got {dim}")
+    count = psi.size // dim
+    require_bytes(f"spectral profile of {count} x {dim} amplitudes", profile_bytes(count, dim))
     rows = psi.reshape(-1, dim).astype(np.float64, copy=False)
-    count = len(rows)
     spectra = np.fft.rfft(np.concatenate((rows, rows * np.arange(dim))), axis=-1)
     f, g = spectra[:count], spectra[count:]
     prob = (f.real**2 + f.imag**2) / dim
@@ -215,8 +222,8 @@ def phase_operator_dense(dim: int) -> np.ndarray:
     the matrix.  Equals sum_m theta_m |theta_m><theta_m|.
     """
     _require_power_of_two(dim)
-    if dim > MAX_DENSE_DIM:
-        raise GuardError(f"dim={dim} exceeds the dense-operator guard ({MAX_DENSE_DIM})")
+    # The int64 index (k - l) mod dim and the gathered complex128 matrix.
+    require_bytes(f"dense phase operator at dim={dim}", 24 * dim * dim)
     # conj(fft) of the ramp r -> sum_r r exp(+i theta_r s), s = 0 .. dim-1
     column = (2.0 * np.pi / dim**2) * np.conj(np.fft.fft(np.arange(dim, dtype=np.float64)))
     k = np.arange(dim)
@@ -226,8 +233,8 @@ def phase_operator_dense(dim: int) -> np.ndarray:
 def number_phase_commutator_dense(dim: int) -> np.ndarray:
     """Dense [N, P]: entry (k, l) equals (k - l) P_kl, Toeplitz by shape."""
     _require_power_of_two(dim)
-    if dim > MAX_DENSE_DIM:
-        raise GuardError(f"dim={dim} exceeds the dense-operator guard ({MAX_DENSE_DIM})")
+    # The int64 differences k - l, the phase operator and their product.
+    require_bytes(f"dense [N, P] at dim={dim}", 40 * dim * dim)
     k = np.arange(dim)
     return (k[:, None] - k[None, :]) * phase_operator_dense(dim)
 
@@ -250,8 +257,8 @@ def gershgorin_bound(dim: int) -> float:
     """Published closed form 2 pi (dim-1)**2 / (4 dim**2) for the [N, P] spectrum.
 
     Reported for comparison with the published account; the spectrum does
-    not actually respect it (see commutator_row_sum_bound for the bound
-    that holds and the counterexample).
+    not actually respect it (see SpectralBoundReport for the bound that
+    holds and the counterexample).
     """
     _require_power_of_two(dim)
     return 2.0 * np.pi * (dim - 1) ** 2 / (4.0 * dim**2)
@@ -309,16 +316,19 @@ def verify_structure(op: np.ndarray) -> StructureReport:
     )
 
 
-def commutator_row_sum_bound(dim: int) -> float:
-    """Max absolute row sum of the dense [N, P]: the working Gershgorin bound.
+def phase_operator_agreement(phase_op: np.ndarray, states: Sequence[np.ndarray]) -> tuple[float, float]:
+    """Largest errors of the dense phase operator ``phase_op`` against its two other routes.
 
-    The closed-form evaluation gershgorin_bound() published alongside this
-    operator drops a dim**2 factor and does not actually bound the spectrum
-    (counterexample at dim = 2: eigenvalues +-pi/2 vs a claimed pi/8); the
-    row sums computed from the matrix itself always do.
+    Returns max |P - F diag(theta) F^dagger| over entries, with F the unitary
+    Fourier matrix, and max |apply_phase_operator(psi) - P psi| over ``states``.
     """
-    comm = number_phase_commutator_dense(dim)
-    return float(np.max(np.sum(np.abs(comm), axis=1)))
+    dim = len(phase_op)
+    require_cubic_work("spectral sum", dim)
+    n = np.arange(dim)
+    fourier = np.exp(2j * np.pi * np.outer(n, n) / dim) / np.sqrt(dim)
+    spectral = (fourier * phase_angles(dim)) @ fourier.conj().T
+    fft_error = max(float(np.max(np.abs(apply_phase_operator(s) - phase_op @ s))) for s in states)
+    return float(np.max(np.abs(phase_op - spectral))), fft_error
 
 
 @dataclass(frozen=True)
@@ -326,8 +336,10 @@ class SpectralBoundReport:
     """Spectral-radius and row-sum bounds on the [N, P] expectation.
 
     ``stated_bound`` is the published closed form 2 pi (dim-1)**2 / (4 dim**2),
-    reported for comparison; ``row_sum_bound`` is the Gershgorin bound
-    computed from the matrix, which the spectrum provably respects.
+    reported for comparison: it drops a dim**2 factor and does not bound the
+    spectrum (counterexample at dim = 2: eigenvalues +-pi/2 vs a claimed
+    pi/8).  ``row_sum_bound``, the max absolute row sum of the matrix, is the
+    Gershgorin bound that the spectrum provably respects.
     """
 
     dim: int
@@ -346,8 +358,7 @@ def spectral_bound_check(psi: np.ndarray) -> SpectralBoundReport:
     """Check |<[N, P]>| against the spectrum of the Hermitian i[N, P]."""
     dim = len(psi)
     _require_power_of_two(dim)
-    if dim > MAX_EIG_DIM:
-        raise GuardError(f"dim={dim} exceeds the eigensolver guard ({MAX_EIG_DIM})")
+    require_cubic_work("eigensolver", dim)
     comm = number_phase_commutator_dense(dim)
     eigenvalues = np.linalg.eigvalsh(1j * comm)
     radius = float(np.max(np.abs(eigenvalues)))
@@ -370,8 +381,7 @@ def quadrature_commutator_expectation(psi: np.ndarray, k: int = 1) -> complex:
     dim = len(psi)
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    if dim > MAX_EIG_DIM:
-        raise GuardError(f"dim={dim} exceeds the dense quadrature guard ({MAX_EIG_DIM})")
+    require_cubic_work("dense quadrature commutator", dim)
     x_k = np.linalg.matrix_power(position(dim), k)
     p_k = np.linalg.matrix_power(momentum(dim), k)
     return complex(np.vdot(psi, (x_k @ p_k - p_k @ x_k) @ psi))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import reference_tables as ref
-from .coherence import coherence_report
+from .coherence import coherence_report, l1_coherence, rel_entropy_coherence
 from .hypergraph import (
     Hypergraph,
     canonical_edges,
@@ -38,9 +38,10 @@ from .operators import (
     gershgorin_bound,
     number_operator,
     number_phase_commutator_dense,
-    phase_angles,
+    phase_operator_agreement,
     phase_operator_dense,
     quadrature_commutator_expectation,
+    spectral_bound_check,
     variance,
     verify_structure,
 )
@@ -272,12 +273,13 @@ class Reproducer:
         failures: list[str] = []
         notes: list[str] = []
         ln2 = math.log(2.0)
-        for d in range(1, 11):
-            report = coherence_report(single_full_edge(d) if d > 1 else Hypergraph(1), "number")
-            if report.c_l1 != float((1 << d) - 1):
-                failures.append(f"d={d}: number-basis c_l1 {report.c_l1!r} != {(1 << d) - 1}")
-            if abs(report.c_rel_ent - d * ln2) > 1e-12 * d * ln2:
-                failures.append(f"d={d}: number-basis entropy {report.c_rel_ent!r} != {d}*ln2")
+        for d in range(1, 11):  # closed forms against the general measures on the built state
+            g = single_full_edge(d) if d > 1 else Hypergraph(1)
+            report, psi = coherence_report(g, "number"), hypergraph_state(g)
+            if report.c_l1 != l1_coherence(psi):
+                failures.append(f"d={d}: number-basis c_l1 {report.c_l1!r} != l1_coherence")
+            if abs(report.c_rel_ent - rel_entropy_coherence(psi)) > 1e-12 * d * ln2:
+                failures.append(f"d={d}: number-basis entropy {report.c_rel_ent!r} != rel_entropy_coherence")
         for d, printed in sorted(ref.NUMBER_BASIS_ENTROPY.items()):
             if abs(d * ln2 - printed) >= VALUE_TOL:
                 failures.append(f"d={d}: published entropy row {printed} vs {d * ln2:.4f}")
@@ -324,12 +326,10 @@ class Reproducer:
             report = verify_structure(phase_op)
             if not (report.hermitian.holds and report.circulant.holds):
                 failures.append(f"dim={dim}: phase operator not Hermitian circulant")
-            theta = phase_angles(dim)
-            fourier = np.exp(
-                2j * np.pi * np.outer(np.arange(dim), np.arange(dim)) / dim
-            ) / np.sqrt(dim)
-            spectral = (fourier * theta) @ fourier.conj().T
-            if float(np.max(np.abs(phase_op - spectral))) > 1e-10:
+            states = [rng.normal(size=dim) + 1j * rng.normal(size=dim) for _ in range(3)]
+            states = [state / np.linalg.norm(state) for state in states]
+            spectral_error, fft_error = phase_operator_agreement(phase_op, states)
+            if spectral_error > 1e-10:
                 failures.append(f"dim={dim}: entry formula differs from spectral sum")
             comm = number_phase_commutator_dense(dim)
             comm_report = verify_structure(comm)
@@ -337,22 +337,13 @@ class Reproducer:
                 failures.append(f"dim={dim}: [N,P] not skew-Hermitian Toeplitz")
             if float(np.max(np.abs(np.diag(comm)))) > 0.0:
                 failures.append(f"dim={dim}: [N,P] diagonal not exactly zero")
-            eigenvalues = np.linalg.eigvalsh(1j * comm)
-            radius = float(np.max(np.abs(eigenvalues)))
-            row_sum = float(np.max(np.sum(np.abs(comm), axis=1)))
-            if radius > row_sum * (1.0 + 1e-12):
+            bound = spectral_bound_check(states[0])
+            if bound.spectral_radius > bound.row_sum_bound * (1.0 + 1e-12):
                 failures.append(f"dim={dim}: eigenvalue beyond the row-sum Gershgorin bound")
-            if radius > np.pi * (dim - 1) ** 2 / 2 + 1e-12:
+            if bound.spectral_radius > np.pi * (dim - 1) ** 2 / 2 + 1e-12:
                 failures.append(f"dim={dim}: eigenvalue beyond pi(dim-1)^2/2")
-            # FFT application against dense multiplication on random states.
-            from .operators import apply_phase_operator
-
-            for _ in range(3):
-                state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-                state /= np.linalg.norm(state)
-                if float(np.max(np.abs(apply_phase_operator(state) - phase_op @ state))) > 1e-10:
-                    failures.append(f"dim={dim}: FFT application differs from dense")
-                    break
+            if fft_error > 1e-10:
+                failures.append(f"dim={dim}: FFT application differs from dense")
         # Robertson bound on every swept record.
         checked = 0
         for d in (4, 5, 6, 7, 8):

@@ -16,8 +16,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .hypergraph import Hypergraph, edges_text
-from .operators import phase_angles, phase_overlaps, spectral_profile
-from .state import hypergraph_amplitudes
+from .operators import phase_angles, phase_overlaps
+from .state import hypergraph_profile
 
 # Below this the commutator expectation counts as vanishing and squeezing
 # degrees are undefined (except the var_p = 0 case, which is -1).
@@ -73,7 +73,7 @@ class SqueezeReport:
 
 def squeeze_report(g: Hypergraph) -> SqueezeReport:
     """Assemble the squeezing report of the hypergraph state of ``g``."""
-    profile = spectral_profile(hypergraph_amplitudes([g])[0])
+    profile = hypergraph_profile(g)
     mean_n, var_n = number_stats(g.d)
     mean_p, var_p, half = float(profile.mean_p), float(profile.var_p), float(profile.half_comm)
     s_n, s_p = squeeze_degrees(var_n, var_p, half)

@@ -13,12 +13,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import GuardError
+from .errors import dimension, require_bytes
 from .hypergraph import Hypergraph, vertex_mask
+from .operators import SpectralProfile, profile_bytes, spectral_profile
 
-# 2**24 amplitudes (256 MiB complex128) is the largest state we build.
-MAX_QUBITS = 24
-_SIM_MAX_QUBITS = 20
 # Edge indicator rows are built in blocks of at most this many bytes, so a
 # graph with many edges at large d needs no edges-by-2**d matrix at once.
 _INDICATOR_BYTES = 1 << 24
@@ -62,15 +60,18 @@ def membership_amplitudes(d: int, edges: Sequence[tuple[int, ...]], rows: np.nda
     Row r selects hypergraph r's edges; f(n) counts, mod 2, those whose
     vertex bits are all set in n (``hypergraph.boolean_function``), so the
     truth tables are one product: rows @ (edge-by-n indicators), mod 2.  The
-    float32 product is exact: d <= 24 allows fewer than 2**24 distinct edges.
+    float32 product is exact: the byte budget admits no d beyond 24, and
+    d <= 24 allows fewer than 2**24 distinct edges.
     """
-    if d > MAX_QUBITS:
-        raise GuardError(f"d={d} exceeds the {MAX_QUBITS}-qubit state guard")
+    step = max(1, _INDICATOR_BYTES >> (d + 2))  # edges per block of float32 rows
+    # The int64 index n, per row the float32 counts, int32 parity, its double and
+    # the float64 result, and a block of ``step`` indicator rows (int64, bool, float32).
+    nbytes = dimension(d) * (8 + 20 * len(rows) + 13 * step)
+    require_bytes(f"truth tables of {len(rows)} x 2**{d} amplitudes", nbytes)
     membership = np.asarray(rows, dtype=np.float32)
     masks = np.array([vertex_mask(d, e) for e in edges], dtype=np.int64)[:, None]
     n = np.arange(1 << d)
     counts = np.zeros((len(membership), 1 << d), dtype=np.float32)
-    step = max(1, _INDICATOR_BYTES >> (d + 2))  # edges per block of float32 rows
     for start in range(0, len(masks), step):
         block = masks[start : start + step]
         indicators = ((n & block) == block).astype(np.float32)
@@ -91,7 +92,14 @@ def hypergraph_amplitudes(graphs: Sequence[Hypergraph]) -> np.ndarray:
 
 def hypergraph_state(g: Hypergraph) -> np.ndarray:
     """State vector of ``g``: amplitudes (-1)**f(n) / sqrt(2**d)."""
+    # membership_amplitudes' guard covers the float64 and complex128 copies (24 bytes).
     return hypergraph_amplitudes([g])[0].astype(np.complex128)
+
+
+def hypergraph_profile(g: Hypergraph) -> SpectralProfile:
+    """``spectral_profile`` of the state of ``g``, refused before its amplitudes are built."""
+    require_bytes(f"spectral profile at d={g.d}", profile_bytes(1, dimension(g.d)))
+    return spectral_profile(hypergraph_amplitudes([g])[0])
 
 
 def emit_circuit(g: Hypergraph) -> CircuitDescription:
@@ -115,8 +123,9 @@ def simulate_circuit(circ: CircuitDescription) -> np.ndarray:
     Qubit v acts on the bit of weight 2**(d-1-v), matching the Boolean
     function convention.
     """
-    if circ.d > _SIM_MAX_QUBITS:
-        raise GuardError(f"d={circ.d} exceeds the {_SIM_MAX_QUBITS}-qubit simulator guard")
+    # psi, the int64 index, and per Hadamard an int64 temporary, the partner, both
+    # branches, their selection and a bool mask (measured: 90 bytes at d = 23).
+    require_bytes(f"circuit simulation at d={circ.d}", 97 * dimension(circ.d))
     dim = 1 << circ.d
     psi = np.zeros(dim, dtype=np.complex128)
     psi[0] = 1.0

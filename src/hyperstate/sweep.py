@@ -40,9 +40,9 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import __version__
-from .errors import GuardError, SchemaError
+from .errors import MAX_SWEEP_WORK, SchemaError, dimension, require_bytes, require_sweep_work
 from .hypergraph import Hypergraph, connected_rows
-from .operators import spectral_profile
+from .operators import profile_bytes, spectral_profile
 from .squeezing import number_stats, squeeze_degrees
 from .state import membership_amplitudes
 
@@ -61,12 +61,6 @@ CACHE_ENV_VAR = "HYPERSTATE_CACHE"
 # 3: half-spectrum profile from one length-2**d rfft of psi and n psi
 #    (half_comm moved by up to about 6e-12 relative).
 RESULTS_VERSION = 3
-
-# Work budget of one sweep, in configurations x 2**d x (candidate edges + d):
-# a configuration costs one indicator product over the candidate edges and
-# about d passes over its 2**d amplitudes.  dminus1 sweeps pass up to d = 16
-# (1.4e11) and fail from d = 17 (5.8e11).  Keep the error text in step.
-MAX_SWEEP_WORK = 1 << 38
 
 # Rows per spectral-profile call: each row stacks the half spectra of psi
 # and n psi, 2 (2**(d-1) + 1) complex128 values, about 1 MiB per chunk.
@@ -100,12 +94,12 @@ class Family:
         # 2**d alone exceeds the budget from this d on; below it the count is exact.
         small = self.d < MAX_SWEEP_WORK.bit_length()
         n_edges = comb(self.d, size) if small else 0
-        configurations = (1 << n_edges) - 1 if self.kind == "dminus1" else 1
-        if not small or configurations * (1 << self.d) * (n_edges + self.d) > MAX_SWEEP_WORK:
-            raise GuardError(
-                f"sweep of {self.descriptor} exceeds the work budget of 2**38"
-                " (configurations x 2**d x (candidate edges + d))"
-            )
+        configurations = (1 << n_edges) - 1 if self.kind == "dminus1" and small else 1
+        require_sweep_work(
+            f"sweep of {self.descriptor}",
+            configurations * dimension(self.d) * (n_edges + self.d),
+            "configurations x 2**d x (candidate edges + d)",
+        )
         edges = tuple(itertools.combinations(range(self.d), size))
         rows = np.ones((1, n_edges), dtype=np.uint8)
         if self.kind == "dminus1":
@@ -281,6 +275,8 @@ def sweep_family(
     chunks = [rows[i : i + step] for i in range(0, len(rows), step)]
     evaluate = partial(_evaluate_chunk, family.d, family.edges, _edge_texts(family.edges))
     workers = worker_count(threads, len(chunks))
+    nbytes = workers * profile_bytes(len(chunks[0]), 1 << family.d)
+    require_bytes(f"sweep chunks of {len(chunks[0])} x 2**{family.d} amplitudes, {workers} at a time", nbytes)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(evaluate, chunks))

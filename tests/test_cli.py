@@ -267,10 +267,49 @@ def test_agarwal_tara_beyond_work_budget_is_guarded(capsys):
 
 
 def test_operators_check_all_beyond_eigensolver_guard(capsys):
-    code, out, err = run_cli(capsys, "operators", "--d", "12", "--check-all")
+    code, out, err = run_cli(capsys, "operators", "--d", "9", "--check-all")
     assert code == 2
     assert out == ""
-    assert err == "error: guard: dim=4096 exceeds the eigensolver guard (256)\n"
+    assert err == "error: guard: eigensolver at dim=512 exceeds the cubic work budget of 2**24 (dim <= 256)\n"
+
+
+@pytest.mark.parametrize("d", ["0", "-1"])
+def test_operators_rejects_d_below_one(capsys, d):
+    code, out, err = run_cli(capsys, "operators", "--d", d)
+    assert (code, out, err) == (1, "", f"error: need d >= 1, got {d}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("state", "--d", "25"),
+    ("squeeze", "--d", "24"),
+    ("coherence", "--d", "24", "--basis", "phase"),
+    ("operators", "--d", "12"),
+    ("operators", "--d", "12", "--check-all"),
+    ("sweep", "--family", "single-full", "--d", "24"),
+], ids=" ".join)
+def test_beyond_byte_budget_is_guarded(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: guard:") and "byte budget" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_state_output_does_not_depend_on_block_size(capsys, monkeypatch, tmp_path, fmt):
+    from hyperstate import cli
+    from hyperstate.hypergraph import Hypergraph
+    from hyperstate.state import hypergraph_state
+
+    argv = ("state", "--d", "5", "--edges", EXAMPLE_EDGES_FLAG, "--format", fmt)
+    psi = hypergraph_state(Hypergraph(5, ((0, 3), (0, 2, 3), (1, 2, 3))))
+    whole = {
+        "json": json.dumps([[a.real, a.imag] for a in psi]) + "\n",
+        "csv": cli._csv(("n", "re", "im"), ((n, float(a.real), float(a.imag)) for n, a in enumerate(psi))),
+        "table": cli._aligned([(f"|{n}>", f"{a.real:+.10f}{a.imag:+.10f}j") for n, a in enumerate(psi)]),
+    }[fmt]
+    monkeypatch.setattr(cli, "STATE_BLOCK", 3)
+    assert run_cli(capsys, *argv) == (0, whole, "")
+    assert run_cli(capsys, *argv, "--out", str(tmp_path / "state")) == (0, "", "")
+    assert (tmp_path / "state").read_text(encoding="utf-8") == whole
 
 
 def test_version(capsys):

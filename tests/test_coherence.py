@@ -95,6 +95,27 @@ def test_report_number_basis(example_hypergraph):
     assert report.edges == "0,3;0,2,3;1,2,3"
 
 
+def test_report_number_basis_builds_no_state(monkeypatch):
+    import hyperstate.state as state_mod
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the number basis needs no state")
+
+    monkeypatch.setattr(state_mod, "membership_amplitudes", boom)
+    report = coherence_report(Hypergraph(40, [(0, 39)]), "number")
+    assert report.c_l1 == float(2**40 - 1)
+    assert report.c_rel_ent == 40 * math.log(2.0)
+
+
+def test_report_number_basis_matches_the_general_measures():
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        g = random_hypergraph(rng, int(rng.integers(1, 9)))
+        report, psi = coherence_report(g, "number"), hypergraph_state(g)
+        assert report.c_l1 == l1_coherence(psi)
+        assert report.c_rel_ent == pytest.approx(rel_entropy_coherence(psi), rel=1e-12)
+
+
 def test_report_phase_basis_published_extrema_d4():
     complete = coherence_report(complete_k_graph(4, 3), "phase")
     assert complete.c_rel_ent == pytest.approx(2.4889, abs=1e-3)
@@ -121,7 +142,7 @@ def test_random_hypergraph_closed_forms():
 
 def test_guards_and_errors():
     with pytest.raises(GuardError):
-        coherence_report(Hypergraph(21), "phase")
+        coherence_report(Hypergraph(24), "phase")
     with pytest.raises(ValueError):
         coherence_report(Hypergraph(2), "fock")
     with pytest.raises(ValueError):

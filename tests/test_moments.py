@@ -9,10 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hyperstate.moments as moments_mod
-from hyperstate.errors import GuardError
+from hyperstate.errors import MAX_WITNESS_BITS, GuardError
 from hyperstate.hypergraph import Hypergraph, complete_k_graph, single_full_edge
 from hyperstate.moments import (
-    MAX_WITNESS_BITS,
     agarwal_tara,
     determinant,
     m_hankel_determinant,

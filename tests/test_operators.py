@@ -9,7 +9,6 @@ from hyperstate.operators import (
     annihilation,
     apply_phase_operator,
     commutator,
-    commutator_row_sum_bound,
     creation,
     expectation,
     gershgorin_bound,
@@ -284,7 +283,7 @@ def test_gershgorin_bound_values():
 def test_row_sum_bound_contains_spectrum():
     for dim in (2, 8, 64):
         radius = np.max(np.abs(np.linalg.eigvalsh(1j * number_phase_commutator_dense(dim))))
-        assert radius <= commutator_row_sum_bound(dim) * (1 + 1e-12)
+        assert radius <= spectral_bound_check(phase_state(dim, 1)).row_sum_bound * (1 + 1e-12)
         assert radius <= np.pi * (dim - 1) ** 2 / 2
 
 

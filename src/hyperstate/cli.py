@@ -2,9 +2,12 @@
 
 Subcommands: state, circuit, operators, squeeze, sweep, agarwal-tara,
 coherence, reproduce.  Output defaults to human-readable tables; --format
-csv|json switches to machine forms, --out redirects to a file.  Exit
-codes: 0 success, 1 user error, 2 computation guard violation (and a
-failed reproduction).  Errors print one line to stderr.
+csv|json switches to machine forms, --out redirects to a file.  CSV comes
+from ``sweep.csv_text`` and every file (--out, --plot-dir series) from
+``sweep.write_text``: a regular file is replaced whole, never left partly
+written; a FIFO, device or symbolic link is written through.  Exit codes:
+0 success, 1 user error, 2 computation guard violation (and a failed
+reproduction).  Errors print one line to stderr.
 """
 
 from __future__ import annotations
@@ -37,9 +40,12 @@ from .sweep import (
     METRIC_NAMES,
     Family,
     cached_sweep,
+    csv_text,
     records_payload,
     render_results,
     resolve_cache_dir,
+    write_results,
+    write_text,
 )
 
 SQUEEZE_FIELDS = ("d", "edges", "mean_n", "var_n", "mean_p", "var_p", "half_comm", "s_n", "s_p")
@@ -124,19 +130,15 @@ def _build_parser() -> _Parser:
 
 
 def _emit(payload: str | Iterable[str], out: str | None) -> None:
-    parts = [payload] if isinstance(payload, str) else payload
     if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.writelines(parts)
+        write_text(out, payload)
     else:
-        sys.stdout.writelines(parts)
+        sys.stdout.writelines([payload] if isinstance(payload, str) else payload)
 
 
 def emit_plot_data(series: Sequence[tuple[float, float]], path: str, name: str = "series") -> None:
     """Write one two-column (x, y) series as plot-ready whitespace text."""
-    lines = [f"# {name}"]
-    lines.extend(f"{x:g} {y!r}" for x, y in series)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(path, [f"# {name}\n", *(f"{x:g} {y!r}\n" for x, y in series)])
 
 
 def _fmt(value: float | str | None, precision: str = ".6g") -> str:
@@ -152,18 +154,15 @@ def _aligned(pairs: list[tuple[str, str]]) -> str:
     return "\n".join(f"{k:<{width}}  {v}" for k, v in pairs) + "\n"
 
 
-def _csv(fields: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """Header plus rows; None is an empty cell, text stays, numbers use repr."""
-    import csv
-    import io
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(fields)
-    writer.writerows(
-        ["" if v is None else (v if isinstance(v, str) else repr(v)) for v in row] for row in rows
+def _report_text(data: dict, fields: Sequence[str], fmt: str, precision: str) -> str:
+    """One report's ``fields`` as compact JSON, a one-row CSV or an aligned table."""
+    if fmt == "json":
+        return json.dumps({k: data[k] for k in fields}) + "\n"
+    if fmt == "csv":
+        return csv_text(fields, [[data[k] for k in fields]])
+    return _aligned(
+        [(k, data[k] if isinstance(data[k], (str, int)) else _fmt(data[k], precision)) for k in fields]
     )
-    return buffer.getvalue()
 
 
 def _hypergraph(args: argparse.Namespace) -> Hypergraph:
@@ -198,7 +197,7 @@ def _cmd_circuit(args: argparse.Namespace) -> int:
         ) + "\n"
     elif args.format == "csv":
         rows = ((kind, " ".join(map(str, qs))) for kind, qs in circ.gates)
-        payload = _csv(("gate", "qubits"), rows)
+        payload = csv_text(("gate", "qubits"), rows)
     else:
         payload = circuit_text(circ) + "\n"
     _emit(payload, args.out)
@@ -240,10 +239,9 @@ def _cmd_operators(args: argparse.Namespace) -> int:
     if args.format == "json":
         payload = json.dumps(report, indent=2) + "\n"
     elif args.format == "csv":
-        payload = _csv(("key", "value"), _flatten("", report))
+        payload = csv_text(("key", "value"), _flatten("", report))
     else:
-        pairs = _flatten("", report)
-        payload = _aligned([(k, str(v)) for k, v in pairs])
+        payload = _aligned([(k, str(v)) for k, v in _flatten("", report)])
     _emit(payload, args.out)
     return 0
 
@@ -260,18 +258,8 @@ def _flatten(prefix: str, tree: dict) -> list[tuple[str, object]]:
 
 
 def _cmd_squeeze(args: argparse.Namespace) -> int:
-    report = squeeze_report(_hypergraph(args))
-    data = report.to_dict()
-    if args.format == "json":
-        payload = json.dumps({k: data[k] for k in SQUEEZE_FIELDS}) + "\n"
-    elif args.format == "csv":
-        payload = _csv(SQUEEZE_FIELDS, [[data[k] for k in SQUEEZE_FIELDS]])
-    else:
-        payload = _aligned(
-            [(k, data[k] if isinstance(data[k], (str, int)) else _fmt(data[k]))
-             for k in SQUEEZE_FIELDS]
-        )
-    _emit(payload, args.out)
+    data = squeeze_report(_hypergraph(args)).to_dict()
+    _emit(_report_text(data, SQUEEZE_FIELDS, args.format, ".6g"), args.out)
     return 0
 
 
@@ -288,8 +276,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         cache_dir=resolve_cache_dir(args.cache_dir),
     )
     if args.format in ("csv", "json") and args.out:
-        from .sweep import write_results
-
         write_results(records, args.out, args.format)
         sys.stdout.write(_summary_text(summary))
         return 0
@@ -297,9 +283,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         payload = json.dumps(
             {"records": records_payload(records), "summary": summary.to_dict()}, indent=2
         ) + "\n"
-        _emit(payload, args.out)
     elif args.format == "csv":
-        _emit(render_results(records, "csv"), args.out)
+        payload = render_results(records, "csv")
     else:
         lines = [f"{'d':>2} {'edges':<40} " + " ".join(f"{m:>12}" for m in METRIC_NAMES)]
         for record in records:
@@ -308,7 +293,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 + " ".join(f"{_fmt(record.metrics[m]):>12}" for m in METRIC_NAMES)
             )
         payload = "\n".join(lines) + "\n\n" + _summary_text(summary)
-        _emit(payload, args.out)
+    _emit(payload, args.out)
     return 0
 
 
@@ -335,7 +320,7 @@ def _cmd_agarwal_tara(args: argparse.Namespace) -> int:
         payload = json.dumps(data, indent=2) + "\n"
     elif args.format == "csv":
         fields = ("d", "n", "det_m", "det_mu", "a_n")
-        payload = _csv(fields, [[data[k] for k in fields]])
+        payload = csv_text(fields, [[data[k] for k in fields]])
     else:
         pairs = [("d", str(result.d)), ("n", str(result.n))]
         for key in ("det_m", "det_mu", "a_n"):
@@ -358,18 +343,8 @@ def _cmd_agarwal_tara(args: argparse.Namespace) -> int:
 
 
 def _cmd_coherence(args: argparse.Namespace) -> int:
-    report = coherence_report(_hypergraph(args), args.basis)
-    data = report.to_dict()
-    if args.format == "json":
-        payload = json.dumps({k: data[k] for k in COHERENCE_FIELDS}) + "\n"
-    elif args.format == "csv":
-        payload = _csv(COHERENCE_FIELDS, [[data[k] for k in COHERENCE_FIELDS]])
-    else:
-        payload = _aligned(
-            [(k, data[k] if isinstance(data[k], (str, int)) else _fmt(data[k], ".10g"))
-             for k in COHERENCE_FIELDS]
-        )
-    _emit(payload, args.out)
+    data = coherence_report(_hypergraph(args), args.basis).to_dict()
+    _emit(_report_text(data, COHERENCE_FIELDS, args.format, ".10g"), args.out)
     return 0
 
 

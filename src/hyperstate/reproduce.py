@@ -34,8 +34,8 @@ from .moments import (
     mu_moment_oracle,
 )
 from .operators import (
+    SpectralBoundReport,
     annihilation,
-    gershgorin_bound,
     number_operator,
     number_phase_commutator_dense,
     phase_operator_agreement,
@@ -102,6 +102,7 @@ class Reproducer:
     extended: bool = False
     threads: int = 1
     _dminus1_cache: dict[int, tuple[list[SweepRecord], SweepSummary]] = field(default_factory=dict)
+    _bounds: dict[int, SpectralBoundReport] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.threads < 1:
@@ -111,6 +112,12 @@ class Reproducer:
         if d not in self._dminus1_cache:
             self._dminus1_cache[d] = sweep_family(dminus1_family(d), threads=self.threads)
         return self._dminus1_cache[d]
+
+    def spectral_bound(self, dim: int) -> SpectralBoundReport:
+        """``spectral_bound_check`` at ``dim``, run once for C10 and C10b (both read only its bounds)."""
+        if dim not in self._bounds:
+            self._bounds[dim] = spectral_bound_check(np.full(dim, dim**-0.5))
+        return self._bounds[dim]
 
     # --- individual checks -------------------------------------------------
 
@@ -337,7 +344,7 @@ class Reproducer:
                 failures.append(f"dim={dim}: [N,P] not skew-Hermitian Toeplitz")
             if float(np.max(np.abs(np.diag(comm)))) > 0.0:
                 failures.append(f"dim={dim}: [N,P] diagonal not exactly zero")
-            bound = spectral_bound_check(states[0])
+            bound = self.spectral_bound(dim)
             if bound.spectral_radius > bound.row_sum_bound * (1.0 + 1e-12):
                 failures.append(f"dim={dim}: eigenvalue beyond the row-sum Gershgorin bound")
             if bound.spectral_radius > np.pi * (dim - 1) ** 2 / 2 + 1e-12:
@@ -369,11 +376,11 @@ class Reproducer:
             "pi(D-1)^2/2, do bound every eigenvalue (verified in the structure suite)",
         ]
         for dim in (4, 8, 16, 64, 256):
-            eigenvalues = np.linalg.eigvalsh(1j * number_phase_commutator_dense(dim))
-            radius = float(np.max(np.abs(eigenvalues)))
-            bound = gershgorin_bound(dim)
-            if radius > bound:
-                failures.append(f"dim={dim}: spectral radius {radius:.4f} > stated {bound:.4f}")
+            bound = self.spectral_bound(dim)
+            if bound.spectral_radius > bound.stated_bound:
+                failures.append(
+                    f"dim={dim}: spectral radius {bound.spectral_radius:.4f} > stated {bound.stated_bound:.4f}"
+                )
         return _result("C10b", "stated eigenvalue bound formula", failures,
                        "eigenvalues within the stated closed form", notes)
 
@@ -480,10 +487,6 @@ class Reproducer:
         series["number_basis_l1"] = [(d, float((1 << d) - 1)) for d in range(4, 11)]
         series["number_basis_entropy"] = [(d, d * math.log(2.0)) for d in range(4, 11)]
         return series
-
-
-def run_all(extended: bool = False, threads: int = 1) -> list[CheckResult]:
-    return Reproducer(extended=extended, threads=threads).run()
 
 
 def render_text(results: list[CheckResult]) -> str:

@@ -7,6 +7,9 @@ row order plus a per-metric extremal summary, and builds no Hypergraph.
 Records serialize to CSV/JSON with shortest round-trip float formatting,
 so repeated runs are byte-identical regardless of the worker count.
 
+Every CSV of the package comes from ``csv_text`` and every file it writes
+(results, cache entries, CLI ``--out`` and plot files) from ``write_text``.
+
 Extremal semantics: for the squeezing-degree metrics (s_p, s_n) the
 summary ranges over the configurations that actually exhibit squeezing
 (negative degree) whenever any exist, since extremal squeezing is a
@@ -29,11 +32,12 @@ import io
 import itertools
 import json
 import os
+import stat
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from math import comb
+from math import comb, isfinite
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -286,22 +290,44 @@ def sweep_family(
     return records, _summary(family, records, metrics)
 
 
-def _format_value(value: float | int | None) -> str:
-    # shortest round-trip decimal; coerce so numpy scalars print bare
-    if value is None:
-        return ""
-    if isinstance(value, int):
-        return repr(value)
-    return repr(float(value))
-
-
-def _records_to_csv(records: Iterable[SweepRecord]) -> str:
+def csv_text(fields: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """Header and rows as CSV: None is an empty cell, text stays, a number is its Python value's repr."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for record in records:
-        writer.writerow([_format_value(v) if not isinstance(v, str) else v for v in record.row()])
+    writer.writerow(fields)
+    writer.writerows(
+        ["" if v is None else v if isinstance(v, str) else repr(v.item() if isinstance(v, np.generic) else v)
+         for v in row]
+        for row in rows
+    )
     return buffer.getvalue()
+
+
+def write_text(path: str | os.PathLike, parts: str | Iterable[str]) -> None:
+    """Write ``parts``, a string or an iterable of strings, to ``path`` as UTF-8.
+
+    A new path or a regular file is replaced whole by a temporary file written beside it,
+    so no reader sees it half written and a failed write leaves it as it was.  A FIFO,
+    device or symbolic link is written through: replacing it would cut off its reader
+    or its link.  A replaced file keeps its permissions.  An OSError names ``path``."""
+    path = os.fspath(path)  # not a Path, which would drop a trailing "/."
+    parts = [parts] if isinstance(parts, str) else parts
+    old = os.lstat(path) if os.path.lexists(path) else None
+    replace = old is None or stat.S_ISREG(old.st_mode)
+    directory, name = os.path.split(path)
+    target = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp") if replace else path
+    try:
+        with open(target, "x" if replace else "w", encoding="utf-8") as handle:
+            handle.writelines(parts)
+        if replace:
+            if old is not None:  # keep the replaced file's permissions
+                os.chmod(target, stat.S_IMODE(old.st_mode))
+            os.replace(target, path)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    finally:
+        if replace and os.path.lexists(target):
+            os.unlink(target)
 
 
 def records_payload(records: Iterable[SweepRecord]) -> list[dict]:
@@ -312,48 +338,35 @@ def records_payload(records: Iterable[SweepRecord]) -> list[dict]:
     ]
 
 
-def _records_to_json(records: Iterable[SweepRecord]) -> str:
-    return json.dumps(records_payload(records), indent=2) + "\n"
-
-
 def render_results(records: Iterable[SweepRecord], fmt: str) -> str:
     """Serialize records to the requested format (csv or json)."""
     if fmt == "csv":
-        return _records_to_csv(records)
+        return csv_text(CSV_HEADER, (record.row() for record in records))
     if fmt == "json":
-        return _records_to_json(records)
+        return json.dumps(records_payload(records), indent=2) + "\n"
     raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
 
 
 def write_results(records: Iterable[SweepRecord], path: str | os.PathLike, fmt: str | None = None) -> None:
-    """Write records to ``path``; format from arg or file extension.
-
-    The text goes to a temporary file beside ``path`` that then replaces
-    it, so a reader never sees a partly written file.  An OSError names
-    ``path``, not the temporary file.
-    """
-    path = Path(path)
+    """Write records to ``path`` through ``write_text``; format from arg or file extension."""
     if fmt is None:
-        fmt = path.suffix.lstrip(".").lower()
-    text = render_results(records, fmt)
-    partial = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
-    try:
-        with open(partial, "x", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(partial, path)
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, str(path)) from None
-    finally:
-        partial.unlink(missing_ok=True)
+        fmt = Path(path).suffix.lstrip(".").lower()
+    write_text(path, render_results(records, fmt))
 
 
 def _record_from_fields(path: Path, d, edges, values: dict) -> SweepRecord:
+    """A record from JSON values or CSV cells: an integer d, text edges, metrics None or finite."""
     try:
+        if isinstance(d, bool) or not isinstance(d, (int, str)):
+            raise TypeError(f"d {d!r} is not an integer")
         if not isinstance(edges, str):
             raise TypeError(f"edges {edges!r} is not text")
         metrics = {name: None if values[name] is None else float(values[name]) for name in METRIC_NAMES}
+        bad = [n for n in METRIC_NAMES if isinstance(values[n], bool) or not isfinite(metrics[n] or 0.0)]
+        if bad:
+            raise ValueError(f"{bad[0]} {values[bad[0]]!r} is not a finite number")
         return SweepRecord(d=int(d), edges=edges, metrics=metrics)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: malformed record: {exc}") from None
 
 
@@ -370,7 +383,7 @@ def read_results(path: str | os.PathLike) -> list[SweepRecord]:
     if path.suffix.lower() == ".json":
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also int digit limit and deep nesting
             raise SchemaError(f"{path}: not valid JSON: {exc}") from None
         if not isinstance(payload, list) or not all(isinstance(e, dict) for e in payload):
             raise SchemaError(f"{path}: expected a JSON list of record objects")
@@ -382,7 +395,10 @@ def read_results(path: str | os.PathLike) -> list[SweepRecord]:
             records.append(_record_from_fields(path, entry["d"], entry["edges"], entry))
         return records
     if path.suffix.lower() == ".csv":
-        rows = list(csv.reader(io.StringIO(text)))
+        try:
+            rows = list(csv.reader(io.StringIO(text)))
+        except csv.Error as exc:
+            raise SchemaError(f"{path}: not valid CSV: {exc}") from None
         if not rows or tuple(rows[0]) != CSV_HEADER:
             raise SchemaError(f"{path}: header {rows[0] if rows else []} does not match schema")
         records = []

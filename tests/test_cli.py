@@ -1,12 +1,16 @@
 """End-to-end tests of the command-line interface."""
 
+import builtins
+import errno
 import json
+import os
+import stat
 from fractions import Fraction
 
 import pytest
 
 from hyperstate.cli import main
-from hyperstate.sweep import Family, cached_sweep, render_results
+from hyperstate.sweep import METRIC_NAMES, Family, cached_sweep, render_results
 
 EXAMPLE_EDGES_FLAG = "0,3;0,2,3;1,2,3"
 
@@ -298,12 +302,13 @@ def test_state_output_does_not_depend_on_block_size(capsys, monkeypatch, tmp_pat
     from hyperstate import cli
     from hyperstate.hypergraph import Hypergraph
     from hyperstate.state import hypergraph_state
+    from hyperstate.sweep import csv_text
 
     argv = ("state", "--d", "5", "--edges", EXAMPLE_EDGES_FLAG, "--format", fmt)
     psi = hypergraph_state(Hypergraph(5, ((0, 3), (0, 2, 3), (1, 2, 3))))
     whole = {
         "json": json.dumps([[a.real, a.imag] for a in psi]) + "\n",
-        "csv": cli._csv(("n", "re", "im"), ((n, float(a.real), float(a.imag)) for n, a in enumerate(psi))),
+        "csv": csv_text(("n", "re", "im"), ((n, float(a.real), float(a.imag)) for n, a in enumerate(psi))),
         "table": cli._aligned([(f"|{n}>", f"{a.real:+.10f}{a.imag:+.10f}j") for n, a in enumerate(psi)]),
     }[fmt]
     monkeypatch.setattr(cli, "STATE_BLOCK", 3)
@@ -331,6 +336,77 @@ def test_emit_plot_data(tmp_path):
     assert empty.read_text() == "# nothing\n"
 
 
+def _run_reading_fifo(fifo, action):
+    """``action()`` while ``fifo`` is open for reading; its result and the bytes the FIFO received."""
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    spare_writer = os.open(fifo, os.O_WRONLY)  # no end of file until the test closes it
+    received = b""
+    try:
+        result = action()  # payloads here fit in the pipe buffer, so writing never blocks
+        while True:
+            try:
+                received += os.read(reader, 1 << 16)
+            except BlockingIOError:
+                break
+    finally:
+        os.close(spare_writer)
+        os.close(reader)
+    return result, received
+
+
+@pytest.mark.parametrize("argv", [
+    ("state", "--d", "4", "--edges", EXAMPLE_EDGES_FLAG, "--format", "csv"),
+    ("sweep", "--family", "dminus1", "--d", "4", "--format", "csv"),
+], ids=lambda argv: argv[0])
+def test_out_to_a_fifo_is_written_through(capsys, tmp_path, argv):
+    code, payload, _ = run_cli(capsys, *argv)
+    assert code == 0
+    fifo = tmp_path / "fifo"
+    (code, _, err), received = _run_reading_fifo(fifo, lambda: run_cli(capsys, *argv, "--out", str(fifo)))
+    assert (code, err) == (0, "")
+    assert received.decode("utf-8") == payload
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["fifo"]
+
+
+class _DiskFull:
+    """A file handle that writes half of the first part and then fails as a full disk does."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.handle.close()
+
+    def writelines(self, parts):
+        for part in parts:
+            self.handle.write(part[: len(part) // 2])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("argv, target", [
+    (("state", "--d", "3", "--format", "csv", "--out", "{dir}/old.txt"), "old.txt"),
+    (("reproduce", "--out", "{dir}/old.txt"), "old.txt"),
+    (("reproduce", "--plot-dir", "{dir}"), "single_full_s_p.dat"),
+], ids=["state-out", "reproduce-out", "reproduce-plot-dir"])
+def test_failed_write_keeps_the_old_file(capsys, monkeypatch, tmp_path, argv, target):
+    from hyperstate import reproduce, sweep
+
+    monkeypatch.setattr(reproduce.Reproducer, "run", lambda self: [])
+    monkeypatch.setattr(reproduce.Reproducer, "plot_series", lambda self: {"single_full_s_p": [(4, -0.2238)]})
+    monkeypatch.setattr(sweep, "open", lambda *a, **k: _DiskFull(builtins.open(*a, **k)), raising=False)
+    (tmp_path / target).write_text("old\n")
+    code, out, err = run_cli(capsys, *(arg.format(dir=tmp_path) for arg in argv))
+    assert (code, out) == (1, "")
+    assert err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: '{tmp_path / target}'\n"
+    assert os.listdir(tmp_path) == [target]
+    assert (tmp_path / target).read_text() == "old\n"
+
+
 def test_reproduce_cli(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "reproduce", "--format", "json",
                            "--plot-dir", str(tmp_path / "plots"))
@@ -346,8 +422,18 @@ def test_reproduce_cli(capsys, tmp_path):
     assert table1[0].startswith("#") and len(table1) == 11
 
 
-@pytest.mark.parametrize("content", ["[1, 2]", '[{"d": 4, "edges": "0,1,2;0,1,3", "s_p"', '{}'],
-                         ids=["list-of-numbers", "truncated", "object"])
+def _entry(**raw):
+    """A one-record cache entry whose fields default to valid values; ``raw`` values are JSON text."""
+    fields = {"d": "4", "edges": '"0,1,2;0,1,3"', **{name: "1.0" for name in METRIC_NAMES}, **raw}
+    return "[{" + ", ".join(f'"{key}": {text}' for key, text in fields.items()) + "}]"
+
+
+@pytest.mark.parametrize("content", [
+    "[1, 2]", '[{"d": 4, "edges": "0,1,2;0,1,3", "s_p"', '{}',
+    _entry(s_p="1" + "0" * 400), _entry(var_p="9" * 5000), "[" * 100_000 + "]" * 100_000,
+    _entry(half_comm="NaN"), _entry(d="true"), _entry(d="3.7"),
+], ids=["list-of-numbers", "truncated", "object", "metric-beyond-float", "integer-over-digit-limit",
+        "deep-nesting", "nan-metric", "boolean-d", "fractional-d"])
 def test_sweep_malformed_cache_entry_is_recomputed(capsys, tmp_path, content):
     from hyperstate.sweep import cache_key, dminus1_family
 
@@ -362,6 +448,7 @@ def test_sweep_malformed_cache_entry_is_recomputed(capsys, tmp_path, content):
     assert err.startswith("warning:") and err.count("\n") == 1
     code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
     assert (code, out, err) == (0, fresh, "")
+    assert os.listdir(tmp_path) == [entry.name]
 
 
 @pytest.mark.parametrize("command", ["sweep", "reproduce"])

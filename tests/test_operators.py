@@ -296,6 +296,23 @@ def test_spectral_bound_check(example_hypergraph):
     assert spectral_bound_check(hypergraph_state(Hypergraph(2))).within_spectrum
 
 
+def test_c10b_reads_the_spectral_bounds_of_c10(monkeypatch):
+    import hyperstate.reproduce as reproduce_mod
+
+    alone = reproduce_mod.Reproducer().check_stated_eigenvalue_bound()
+    assert alone.status == "FAIL" and alone.detail.startswith("dim=4: spectral radius 5.1239 > stated 0.8836")
+    runner = reproduce_mod.Reproducer()
+    assert runner.check_structure_suite().status == "PASS"
+
+    def rebuilt(*args):
+        raise AssertionError("C10b redid C10's work")
+
+    monkeypatch.setattr(reproduce_mod, "spectral_bound_check", rebuilt)
+    monkeypatch.setattr(reproduce_mod, "number_phase_commutator_dense", rebuilt)
+    monkeypatch.setattr(np.linalg, "eigvalsh", rebuilt)
+    assert runner.check_stated_eigenvalue_bound() == alone
+
+
 def test_spectral_bound_check_guard():
     with pytest.raises(GuardError):
         spectral_bound_check(np.ones(512) / np.sqrt(512))

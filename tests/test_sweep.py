@@ -1,10 +1,11 @@
 """Unit tests for family sweeps, persistence, and caching."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hyperstate.hypergraph as hypergraph_mod
@@ -26,11 +27,13 @@ from hyperstate.sweep import (
     CSV_HEADER,
     METRIC_NAMES,
     Family,
+    SweepRecord,
     cache_key,
     cached_sweep,
     dminus1_family,
     evaluate_record,
     read_results,
+    records_payload,
     render_results,
     sweep_family,
     worker_count,
@@ -280,10 +283,25 @@ def _valid_text(records):
     return render_results(records, "json")
 
 
+def _with_raw(records, key, raw):
+    """JSON of ``records`` with the first record's ``key`` set to the JSON text ``raw``."""
+    payload = records_payload(records)
+    payload[0][key] = "@raw@"
+    return json.dumps(payload).replace('"@raw@"', raw)
+
+
 MALFORMED = {
     "list-of-numbers": lambda records: "[1, 2]",
     "truncated": lambda records: _valid_text(records)[: len(_valid_text(records)) // 2],
     "object": lambda records: '{"records": []}',
+    "metric-beyond-float": lambda records: _with_raw(records, "s_p", "1" + "0" * 400),
+    "integer-over-digit-limit": lambda records: _with_raw(records, "var_p", "9" * 5000),
+    "deep-nesting": lambda records: "[" * 100_000 + "]" * 100_000,
+    "nan-metric": lambda records: _with_raw(records, "half_comm", "NaN"),
+    "infinite-metric": lambda records: _with_raw(records, "c_l1_phase", "-Infinity"),
+    "boolean-metric": lambda records: _with_raw(records, "var_n", "true"),
+    "boolean-d": lambda records: _with_raw(records, "d", "true"),
+    "fractional-d": lambda records: _with_raw(records, "d", "3.7"),
 }
 
 
@@ -321,6 +339,69 @@ def test_read_rejects_malformed_csv_values(tmp_path):
         read_results(path)
 
 
+@pytest.mark.parametrize("row", ["4,0,nan,,,,,,", "4,0,1e999,,,,,,", "3.7,0,,,,,,,", "9" * 5000 + ",0,,,,,,,",
+                                 '4,"' + "0" * 200_000 + '",,,,,,,'],
+                         ids=["nan", "overflow", "fractional-d", "long-d", "huge-field"])
+def test_read_rejects_malformed_csv_cells(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(",".join(CSV_HEADER) + "\n" + row + "\n")
+    with pytest.raises(SchemaError):
+        read_results(path)
+
+
+_METRIC_VALUES = st.one_of(
+    st.none(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -2.5e-310, 1.7976931348623157e308, -1.7976931348623157e308]),
+)
+_RECORDS = st.lists(st.builds(
+    SweepRecord,
+    d=st.integers(-(10**6), 10**6),
+    edges=st.text(alphabet="0123456789,;", max_size=30),
+    metrics=st.fixed_dictionaries({name: _METRIC_VALUES for name in METRIC_NAMES}),
+), max_size=5)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(records=_RECORDS, fmt=st.sampled_from(["csv", "json"]))
+def test_any_records_survive_write_and_read(tmp_path, records, fmt):
+    path = tmp_path / f"out.{fmt}"
+    write_results(records, path)
+    text = path.read_text(encoding="utf-8")
+    assert text == render_results(records, fmt)
+    back = read_results(path)
+    assert back == records
+    assert render_results(back, fmt) == text  # also tells -0.0 from 0.0
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=12,
+)
+_RECORD_SHAPED = st.lists(
+    st.fixed_dictionaries({key: _JSON_VALUES for key in ("d", "edges", *METRIC_NAMES)}), max_size=3)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    text=st.one_of(
+        st.text(),
+        st.text().map(lambda body: ",".join(CSV_HEADER) + "\n" + body),
+        st.one_of(_JSON_VALUES, _RECORD_SHAPED).map(json.dumps),
+    ),
+    suffix=st.sampled_from([".csv", ".json"]),
+)
+def test_any_results_file_gives_records_or_schema_error(tmp_path, text, suffix):
+    path = tmp_path / f"entry{suffix}"
+    path.write_text(text, encoding="utf-8")
+    try:
+        records = read_results(path)
+    except SchemaError:
+        return
+    assert all(isinstance(r, SweepRecord) and type(r.d) is int for r in records)
+
+
 @pytest.mark.parametrize("kind", sorted(MALFORMED))
 def test_cached_sweep_recomputes_malformed_entry(tmp_path, capsys, kind):
     family = dminus1_family(4)
@@ -343,6 +424,27 @@ def test_write_results_leaves_no_partial_file(tmp_path):
     write_results(records, path)
     assert read_results(path) == records
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+def test_write_text_keeps_a_replaced_files_permissions_and_follows_links(tmp_path):
+    private = tmp_path / "private.csv"
+    private.write_text("old")
+    private.chmod(0o600)
+    sweep_mod.write_text(private, "new")
+    assert (private.read_text(), private.stat().st_mode & 0o777) == ("new", 0o600)
+    link = tmp_path / "link.csv"
+    link.symlink_to(private)
+    sweep_mod.write_text(link, iter(["a", "b"]))
+    assert link.is_symlink() and private.read_text() == "ab"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "private.csv"]
+
+
+def test_write_text_keeps_a_trailing_dot_of_the_path(tmp_path):
+    target = f"{tmp_path}/missing/."
+    with pytest.raises(FileNotFoundError) as info:
+        sweep_mod.write_text(target, "x")
+    assert info.value.filename == target
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_write_results_error_names_the_target_not_the_temporary(tmp_path):

@@ -21,7 +21,7 @@ from .hypergraph import (
     serialize_hypergraph,
     single_full_edge,
 )
-from .moments import AgarwalTaraResult, agarwal_tara, m_moment, mu_moment, w_factor
+from .moments import AgarwalTaraResult, agarwal_tara, moment_sequences, w_factor
 from .squeezing import SqueezeReport, number_stats, phase_stats, squeeze_report
 from .state import CircuitDescription, emit_circuit, hypergraph_state, simulate_circuit
 from .sweep import Family, SweepRecord, SweepSummary, sweep_family
@@ -47,8 +47,7 @@ __all__ = [
     "is_connected",
     "k_uniform_family",
     "l1_coherence",
-    "m_moment",
-    "mu_moment",
+    "moment_sequences",
     "number_stats",
     "parse_hypergraph",
     "phase_stats",

@@ -5,10 +5,12 @@ m_k = <(a-dagger)**k a**k> factor as W_1 W_2 ... W_k with
 W_k = k (D - k) / (k + 1), which telescopes to the closed form
 m_k = (D - 1)(D - 2) ... (D - k) / (k + 1).  The number-operator moments
 mu_k = <N**k> expand over the m_j with Stirling-second-kind coefficients.
-``moment_sequences`` builds both sequences in one pass: a running falling
-factorial for m and one Stirling table for mu.  Both admit independent
-summation oracles over the uniform amplitude distribution: m_k is the mean
-falling factorial and mu_k the mean power.
+``moment_sequences`` is the one route to both sequences: one pass up to
+the highest order a caller needs, with a running falling factorial for m
+and one Stirling table for mu.  ``w_factor`` gives a single W_k, so
+m_k = m_{k-1} W_k can be checked against that pass.  Both sequences admit
+independent summation oracles over the uniform amplitude distribution:
+m_k is the mean falling factorial and mu_k the mean power.
 
 The witness A_n = det m / (det mu - det m) is negative for nonclassical
 states; it is built from n x n Hankel matrices whose (i, j) entry is the
@@ -39,14 +41,9 @@ from .errors import require_witness_bits
 
 __all__ = [
     "w_factor",
-    "m_moment",
     "m_moment_oracle",
-    "mu_moment",
     "mu_moment_oracle",
     "moment_sequences",
-    "moment_set",
-    "MomentSet",
-    "StirlingTable",
     "stirling_coefficients",
     "determinant",
     "mu_hankel_determinant",
@@ -80,19 +77,11 @@ def _m_sequence(dim: int, top: int) -> list[Fraction]:
     return out
 
 
-def m_moment(d: int, k: int) -> Fraction:
-    """Factorial moment m_k = W_1 W_2 ... W_k (m_0 = 1), exact.
-
-    The product telescopes to (2**d - 1)(2**d - 2) ... (2**d - k) / (k + 1).
-    """
-    _check_k(d, k, 0)
-    return _m_sequence(1 << d, k)[k]
-
-
 def m_moment_oracle(d: int, k: int) -> Fraction:
     """Independent route: mean falling factorial over n = 0 .. 2**d - 1.
 
-    m_k = 2**-d sum_n n (n-1) ... (n-k+1), exact; must equal m_moment.
+    m_k = 2**-d sum_n n (n-1) ... (n-k+1), exact; must equal the m_k of
+    ``moment_sequences``.
     """
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
@@ -108,27 +97,12 @@ def m_moment_oracle(d: int, k: int) -> Fraction:
     return Fraction(total, dim)
 
 
-@dataclass(frozen=True)
-class StirlingTable:
-    """Coefficients S(k, j) of N**k = sum_j S(k, j) (a-dagger)**j a**j.
+def stirling_coefficients(max_k: int) -> tuple[tuple[int, ...], ...]:
+    """Rows k = 1 .. max_k of S(k, j), 1 <= j <= k, in N**k = sum_j S(k, j) (a-dagger)**j a**j.
 
     Built from S(k, 1) = S(k, k) = 1 and S(k+1, j) = S(k, j-1) + j S(k, j);
     these are the Stirling numbers of the second kind.
     """
-
-    max_k: int
-    rows: tuple[tuple[int, ...], ...]
-
-    def value(self, k: int, j: int) -> int:
-        if not 1 <= k <= self.max_k:
-            raise ValueError(f"k={k} outside [1, {self.max_k}]")
-        if not 1 <= j <= k:
-            raise ValueError(f"j={j} outside [1, {k}]")
-        return self.rows[k - 1][j - 1]
-
-
-def stirling_coefficients(max_k: int) -> StirlingTable:
-    """Triangular table of S(k, j) for 1 <= j <= k <= max_k."""
     if max_k < 1:
         raise ValueError(f"need max_k >= 1, got {max_k}")
     rows: list[tuple[int, ...]] = [(1,)]
@@ -139,7 +113,7 @@ def stirling_coefficients(max_k: int) -> StirlingTable:
             for j in range(1, k + 2)
         ]
         rows.append(tuple(row))
-    return StirlingTable(max_k=max_k, rows=tuple(rows))
+    return tuple(rows)
 
 
 def moment_sequences(d: int, top: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
@@ -155,15 +129,9 @@ def moment_sequences(d: int, top: int) -> tuple[tuple[Fraction, ...], tuple[Frac
     scaled = [x.numerator * (scale // x.denominator) for x in m[1:]]
     mu = [Fraction(1)]
     if top:
-        for row in stirling_coefficients(top).rows:
+        for row in stirling_coefficients(top):
             mu.append(Fraction(sum(s * x for s, x in zip(row, scaled)), scale))
     return tuple(m), tuple(mu)
-
-
-def mu_moment(d: int, k: int) -> Fraction:
-    """Number-operator moment mu_k = sum_j S(k, j) m_j, exact."""
-    _check_k(d, k, 1)
-    return moment_sequences(d, k)[1][k]
 
 
 def mu_moment_oracle(d: int, k: int) -> Fraction:
@@ -174,30 +142,6 @@ def mu_moment_oracle(d: int, k: int) -> Fraction:
         raise ValueError(f"need k >= 0, got {k}")
     dim = 1 << d
     return Fraction(sum(n**k for n in range(dim)), dim)
-
-
-@dataclass(frozen=True)
-class MomentSet:
-    """W, m, and mu sequences for one d, indices 1 .. max_k, exact."""
-
-    d: int
-    max_k: int
-    w: tuple[Fraction, ...]
-    m: tuple[Fraction, ...]
-    mu: tuple[Fraction, ...]
-
-
-def moment_set(d: int, max_k: int) -> MomentSet:
-    """Bundle W_k, m_k, mu_k for k = 1 .. max_k."""
-    _check_k(d, max_k, 1)
-    m, mu = moment_sequences(d, max_k)
-    return MomentSet(
-        d=d,
-        max_k=max_k,
-        w=tuple(w_factor(d, k) for k in range(1, max_k + 1)),
-        m=m[1:],
-        mu=mu[1:],
-    )
 
 
 def determinant(matrix: Sequence[Sequence[Fraction]]) -> Fraction:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .moments import agarwal_tara, m_moment, mu_moment
+from .moments import agarwal_tara, moment_sequences
 
 # Tolerance above which a printed cell counts as a suspected misprint.
 MISPRINT_RELATIVE_TOL = 1e-2
@@ -175,15 +175,6 @@ def _relative_error(printed: float, computed: float) -> float:
     return abs(printed - computed) / scale
 
 
-def _exact_cell(d: int, n: int, quantity: str) -> Fraction:
-    if quantity.startswith("m_"):
-        return m_moment(d, int(quantity[2:]))
-    if quantity.startswith("mu_"):
-        return mu_moment(d, int(quantity[3:]))
-    result = agarwal_tara(d, n)
-    return {"det_m": result.det_m, "det_mu": result.det_mu, "a_n": result.a_n}[quantity]
-
-
 def witness_discrepancies(d: int | None = None, n: int | None = None) -> list[Discrepancy]:
     """Compare every published witness-table cell against exact values.
 
@@ -197,9 +188,14 @@ def witness_discrepancies(d: int | None = None, n: int | None = None) -> list[Di
         for row_d, cells in rows.items():
             if d is not None and row_d != d:
                 continue
+            # One witness and one moment pass per row; A_n reads moments up to order 2n - 2.
+            result = agarwal_tara(row_d, table_n)
+            m, mu = moment_sequences(row_d, 2 * table_n - 2)
+            exact = {"det_m": result.det_m, "det_mu": result.det_mu, "a_n": result.a_n}
+            exact.update((f"m_{k}", value) for k, value in enumerate(m))
+            exact.update((f"mu_{k}", value) for k, value in enumerate(mu))
             for quantity, printed in cells.items():
-                exact = _exact_cell(row_d, table_n, quantity)
-                rel = _relative_error(printed, float(exact))
+                rel = _relative_error(printed, float(exact[quantity]))
                 if rel > MISPRINT_RELATIVE_TOL:
                     found.append(
                         Discrepancy(
@@ -207,7 +203,7 @@ def witness_discrepancies(d: int | None = None, n: int | None = None) -> list[Di
                             quantity=quantity,
                             d=row_d,
                             printed=printed,
-                            computed=str(exact),
+                            computed=str(exact[quantity]),
                             relative_error=rel,
                         )
                     )

@@ -28,10 +28,11 @@ from .hypergraph import (
 )
 from .moments import (
     agarwal_tara,
-    m_moment,
     m_moment_oracle,
-    mu_moment,
+    moment_sequences,
     mu_moment_oracle,
+    stirling_coefficients,
+    w_factor,
 )
 from .operators import (
     SpectralBoundReport,
@@ -97,21 +98,23 @@ def _matches_up_to_relabeling(expected: str, candidates: tuple[str, ...], d: int
 
 @dataclass
 class Reproducer:
-    """Runs the reproduction checks, caching family sweeps for reuse."""
+    """Runs the reproduction checks; every check reads a family's sweep from one memo."""
 
     extended: bool = False
     threads: int = 1
-    _dminus1_cache: dict[int, tuple[list[SweepRecord], SweepSummary]] = field(default_factory=dict)
+    _sweeps: dict[tuple, tuple[list[SweepRecord], SweepSummary]] = field(default_factory=dict)
     _bounds: dict[int, SpectralBoundReport] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.threads < 1:
             raise ValueError(f"threads must be at least 1, got {self.threads}")
 
-    def dminus1(self, d: int) -> tuple[list[SweepRecord], SweepSummary]:
-        if d not in self._dminus1_cache:
-            self._dminus1_cache[d] = sweep_family(dminus1_family(d), threads=self.threads)
-        return self._dminus1_cache[d]
+    def sweep(self, kind: str, d: int, k: int | None = None) -> tuple[list[SweepRecord], SweepSummary]:
+        """``sweep_family`` of ``Family(kind, d, k)``, run once per family and shared by every check."""
+        key = (kind, d, k)
+        if key not in self._sweeps:
+            self._sweeps[key] = sweep_family(Family(kind, d, k), threads=self.threads)
+        return self._sweeps[key]
 
     def spectral_bound(self, dim: int) -> SpectralBoundReport:
         """``spectral_bound_check`` at ``dim``, run once for C10 and C10b (both read only its bounds)."""
@@ -134,7 +137,7 @@ class Reproducer:
     def check_single_full_table(self) -> CheckResult:
         failures = []
         for d, expected in sorted(ref.SINGLE_FULL_S_P.items()):
-            got = squeeze_report(single_full_edge(d)).s_p
+            got = self.sweep("single-full", d)[0][0].metrics["s_p"]
             if got is None or abs(got - expected) >= VALUE_TOL:
                 failures.append(f"d={d}: s_p={got} vs published {expected}")
         return _result("C2", "single full-hyperedge squeezing (d=4..13)", failures,
@@ -167,7 +170,7 @@ class Reproducer:
         extended = (9, 10, 11, 12) if self.extended else ()
         for d in gated + extended:
             pub_max, pub_max_sets, pub_min, pub_min_sets = ref.DMINUS1_S_P[d]
-            summary = self.dminus1(d)[1].metrics["s_p"]
+            summary = self.sweep("dminus1", d)[1].metrics["s_p"]
             hard = d in gated
             for label, pub_value, pub_sets, got_value, got_sets in (
                 ("max", pub_max, pub_max_sets, summary.max_value, summary.argmax),
@@ -199,7 +202,7 @@ class Reproducer:
         for (d, k), expected in sorted(ref.COMPLETE_K_S_P.items()):
             if d > 8 and not self.extended:
                 continue
-            got = squeeze_report(complete_k_graph(d, k)).s_p
+            got = self.sweep("complete-k", d, k)[0][0].metrics["s_p"]
             if got is None or abs(got - expected) >= VALUE_TOL:
                 failures.append(f"d={d},k={k}: s_p={got} vs published {expected}")
         scope = "d<=11" if self.extended else "d<=8"
@@ -230,13 +233,22 @@ class Reproducer:
 
     def check_moment_identities(self) -> CheckResult:
         failures = []
-        for d in range(1, 7):
-            top = (1 << d) - 1
-            for k in range(top + 1):
-                if m_moment(d, k) != m_moment_oracle(d, k):
+        sequences = {d: moment_sequences(d, (1 << d) - 1) for d in range(1, 7)}
+        for d, (m, mu) in sequences.items():
+            for k in range(len(m)):
+                if m[k] != m_moment_oracle(d, k):
                     failures.append(f"m_{k}(d={d}) disagrees with the summation oracle")
-                if 1 <= k and mu_moment(d, k) != mu_moment_oracle(d, k):
+                if 1 <= k and mu[k] != mu_moment_oracle(d, k):
                     failures.append(f"mu_{k}(d={d}) disagrees with the power-sum oracle")
+        # The published W_k against the closed form and against m_k = W_1 ... W_k.
+        for d, row in ref.W_FACTOR_TABLE.items():
+            m = sequences[d][0]
+            for k, published in enumerate(row, start=1):
+                if not published == w_factor(d, k) == m[k] / m[k - 1]:
+                    failures.append(f"published W_{k}(d={d}) = {published}, closed form {w_factor(d, k)}, "
+                                    f"m_{k}/m_{k - 1} = {m[k] / m[k - 1]}")
+        if ref.STIRLING_TRIANGLE != stirling_coefficients(len(ref.STIRLING_TRIANGLE)):
+            failures.append("published Stirling triangle differs from S(k, j)")
         # Third route: dense-matrix expectation of the ordered ladder powers,
         # evaluated on two different hypergraphs per d to confirm the moments
         # ignore the edge structure.
@@ -248,7 +260,7 @@ class Reproducer:
                 for k in range(1, dim):
                     vec = lower @ vec
                     dense = float(np.vdot(vec, vec).real)
-                    exact = float(m_moment(d, k))
+                    exact = float(sequences[d][0][k])
                     if abs(dense - exact) > EXACT_TOL * max(1.0, abs(exact)):
                         failures.append(
                             f"dense <(a+)^{k} a^{k}> on {g.d}-vertex graph differs from exact"
@@ -261,12 +273,9 @@ class Reproducer:
         failures = []
         for d in (3, 4, 5):
             result = agarwal_tara(d, 4)
-            m_float = np.array(
-                [[float(m_moment(d, i + j)) for j in range(4)] for i in range(4)]
-            )
-            mu_float = np.array(
-                [[float(mu_moment(d, i + j)) if i + j else 1.0 for j in range(4)] for i in range(4)]
-            )
+            m, mu = moment_sequences(d, 6)
+            m_float = np.array([[float(m[i + j]) for j in range(4)] for i in range(4)])
+            mu_float = np.array([[float(mu[i + j]) for j in range(4)] for i in range(4)])
             det_m = float(np.linalg.det(m_float))
             det_mu = float(np.linalg.det(mu_float))
             a4_float = det_m / (det_mu - det_m)
@@ -301,7 +310,7 @@ class Reproducer:
         ):
             for d in rows:
                 pub_max, pub_max_sets, pub_min, pub_min_sets = table[d]
-                summary = self.dminus1(d)[1].metrics[metric]
+                summary = self.sweep("dminus1", d)[1].metrics[metric]
                 hard = d in gated
                 for label, pub_value, pub_sets, got_value, got_sets in (
                     ("max", pub_max, pub_max_sets, summary.max_value, summary.argmax),
@@ -354,7 +363,7 @@ class Reproducer:
         # Robertson bound on every swept record.
         checked = 0
         for d in (4, 5, 6, 7, 8):
-            for record in self.dminus1(d)[0]:
+            for record in self.sweep("dminus1", d)[0]:
                 var_n, var_p, half = (
                     record.metrics["var_n"], record.metrics["var_p"], record.metrics["half_comm"],
                 )
@@ -418,10 +427,10 @@ class Reproducer:
         failures = []
         notes = []
         count = 0
-        swept = [self.dminus1(d)[0] for d in (4, 5, 6, 7, 8)]
+        swept = [self.sweep("dminus1", d)[0] for d in (4, 5, 6, 7, 8)]
         for d in range(2, 9):
-            families = [Family("single-full", d)] + [Family("complete-k", d, k) for k in range(2, d + 1)]
-            swept.extend(sweep_family(family)[0] for family in families)
+            swept.append(self.sweep("single-full", d)[0])
+            swept.extend(self.sweep("complete-k", d, k)[0] for k in range(2, d + 1))
         for edges, s_n, d in ((r.edges, r.metrics["s_n"], r.d) for records in swept for r in records):
             if s_n is None:
                 notes.append(f"s_n undefined at d={d}, edges {edges}")
@@ -469,7 +478,7 @@ class Reproducer:
         """Metric-vs-d series for the published scatter figures."""
         series: dict[str, list[tuple[int, float]]] = {}
         series["single_full_s_p"] = [
-            (d, squeeze_report(single_full_edge(d)).s_p) for d in range(4, 14)
+            (d, self.sweep("single-full", d)[0][0].metrics["s_p"]) for d in range(4, 14)
         ]
         top = 12 if self.extended else 8
         for label, metric in (("s_p", "s_p"), ("entropy", "c_rel_phase"), ("l1", "c_l1_phase")):
@@ -477,7 +486,7 @@ class Reproducer:
             hi: list[tuple[int, float]] = []
             start = 5 if metric == "s_p" else 4
             for d in range(start, top + 1):
-                summary = self.dminus1(d)[1].metrics[metric]
+                summary = self.sweep("dminus1", d)[1].metrics[metric]
                 if summary.min_value is not None:
                     lo.append((d, summary.min_value))
                 if summary.max_value is not None:

@@ -434,6 +434,15 @@ def resolve_cache_dir(cli_value: str | None = None) -> Path | None:
     return Path(env) if env else None
 
 
+def _read_entry(path: Path, family: Family) -> list[SweepRecord]:
+    """The records of a cache entry, or SchemaError when they cannot be ``family``'s."""
+    records = read_results(path)
+    found = {r.d for r in records}
+    if found != {family.d}:
+        raise SchemaError(f"{path}: records on d in {sorted(found)}, expected d={family.d}")
+    return records
+
+
 def cached_sweep(
     family: Family,
     metrics: Sequence[str] | None = None,
@@ -443,22 +452,26 @@ def cached_sweep(
 ) -> tuple[list[SweepRecord], SweepSummary]:
     """Sweep with a content-addressed cache of the record list.
 
-    An unreadable cache entry counts as a miss: a warning goes to stderr and
-    the entry is recomputed and replaced.
+    An entry that cannot be read or is not this family's is a miss, recomputed and
+    replaced; one that cannot be written is skipped.  Each prints one warning to stderr.
     """
     _require_threads(threads)
     if cache_dir is None:
         return sweep_family(family, metrics, connectivity_filter, threads)
     cache_dir = Path(cache_dir)
     cache_file = cache_dir / f"{cache_key(family, metrics, connectivity_filter)}.json"
-    if cache_file.exists():
-        try:
-            records = read_results(cache_file)
-        except SchemaError as exc:
-            print(f"warning: ignoring cache entry: {exc}", file=sys.stderr)
-        else:
-            return records, _summary(family, records, metrics)
+    try:
+        records = _read_entry(cache_file, family)
+    except (FileNotFoundError, NotADirectoryError):
+        pass  # no entry yet
+    except (SchemaError, OSError) as exc:
+        print(f"warning: ignoring cache entry: {exc}", file=sys.stderr)
+    else:
+        return records, _summary(family, records, metrics)
     records, summary = sweep_family(family, metrics, connectivity_filter, threads)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    write_results(records, cache_file, "json")
+    try:
+        cache_dir.mkdir(parents=True, exist_ok=True)
+        write_results(records, cache_file, "json")
+    except OSError as exc:
+        print(f"warning: cache entry not written: {exc}", file=sys.stderr)
     return records, summary

@@ -15,7 +15,7 @@ import pytest
 
 from hyperstate.coherence import l1_coherence, rel_entropy_coherence
 from hyperstate.hypergraph import Hypergraph, complete_k_graph, single_full_edge
-from hyperstate.moments import agarwal_tara, m_moment, m_moment_oracle, mu_moment, mu_moment_oracle
+from hyperstate.moments import agarwal_tara, m_moment_oracle, moment_sequences, mu_moment_oracle
 from hyperstate.operators import (
     apply_phase_operator,
     gershgorin_bound,
@@ -160,10 +160,10 @@ def test_c06_witness_tables():
 
 def test_c07_moment_identities(reproducer):
     for d in range(1, 7):
+        m, mu = moment_sequences(d, (1 << d) - 1)
         for k in range(1 << d):
-            assert m_moment(d, k) == m_moment_oracle(d, k)
-            if k >= 1:
-                assert mu_moment(d, k) == mu_moment_oracle(d, k)
+            assert m[k] == m_moment_oracle(d, k)
+            assert mu[k] == mu_moment_oracle(d, k)
     result = reproducer.check_moment_identities()
     assert result.status == "PASS", result.detail
     assert any("mu_5 at d=3 printed 3526" in note for note in result.notes)
@@ -174,10 +174,9 @@ def test_c07_moment_identities(reproducer):
 def test_c08_a4_exact_vs_float():
     for d in (3, 4, 5):
         exact = agarwal_tara(d, 4)
-        m_float = np.array([[float(m_moment(d, i + j)) for j in range(4)] for i in range(4)])
-        mu_float = np.array(
-            [[float(mu_moment(d, i + j)) if i + j else 1.0 for j in range(4)] for i in range(4)]
-        )
+        m, mu = moment_sequences(d, 6)
+        m_float = np.array([[float(m[i + j]) for j in range(4)] for i in range(4)])
+        mu_float = np.array([[float(mu[i + j]) for j in range(4)] for i in range(4)])
         det_m, det_mu = np.linalg.det(m_float), np.linalg.det(mu_float)
         assert det_m / (det_mu - det_m) == pytest.approx(float(exact.a_n), rel=1e-9)
     from hyperstate.reference_tables import witness_discrepancies

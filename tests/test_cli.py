@@ -431,9 +431,9 @@ def _entry(**raw):
 @pytest.mark.parametrize("content", [
     "[1, 2]", '[{"d": 4, "edges": "0,1,2;0,1,3", "s_p"', '{}',
     _entry(s_p="1" + "0" * 400), _entry(var_p="9" * 5000), "[" * 100_000 + "]" * 100_000,
-    _entry(half_comm="NaN"), _entry(d="true"), _entry(d="3.7"),
+    _entry(half_comm="NaN"), _entry(d="true"), _entry(d="3.7"), "[]", _entry(d="5"),
 ], ids=["list-of-numbers", "truncated", "object", "metric-beyond-float", "integer-over-digit-limit",
-        "deep-nesting", "nan-metric", "boolean-d", "fractional-d"])
+        "deep-nesting", "nan-metric", "boolean-d", "fractional-d", "empty-list", "record-on-other-d"])
 def test_sweep_malformed_cache_entry_is_recomputed(capsys, tmp_path, content):
     from hyperstate.sweep import cache_key, dminus1_family
 
@@ -449,6 +449,32 @@ def test_sweep_malformed_cache_entry_is_recomputed(capsys, tmp_path, content):
     code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
     assert (code, out, err) == (0, fresh, "")
     assert os.listdir(tmp_path) == [entry.name]
+
+
+def test_sweep_cache_entry_that_is_a_directory(capsys, tmp_path):
+    from hyperstate.sweep import cache_key, dminus1_family
+
+    argv = ("sweep", "--family", "dminus1", "--d", "4", "--format", "csv")
+    code, fresh, _ = run_cli(capsys, *argv)
+    entry = tmp_path / f"{cache_key(dminus1_family(4))}.json"
+    entry.mkdir()
+    for _ in range(2):
+        code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert (code, out) == (0, fresh)
+        assert [line.split(":")[0] for line in err.splitlines()] == ["warning", "warning"]
+        assert "Traceback" not in err
+    assert entry.is_dir() and os.listdir(tmp_path) == [entry.name]
+
+
+def test_sweep_cache_dir_that_is_a_file(capsys, tmp_path):
+    argv = ("sweep", "--family", "dminus1", "--d", "4", "--format", "csv")
+    code, fresh, _ = run_cli(capsys, *argv)
+    blocker = tmp_path / "cache"
+    blocker.write_text("not a directory")
+    code, out, err = run_cli(capsys, *argv, "--cache-dir", str(blocker))
+    assert (code, out) == (0, fresh)
+    assert err.startswith("warning: cache entry not written:") and err.count("\n") == 1
+    assert blocker.read_text() == "not a directory"
 
 
 @pytest.mark.parametrize("command", ["sweep", "reproduce"])

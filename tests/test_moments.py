@@ -15,12 +15,9 @@ from hyperstate.moments import (
     agarwal_tara,
     determinant,
     m_hankel_determinant,
-    m_moment,
     m_moment_oracle,
     moment_sequences,
-    moment_set,
     mu_hankel_determinant,
-    mu_moment,
     mu_moment_oracle,
     presentable,
     stirling_coefficients,
@@ -53,9 +50,9 @@ def test_w_factor_range():
 
 
 def test_m_moment_values():
-    assert m_moment(2, 2) == 2
-    assert m_moment(3, 4) == 168
-    assert m_moment(4, 0) == 1
+    assert moment_sequences(2, 2)[0][2] == 2
+    assert moment_sequences(3, 4)[0][4] == 168
+    assert moment_sequences(4, 0)[0] == (1,)
 
 
 def test_m_moment_oracle_values():
@@ -65,23 +62,25 @@ def test_m_moment_oracle_values():
 
 
 def test_m_moment_agrees_with_oracle_exactly():
+    """The last m of a pass that stops at k is the oracle's m_k, for every k."""
     for d in range(1, 7):
         for k in range((1 << d)):
-            assert m_moment(d, k) == m_moment_oracle(d, k)
+            assert moment_sequences(d, k)[0][-1] == m_moment_oracle(d, k)
 
 
 # Stirling coefficients
 
 
 def test_stirling_published_cells():
-    table = stirling_coefficients(6)
-    assert table.value(4, 2) == 7
-    assert table.value(4, 3) == 6
-    assert table.value(6, 3) == 90
-    assert table.value(6, 4) == 65
+    rows = stirling_coefficients(6)
+    assert len(rows) == 6
+    assert rows[3][1] == 7  # S(4, 2)
+    assert rows[3][2] == 6
+    assert rows[5][2] == 90
+    assert rows[5][3] == 65
     for k in range(1, 7):
-        assert table.value(k, 1) == 1
-        assert table.value(k, k) == 1
+        assert len(rows[k - 1]) == k
+        assert rows[k - 1][0] == rows[k - 1][-1] == 1
 
 
 def _partitions(items):
@@ -97,13 +96,12 @@ def _partitions(items):
 
 def test_stirling_matches_set_partition_counts():
     """S(k, j) counts partitions of a k-set into j nonempty blocks."""
-    table = stirling_coefficients(8)
+    rows = stirling_coefficients(8)
     for k in range(1, 9):
         counts = {}
         for partition in _partitions(list(range(k))):
             counts[len(partition)] = counts.get(len(partition), 0) + 1
-        for j in range(1, k + 1):
-            assert table.value(k, j) == counts[j]
+        assert rows[k - 1] == tuple(counts[j] for j in range(1, k + 1))
 
 
 def test_stirling_rows_sum_to_bell_numbers():
@@ -116,19 +114,20 @@ def test_stirling_rows_sum_to_bell_numbers():
             next_row.append(next_row[-1] + value)
         row = next_row
         bells.append(row[0])
-    table = stirling_coefficients(8)
+    rows = stirling_coefficients(8)
     for k in range(1, 9):
-        assert sum(table.value(k, j) for j in range(1, k + 1)) == bells[k]
+        assert sum(rows[k - 1]) == bells[k]
 
 
 # number-operator moments
 
 
 def test_mu_moment_values():
-    assert mu_moment(3, 4) == Fraction(1169, 2)  # 584.5
-    assert mu_moment(3, 5) == 3626
+    mu = moment_sequences(3, 5)[1]
+    assert mu[4] == Fraction(1169, 2)  # 584.5
+    assert mu[5] == 3626
     for d in (2, 3, 5):
-        assert mu_moment(d, 1) == Fraction((1 << d) - 1, 2)
+        assert moment_sequences(d, 1)[1][1] == Fraction((1 << d) - 1, 2)
 
 
 def test_mu_moment_oracle_values():
@@ -138,9 +137,10 @@ def test_mu_moment_oracle_values():
 
 
 def test_mu_moment_agrees_with_oracle_exactly():
+    """The last mu of a pass that stops at k is the oracle's mu_k, for every k."""
     for d in range(1, 7):
         for k in range(1, 1 << d):
-            assert mu_moment(d, k) == mu_moment_oracle(d, k)
+            assert moment_sequences(d, k)[1][-1] == mu_moment_oracle(d, k)
 
 
 def test_moments_match_dense_expectations():
@@ -148,12 +148,13 @@ def test_moments_match_dense_expectations():
     for d in range(2, 6):
         dim = 1 << d
         lower = annihilation(dim)
+        m = moment_sequences(d, dim - 1)[0]
         for g in (single_full_edge(d), complete_k_graph(d, 2)):
             vec = hypergraph_state(g)
             for k in range(1, dim):
                 vec = lower @ vec
                 dense = float(np.vdot(vec, vec).real)
-                exact = float(m_moment(d, k))
+                exact = float(m[k])
                 assert dense == pytest.approx(exact, rel=1e-9, abs=1e-12)
 
 
@@ -174,13 +175,14 @@ def test_moment_sequences_range():
 
 
 def test_moment_set_bundle():
-    bundle = moment_set(3, 5)
-    assert bundle.w == tuple(w_factor(3, k) for k in range(1, 6))
-    assert bundle.m[0] == bundle.w[0]
-    for k in range(1, 5):
-        assert bundle.m[k] == bundle.m[k - 1] * bundle.w[k]
-    assert all(w > 0 for w in bundle.w)
-    assert bundle.mu == tuple(mu_moment(3, k) for k in range(1, 6))
+    """m_k = W_1 ... W_k: each m of one pass is the one before it times w_factor."""
+    for d in range(1, 7):
+        top = (1 << d) - 1
+        m = moment_sequences(d, top)[0]
+        w = [w_factor(d, k) for k in range(1, top + 1)]
+        assert all(x > 0 for x in w)
+        for k in range(1, top + 1):
+            assert m[k] == m[k - 1] * w[k - 1], (d, k)
 
 
 # determinants
@@ -445,10 +447,9 @@ def test_witness_n1_degenerate():
 def test_witness_a4_exact_vs_float_determinants():
     for d in (3, 4, 5):
         result = agarwal_tara(d, 4)
-        m_float = np.array([[float(m_moment(d, i + j)) for j in range(4)] for i in range(4)])
-        mu_float = np.array(
-            [[float(mu_moment(d, i + j)) if i + j else 1.0 for j in range(4)] for i in range(4)]
-        )
+        m, mu = moment_sequences(d, 6)
+        m_float = np.array([[float(m[i + j]) for j in range(4)] for i in range(4)])
+        mu_float = np.array([[float(mu[i + j]) for j in range(4)] for i in range(4)])
         a4 = np.linalg.det(m_float) / (np.linalg.det(mu_float) - np.linalg.det(m_float))
         assert a4 == pytest.approx(float(result.a_n), rel=1e-9)
 
@@ -466,6 +467,24 @@ def test_moments_are_hypergraph_independent():
         values.append(row)
     assert values[0] == pytest.approx(values[1], rel=1e-12)
     assert values[0] == pytest.approx(values[2], rel=1e-12)
+
+
+def test_witness_discrepancies_run_one_witness_per_table_row(monkeypatch):
+    import hyperstate.reference_tables as ref
+
+    calls = []
+
+    def counted(d, n):
+        calls.append((d, n))
+        return agarwal_tara(d, n)
+
+    monkeypatch.setattr(ref, "agarwal_tara", counted)
+    described = [r.describe() for r in witness_discrepancies()]
+    assert sorted(calls) == sorted((d, n) for n, rows in ref.WITNESS_TABLES.items() for d in rows)
+    assert any("mu_5 at d=3 printed 3526" in line for line in described)
+    calls.clear()
+    witness_discrepancies(d=5, n=4)
+    assert calls == [(5, 4)]
 
 
 def test_witness_discrepancy_records():

@@ -1,0 +1,87 @@
+"""The reproduction report computes each number once, on the same route as its oracle."""
+
+import inspect
+from collections import Counter
+
+import pytest
+
+import hyperstate.reference_tables as ref
+import hyperstate.reproduce as reproduce
+from hyperstate.hypergraph import complete_k_graph, single_full_edge
+from hyperstate.reproduce import Reproducer
+from hyperstate.squeezing import squeeze_report
+
+
+def _caller() -> str:
+    return inspect.currentframe().f_back.f_back.f_code.co_name
+
+
+def test_report_sweeps_each_family_once(monkeypatch):
+    sweeps, reports = [], []
+    real_sweep, real_report = reproduce.sweep_family, reproduce.squeeze_report
+
+    def counted_sweep(family, *args, **kwargs):
+        sweeps.append((_caller(), family.descriptor))
+        return real_sweep(family, *args, **kwargs)
+
+    def counted_report(g):
+        reports.append(_caller())
+        return real_report(g)
+
+    monkeypatch.setattr(reproduce, "sweep_family", counted_sweep)
+    monkeypatch.setattr(reproduce, "squeeze_report", counted_report)
+    runner = Reproducer()
+    failing = [r.key for r in runner.run() if r.status == "FAIL"]
+    runner.plot_series()
+    assert failing == ["C10b"]
+    assert reports == ["check_example_statistics"]
+    memo = Counter(family for caller, family in sweeps if caller == "sweep")
+    assert memo and max(memo.values()) == 1
+    others = [(caller, family) for caller, family in sweeps if caller != "sweep"]
+    assert others == [("check_determinism", "dminus1(d=6)")] * 2
+
+
+def _memo_matches_squeeze_report(runner, kind, d, k=None):
+    records = runner.sweep(kind, d, k)[0]
+    assert len(records) == 1
+    metrics = records[0].metrics
+    report = squeeze_report(single_full_edge(d) if k is None else complete_k_graph(d, k))
+    assert (metrics["s_p"], metrics["var_p"], metrics["half_comm"]) == (
+        report.s_p, report.var_p, report.half_comm), (kind, d, k)
+
+
+def test_memo_s_p_is_squeeze_report_bit_for_bit():
+    runner = Reproducer()
+    for d in range(4, 14):
+        _memo_matches_squeeze_report(runner, "single-full", d)
+    for d in range(1, 9):
+        for k in range(1, d + 1):
+            _memo_matches_squeeze_report(runner, "complete-k", d, k)
+
+
+@pytest.mark.extended
+def test_memo_s_p_is_squeeze_report_bit_for_bit_d9_to_d11():
+    runner = Reproducer()
+    for d in range(9, 12):
+        for k in range(1, d + 1):
+            _memo_matches_squeeze_report(runner, "complete-k", d, k)
+
+
+@pytest.mark.extended
+def test_extended_report_fails_only_c10b():
+    results = Reproducer(extended=True).run()
+    assert [r.key for r in results if r.status == "FAIL"] == ["C10b"]
+
+
+def test_c7_fails_on_a_transcribed_table_that_disagrees(monkeypatch):
+    assert Reproducer().check_moment_identities().status == "PASS"
+    w_table = dict(ref.W_FACTOR_TABLE)
+    w_table[3] = w_table[3][:2] + (w_table[3][2] + 1,) + w_table[3][3:]
+    monkeypatch.setattr(ref, "W_FACTOR_TABLE", w_table)
+    monkeypatch.setattr(ref, "STIRLING_TRIANGLE", ref.STIRLING_TRIANGLE[:5] + ((1, 31, 90, 66, 15, 1),))
+    result = Reproducer().check_moment_identities()
+    assert result.status == "FAIL"
+    assert result.detail == (
+        "published W_3(d=3) = 19/4, closed form 15/4, m_3/m_2 = 15/4; "
+        "published Stirling triangle differs from S(k, j)"
+    )

@@ -1,7 +1,9 @@
 """Unit tests for family sweeps, persistence, and caching."""
 
+import errno
 import itertools
 import json
+import os
 
 import numpy as np
 import pytest
@@ -303,6 +305,11 @@ MALFORMED = {
     "boolean-d": lambda records: _with_raw(records, "d", "true"),
     "fractional-d": lambda records: _with_raw(records, "d", "3.7"),
 }
+# Well-formed results files that cannot be the entry of the d = 4 family.
+FOREIGN = {
+    "empty-list": lambda records: "[]",
+    "records-on-other-d": lambda records: _valid_text(sweep_family(dminus1_family(5))[0]),
+}
 
 
 @pytest.mark.parametrize("kind", sorted(MALFORMED))
@@ -402,12 +409,12 @@ def test_any_results_file_gives_records_or_schema_error(tmp_path, text, suffix):
     assert all(isinstance(r, SweepRecord) and type(r.d) is int for r in records)
 
 
-@pytest.mark.parametrize("kind", sorted(MALFORMED))
+@pytest.mark.parametrize("kind", sorted({**MALFORMED, **FOREIGN}))
 def test_cached_sweep_recomputes_malformed_entry(tmp_path, capsys, kind):
     family = dminus1_family(4)
     fresh, fresh_summary = sweep_family(family)
     entry = tmp_path / f"{cache_key(family)}.json"
-    entry.write_text(MALFORMED[kind](fresh))
+    entry.write_text({**MALFORMED, **FOREIGN}[kind](fresh))
     records, summary = cached_sweep(family, cache_dir=tmp_path)
     assert records == fresh
     assert summary == fresh_summary
@@ -415,6 +422,36 @@ def test_cached_sweep_recomputes_malformed_entry(tmp_path, capsys, kind):
     err = capsys.readouterr().err
     assert err.startswith("warning:") and err.count("\n") == 1
     assert [p.name for p in tmp_path.iterdir()] == [entry.name]
+
+
+def test_cached_sweep_keeps_a_directory_at_the_entry(tmp_path, capsys):
+    family = dminus1_family(4)
+    fresh = sweep_family(family)
+    entry = tmp_path / f"{cache_key(family)}.json"
+    entry.mkdir()
+    (entry / "kept").write_text("user data")
+    assert cached_sweep(family, cache_dir=tmp_path) == fresh
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("warning:") for line in err)
+    assert (entry / "kept").read_text() == "user data"
+
+
+@pytest.mark.parametrize("where", ["cache-dir-is-a-file", "below-a-file", "disk-full"])
+def test_cached_sweep_that_cannot_write_returns_its_records(tmp_path, capsys, monkeypatch, where):
+    family = dminus1_family(4)
+    fresh = sweep_family(family)
+    blocker = tmp_path / "file"
+    blocker.write_text("x")
+    cache_dir = {"cache-dir-is-a-file": blocker, "below-a-file": blocker / "cache"}.get(where, tmp_path)
+    if where == "disk-full":
+        def full(path, parts):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+        monkeypatch.setattr(sweep_mod, "write_text", full)
+    assert cached_sweep(family, cache_dir=cache_dir) == fresh
+    err = capsys.readouterr().err
+    assert err.startswith("warning: cache entry not written:") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
 
 def test_write_results_leaves_no_partial_file(tmp_path):

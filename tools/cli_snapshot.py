@@ -53,6 +53,10 @@ CASES.update({
     "reproduce-table": ("reproduce",),
     "reproduce-json-out-plots": ("reproduce", "--format", "json", "--out", "report.json",
                                  "--plot-dir", "plots"),
+    "reproduce-extended-plots": ("reproduce", "--extended", "--threads", "2", "--plot-dir", "plots"),
+    "agarwal-tara-a4-misprints-table": ("agarwal-tara", "--d", "5", "--n", "4", "--exact"),
+    "agarwal-tara-a4-misprints-json": ("agarwal-tara", "--d", "5", "--n", "4", "--exact",
+                                       "--format", "json"),
     "state-out-fifo": ("state", "--d", "3", "--edges", "0,1,2", "--format", "csv", "--out", "fifo"),
     "sweep-out-fifo": ("sweep", "--family", "dminus1", "--d", "4", "--format", "csv", "--out", "fifo"),
     "state-out-missing-dir": ("state", "--d", "3", "--out", "missing/state.txt"),

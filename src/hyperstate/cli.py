@@ -309,7 +309,8 @@ def _summary_text(summary) -> str:
 
 def _cmd_agarwal_tara(args: argparse.Namespace) -> int:
     result = agarwal_tara(args.d, args.n)
-    discrepancies = witness_discrepancies(d=args.d, n=args.n)
+    # The published row at (d, n), if there is one, reads this same witness.
+    discrepancies = witness_discrepancies(d=args.d, n=args.n, witness=lambda d, n: result)
     data = result.to_dict()
     data["paper_discrepancies"] = [disc.describe() for disc in discrepancies]
     if args.exact:

@@ -9,7 +9,7 @@ pure-state von Neumann entropy vanishes).  ``l1_coherence`` and
 ``coherence_report`` builds no state in the number basis: all 2**d
 coefficients of a hypergraph state have one magnitude, so the values are
 2**d - 1 and d ln 2.  In the phase basis it reads the spectral profile
-(``operators.spectral_profile``), which equals the general measures applied
+(``state.hypergraph_profile``), which equals the general measures applied
 to ``operators.phase_overlaps(psi)``.
 """
 

@@ -10,19 +10,26 @@ angles theta_m = 2 pi m / dim, theta_0 = 0.  The phase operator is
 sum_m theta_m |theta_m><theta_m|, a Hermitian circulant matrix; its
 commutator with the number operator is skew-Hermitian Toeplitz.
 
-Squeezing and phase-basis coherence of real states are evaluated along one
-route, ``spectral_profile``: the half spectra of psi and n psi from one
-length-dim real FFT, batched over a stack of states and read with mirror
-weights (Parseval turns <[N, P]> into a weighted sum over those bins).
-Dense matrices and the complex-state FFT helpers (``phase_overlaps``,
-``apply_phase_operator``, ``number_phase_commutator_expectation``) serve
-general states, structure and spectral checks, and act as the profile's
-test oracles.
+Squeezing and phase-basis coherence of real states are evaluated along two
+routes that share one set of reductions.  ``spectral_profile`` (the rfft
+route) takes the half spectra of psi and n psi from one length-dim real
+FFT, batched over a stack of states and read with mirror weights (Parseval
+turns <[N, P]> into a weighted sum over those bins).  ``support_profile``
+(the support route) takes states psi = |theta_0> - (2 / sqrt(dim)) 1_K with
+few points in K: their spectra are exact integer sums over a DFT table at
+K, and <[N, P]> comes from closed forms of the Pegg–Barnett kernel on K;
+the rfft route is its test oracle.  Dense matrices and the complex-state
+FFT helpers (``phase_overlaps``, ``apply_phase_operator``,
+``number_phase_commutator_expectation``) serve general states, structure
+and spectral checks, and act as the profiles' test oracles.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -188,9 +195,35 @@ def spectral_profile(psi: np.ndarray) -> SpectralProfile:
     spectra = np.fft.rfft(np.concatenate((rows, rows * np.arange(dim))), axis=-1)
     f, g = spectra[:count], spectra[count:]
     prob = (f.real**2 + f.imag**2) / dim
+    offset = _half_spectrum_weights(dim)[1]
+    cross = g.real * f.imag - g.imag * f.real
+    weight = 2.0 * offset
+    weight[[0, -1]] = 0.0
+    half_comm = np.abs(np.sum(cross * weight, axis=-1)) / dim
+    mean, var, c_l1, c_rel = _phase_moments(prob)
+    shape = psi.shape[:-1]
+    return SpectralProfile(
+        *(value.reshape(shape) for value in (mean, var, half_comm, c_l1, c_rel))
+    )
+
+
+@lru_cache(maxsize=2)
+def _half_spectrum_weights(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mirror weights (1 at m = 0 and m = dim/2, else 2) and theta_m - pi over the half spectrum."""
     mirror = np.full(dim // 2 + 1, 2.0)
     mirror[[0, -1]] = 1.0
     offset = phase_angles(dim)[: dim // 2 + 1] - np.pi
+    mirror.flags.writeable = offset.flags.writeable = False
+    return mirror, offset
+
+
+def _phase_moments(prob: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """mean_p, var_p, c_l1_phase and c_rel_phase of half-spectrum phase probabilities.
+
+    ``prob`` holds p_m = |F_m|**2 / dim for m = 0 .. dim/2, one row per state, and is
+    normalized in place.  Every reduction is a row-wise ``np.sum``.
+    """
+    mirror, offset = _half_spectrum_weights(2 * (prob.shape[-1] - 1))
     # Sums over m >= 1 are taken directly, not as total - p_0, which would
     # cancel when p_0 is close to 1.  The m = 0 bin has no mirror; its
     # variance term is p_0 mean**2.
@@ -200,18 +233,150 @@ def spectral_profile(psi: np.ndarray) -> SpectralProfile:
     mean = np.pi * rest
     spread = np.sum(prob[:, 1:] * (mirror[1:] * offset[1:] ** 2), axis=-1)
     var = spread + (np.pi - mean) ** 2 * rest + p0 * mean**2
-    cross = g.real * f.imag - g.imag * f.real
-    weight = 2.0 * offset
-    weight[[0, -1]] = 0.0
-    half_comm = np.abs(np.sum(cross * weight, axis=-1)) / dim
     c_l1 = np.sum(mirror * np.sqrt(prob), axis=-1) ** 2 / total - 1.0
     prob /= total[:, None]
     logs = np.log(prob, out=np.zeros_like(prob), where=prob > 0.0)
     c_rel = -np.sum(mirror * prob * logs, axis=-1)
-    shape = psi.shape[:-1]
-    return SpectralProfile(
-        *(value.reshape(shape) for value in (mean, var, half_comm, c_l1, c_rel))
-    )
+    return mean, var, c_l1, c_rel
+
+
+def _support_scale(d: int) -> int:
+    """Bits s of the support route's integer DFT table: 2d terms of at most 2**s sum below 2**52."""
+    return 52 - (2 * d).bit_length()
+
+
+@lru_cache(maxsize=None)  # one entry per d: all of them take less than twice the largest
+def _support_tables(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-d constants of ``support_profile``, each indexed by j = 0 .. dim-1.
+
+    round(2**s cos(2 pi j / dim)) and round(-2**s sin(2 pi j / dim)), the integer
+    DFT table, and cot(pi j / dim) (0 at j = 0), which gives Im P_kl =
+    -(pi / dim) cot(pi (k - l) / dim).  Each cotangent is taken at an angle of
+    at most pi / 4, so that it keeps its relative accuracy next to j = dim / 2.
+    """
+    dim, half, quarter = 1 << d, 1 << d >> 1, 1 << d >> 2
+    angle = (2.0 * np.pi / dim) * np.arange(dim)
+    cos = np.round(np.ldexp(np.cos(angle), _support_scale(d)))
+    msin = np.round(np.ldexp(-np.sin(angle), _support_scale(d)))
+    x = (np.pi / dim) * np.arange(half + 1)
+    cot = np.zeros(dim)
+    cot[1 : quarter + 1] = 1.0 / np.tan(x[1 : quarter + 1])
+    cot[quarter + 1 : half] = np.tan(x[half - quarter - 1 : 0 : -1])  # cot(x) = tan(pi/2 - x)
+    cot[half + 1 :] = -cot[half - 1 : 0 : -1]
+    cos.flags.writeable = msin.flags.writeable = cot.flags.writeable = False
+    return cos, msin, cot
+
+
+@lru_cache(maxsize=1 << 12)
+def _im_w(d: int, point: int) -> float:
+    """Im (P n)_point, exactly rounded from the cotangent table.
+
+    Since P 1 = 0, (P n)_l = sum_j (j - l) P_lj, and (j - l) Im P_lj =
+    g(l - j) with g(u) = (pi u / dim) cot(pi u / dim), an even function of u.
+    So Im (P n)_l = sum_{u=1}^{l} g(u) + sum_{u=1}^{dim-1-l} g(u), whose
+    terms reach about -dim near u = dim; ``math.fsum`` adds them exactly.
+    """
+    dim = 1 << d
+    top = max(point, dim - 1 - point)
+    g = (np.pi / dim) * np.arange(1, top + 1) * _support_tables(d)[2][1 : top + 1]
+    return math.fsum(itertools.chain(g[:point], g[: dim - 1 - point]))
+
+
+@lru_cache(maxsize=1)
+def _dft_rows(d: int, points: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The integer DFT table's cos and -sin rows at ``points``, over m = 0 .. dim/2.
+
+    One block is kept, so a sweep whose chunks share their points gathers them once.
+    """
+    dim = 1 << d
+    cos, msin = _support_tables(d)[:2]
+    index = np.multiply.outer(np.array(points, dtype=np.int64), np.arange(dim // 2 + 1))
+    index &= dim - 1  # in place: fewer fresh pages
+    rows = np.take(cos, index), np.take(msin, index)
+    rows[0].flags.writeable = rows[1].flags.writeable = False
+    return rows
+
+
+def _support_step(dim: int) -> int:
+    """Support points per block of DFT rows, so that gathering a block holds at most 16 MiB."""
+    return max(1, (1 << 24) // (40 * (dim // 2 + 1)))
+
+
+def support_bytes(count: int, points: int, dim: int) -> int:
+    """Bytes ``support_profile`` holds at its peak for ``count`` states over ``points`` support points."""
+    half = dim // 2 + 1
+    # The three float64 tables of this d and the kept tables of smaller d
+    # (under 48 per index) and, while Im (P n) is summed at one point, its
+    # int64 index and two float64 term arrays (24 per index; building the
+    # tables peaks at 40, measured with tracemalloc at d = 16); gathering a
+    # block of DFT rows beside the kept block: the int64 index and two float64
+    # rows of each, 40 per point and bin; per state the spectrum's two
+    # parts, the probabilities and up to five reduction temporaries (64 per
+    # bin); and the half_comm terms of each state's at most 2d points, with
+    # their indices and running sums (64 per pair).
+    block = min(points, _support_step(dim))
+    pairs = min(points, 2 * (dim.bit_length() - 1))
+    return 72 * dim + 40 * block * half + 64 * count * half + 64 * count * pairs * (pairs + 1)
+
+
+def support_profile(d: int, points: Sequence[int], t: np.ndarray) -> SpectralProfile:
+    """Phase statistics of the states psi_r = (1 - 2 1_K_r) / sqrt(2**d), K_r = {points[j] : t[r, j] = 1}.
+
+    ``points`` ascend and ``t`` is 0/1 with at most 2d ones per row.  Writing
+    psi = |theta_0> - (2 / sqrt(dim)) 1_K,
+      F_m = sqrt(dim) delta_m0 - (2 / sqrt(dim)) 2**-s (t @ Q)_m,
+    where Q holds the integer DFT rows round(2**s exp(-2 pi i m u / dim)) of
+    the points.  t @ Q adds at most 2d integers of at most 2**s, so every
+    partial sum is an integer below 2**53 and exact in any order: F does not
+    depend on BLAS, its threads, or the other rows and points.  The phase
+    moments and coherences are ``spectral_profile``'s reductions of those F.
+    P theta_0 = 0, so with w = P n
+      Im <N psi|P psi> = (2 / dim) sum_{l in K} Im w_l
+                         + (4 / dim) sum_{k, l in K} k Im P_kl,
+    and half_comm is its magnitude, summed by ``np.cumsum`` (sequential, no
+    BLAS) over l, then k, ascending in the row's K; the padding of shorter
+    rows adds exact zeros.  A state's values are therefore a function of K
+    alone.
+    """
+    dim = 1 << d
+    t = np.asarray(t, dtype=np.float64)
+    count, width = t.shape
+    if width != len(points):
+        raise ValueError(f"{width} columns of t for {len(points)} support points")
+    width_k = int(t.sum(axis=1).max(initial=0))
+    if width_k > 2 * d:
+        raise ValueError(f"a support state has more than 2d = {2 * d} points")
+    require_bytes(f"support profile of {count} states over {width} points at d={d}",
+                  support_bytes(count, width, dim))
+    # t @ Q one block of points at a time; the partial sums are exact integers.
+    re, im = np.zeros((2, count, dim // 2 + 1))
+    step = _support_step(dim)
+    for start in range(0, width, step):
+        cos, msin = _dft_rows(d, tuple(points[start : start + step]))
+        re += t[:, start : start + step] @ cos
+        im += t[:, start : start + step] @ msin
+    scale = -np.ldexp(2.0 / np.sqrt(dim), -_support_scale(d))
+    re *= scale
+    im *= scale
+    re[:, 0] += np.sqrt(dim)
+    re *= re
+    im *= im
+    re += im
+    re /= dim
+    mean, var, c_l1, c_rel = _phase_moments(re)
+    # Each row's K in ascending order, padded with points outside K (present 0).
+    order = np.argsort(-t, axis=1, kind="stable")[:, :width_k]
+    present = np.take_along_axis(t, order, axis=1)
+    k = np.asarray(points, dtype=np.int64)[order]
+    # terms[r, l] = (2/dim) Im w_l, then (4/dim) k Im P_kl for each k, zero off K.
+    linear = (2.0 / dim) * np.array([_im_w(d, point) for point in points])[order]
+    im_p = (-np.pi / dim) * _support_tables(d)[2][(k[:, None, :] - k[:, :, None]) & (dim - 1)]
+    pairs = ((4.0 / dim) * k)[:, None, :] * im_p
+    terms = np.concatenate(
+        ((present * linear)[:, :, None], (present[:, :, None] * present[:, None, :]) * pairs), axis=2
+    ).reshape(count, width_k * (width_k + 1))
+    half_comm = np.abs(np.cumsum(terms, axis=1)[:, -1]) if width_k else np.zeros(count)
+    return SpectralProfile(mean, var, half_comm, c_l1, c_rel)
 
 
 def phase_operator_dense(dim: int) -> np.ndarray:
@@ -354,12 +519,16 @@ class SpectralBoundReport:
         return asdict(self)
 
 
-def spectral_bound_check(psi: np.ndarray) -> SpectralBoundReport:
-    """Check |<[N, P]>| against the spectrum of the Hermitian i[N, P]."""
+def spectral_bound_check(psi: np.ndarray, comm: np.ndarray | None = None) -> SpectralBoundReport:
+    """Check |<[N, P]>| against the spectrum of the Hermitian i[N, P].
+
+    ``comm`` is ``number_phase_commutator_dense(len(psi))`` when the caller already holds it.
+    """
     dim = len(psi)
     _require_power_of_two(dim)
     require_cubic_work("eigensolver", dim)
-    comm = number_phase_commutator_dense(dim)
+    if comm is None:
+        comm = number_phase_commutator_dense(dim)
     eigenvalues = np.linalg.eigvalsh(1j * comm)
     radius = float(np.max(np.abs(eigenvalues)))
     row_sum = float(np.max(np.sum(np.abs(comm), axis=1)))

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
-from .moments import agarwal_tara, moment_sequences
+from .moments import AgarwalTaraResult, agarwal_tara, moment_sequences
 
 # Tolerance above which a printed cell counts as a suspected misprint.
 MISPRINT_RELATIVE_TOL = 1e-2
@@ -175,12 +176,19 @@ def _relative_error(printed: float, computed: float) -> float:
     return abs(printed - computed) / scale
 
 
-def witness_discrepancies(d: int | None = None, n: int | None = None) -> list[Discrepancy]:
+def witness_discrepancies(
+    d: int | None = None,
+    n: int | None = None,
+    witness: Callable[[int, int], AgarwalTaraResult] | None = None,
+) -> list[Discrepancy]:
     """Compare every published witness-table cell against exact values.
 
     Returns one record per cell whose relative difference exceeds
-    MISPRINT_RELATIVE_TOL, optionally restricted to one (d, n).
+    MISPRINT_RELATIVE_TOL, optionally restricted to one (d, n).  ``witness``
+    (default ``agarwal_tara``) gives the witness at (d, n); pass a caller's
+    memo or its computed result so that no row is evaluated twice.
     """
+    witness = witness or agarwal_tara
     found = []
     for table_n, rows in WITNESS_TABLES.items():
         if n is not None and table_n != n:
@@ -189,7 +197,7 @@ def witness_discrepancies(d: int | None = None, n: int | None = None) -> list[Di
             if d is not None and row_d != d:
                 continue
             # One witness and one moment pass per row; A_n reads moments up to order 2n - 2.
-            result = agarwal_tara(row_d, table_n)
+            result = witness(row_d, table_n)
             m, mu = moment_sequences(row_d, 2 * table_n - 2)
             exact = {"det_m": result.det_m, "det_mu": result.det_mu, "a_n": result.a_n}
             exact.update((f"m_{k}", value) for k, value in enumerate(m))

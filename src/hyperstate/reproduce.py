@@ -27,6 +27,7 @@ from .hypergraph import (
     single_full_edge,
 )
 from .moments import (
+    AgarwalTaraResult,
     agarwal_tara,
     m_moment_oracle,
     moment_sequences,
@@ -104,6 +105,7 @@ class Reproducer:
     threads: int = 1
     _sweeps: dict[tuple, tuple[list[SweepRecord], SweepSummary]] = field(default_factory=dict)
     _bounds: dict[int, SpectralBoundReport] = field(default_factory=dict)
+    _witnesses: dict[tuple[int, int], AgarwalTaraResult] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.threads < 1:
@@ -116,11 +118,20 @@ class Reproducer:
             self._sweeps[key] = sweep_family(Family(kind, d, k), threads=self.threads)
         return self._sweeps[key]
 
-    def spectral_bound(self, dim: int) -> SpectralBoundReport:
-        """``spectral_bound_check`` at ``dim``, run once for C10 and C10b (both read only its bounds)."""
+    def spectral_bound(self, dim: int, comm: np.ndarray | None = None) -> SpectralBoundReport:
+        """``spectral_bound_check`` at ``dim``, run once for C10 and C10b (both read only its bounds).
+
+        ``comm`` is the dense [N, P] at ``dim`` when the caller already built it.
+        """
         if dim not in self._bounds:
-            self._bounds[dim] = spectral_bound_check(np.full(dim, dim**-0.5))
+            self._bounds[dim] = spectral_bound_check(np.full(dim, dim**-0.5), comm)
         return self._bounds[dim]
+
+    def witness(self, d: int, n: int) -> AgarwalTaraResult:
+        """``agarwal_tara(d, n)``, evaluated once per (d, n) and shared by C6, C7 and C8."""
+        if (d, n) not in self._witnesses:
+            self._witnesses[(d, n)] = agarwal_tara(d, n)
+        return self._witnesses[(d, n)]
 
     # --- individual checks -------------------------------------------------
 
@@ -213,19 +224,19 @@ class Reproducer:
         from fractions import Fraction
 
         failures = []
-        a2_d2 = agarwal_tara(2, 2)
+        a2_d2 = self.witness(2, 2)
         if a2_d2.a_n != Fraction(-1, 6):
             failures.append(f"A_2(d=2) = {a2_d2.a_n} != -1/6")
-        a2_d3 = agarwal_tara(3, 2)
+        a2_d3 = self.witness(3, 2)
         if a2_d3.a_n != Fraction(1, 2):
             failures.append(f"A_2(d=3) = {a2_d3.a_n} != 1/2")
-        a3_d3 = agarwal_tara(3, 3)
+        a3_d3 = self.witness(3, 3)
         if a3_d3.det_m != Fraction(-245, 4) or a3_d3.det_mu != Fraction(441, 4):
             failures.append(
                 f"n=3, d=3 determinants {a3_d3.det_m}, {a3_d3.det_mu} != -245/4, 441/4"
             )
         for d, expected in ((3, -0.3571), (4, -0.2160), (5, 0.1862)):
-            got = float(agarwal_tara(d, 3).a_n)
+            got = float(self.witness(d, 3).a_n)
             if abs(got - expected) >= 1e-4:
                 failures.append(f"A_3(d={d}) = {got:.5f} vs published {expected}")
         return _result("C6", "moment witness A_2/A_3 tables", failures,
@@ -265,14 +276,14 @@ class Reproducer:
                         failures.append(
                             f"dense <(a+)^{k} a^{k}> on {g.d}-vertex graph differs from exact"
                         )
-        notes = [disc.describe() for disc in ref.witness_discrepancies()]
+        notes = [disc.describe() for disc in ref.witness_discrepancies(witness=self.witness)]
         return _result("C7", "moment identities (three routes, exact)", failures,
                        "product, summation, and dense routes agree for d<=6", notes)
 
     def check_a4_crosscheck(self) -> CheckResult:
         failures = []
         for d in (3, 4, 5):
-            result = agarwal_tara(d, 4)
+            result = self.witness(d, 4)
             m, mu = moment_sequences(d, 6)
             m_float = np.array([[float(m[i + j]) for j in range(4)] for i in range(4)])
             mu_float = np.array([[float(mu[i + j]) for j in range(4)] for i in range(4)])
@@ -281,7 +292,7 @@ class Reproducer:
             a4_float = det_m / (det_mu - det_m)
             if abs(a4_float - float(result.a_n)) > 1e-9 * max(1.0, abs(float(result.a_n))):
                 failures.append(f"d={d}: float-determinant A_4 {a4_float} vs exact {float(result.a_n)}")
-        notes = [disc.describe() for disc in ref.witness_discrepancies(n=4)]
+        notes = [disc.describe() for disc in ref.witness_discrepancies(n=4, witness=self.witness)]
         return _result("C8", "A_4 exact vs float determinants", failures,
                        "exact-rational and float evaluations agree to 1e-9", notes)
 
@@ -353,7 +364,7 @@ class Reproducer:
                 failures.append(f"dim={dim}: [N,P] not skew-Hermitian Toeplitz")
             if float(np.max(np.abs(np.diag(comm)))) > 0.0:
                 failures.append(f"dim={dim}: [N,P] diagonal not exactly zero")
-            bound = self.spectral_bound(dim)
+            bound = self.spectral_bound(dim, comm)
             if bound.spectral_radius > bound.row_sum_bound * (1.0 + 1e-12):
                 failures.append(f"dim={dim}: eigenvalue beyond the row-sum Gershgorin bound")
             if bound.spectral_radius > np.pi * (dim - 1) ** 2 / 2 + 1e-12:

@@ -5,7 +5,7 @@ h = |<[N, P]>| / 2 is (Var A - h) / h; negative values signal squeezing.
 Number statistics admit closed forms independent of the hypergraph:
 mean (2**d - 1)/2 and variance (2**d - 1)(2**d + 1)/12.  The phase
 statistics and h of a hypergraph state come from its spectral profile
-(``operators.spectral_profile``); ``phase_stats`` evaluates the phase
+(``state.hypergraph_profile``); ``phase_stats`` evaluates the phase
 moments of any complex state directly from its phase-basis overlaps.
 """
 

@@ -8,14 +8,15 @@ followed by one multi-controlled sign flip per hyperedge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .errors import dimension, require_bytes
 from .hypergraph import Hypergraph, vertex_mask
-from .operators import SpectralProfile, profile_bytes, spectral_profile
+from .operators import SpectralProfile, profile_bytes, spectral_profile, support_bytes, support_profile
 
 # Edge indicator rows are built in blocks of at most this many bytes, so a
 # graph with many edges at large d needs no edges-by-2**d matrix at once.
@@ -96,10 +97,91 @@ def hypergraph_state(g: Hypergraph) -> np.ndarray:
     return hypergraph_amplitudes([g])[0].astype(np.complex128)
 
 
+def _edge_weights(d: int, edges: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """Support size 2**(d - |e|) of each edge, capped at 2d + 1 (any more rules a row out)."""
+    cap = 2 * d + 1
+    return np.array([min(1 << min(d - len(e), 64), cap) for e in edges], dtype=np.int64)
+
+
+def support_rows(d: int, edges: Sequence[tuple[int, ...]], rows: np.ndarray) -> np.ndarray:
+    """Rows that take the support route: support bound sum_{e in row} 2**(d - |e|) <= 2d.
+
+    The bound caps |K|, the number of indices with f(n) = 1, and depends only
+    on the sizes of the row's edges: every (d-1)-graph, the single full edge
+    and the complete k-graphs with k >= d - 1 are in, most other states out.
+    """
+    return np.asarray(rows) @ _edge_weights(d, edges) <= 2 * d
+
+
+@lru_cache(maxsize=1)
+def _support_points(d: int, edges: tuple[tuple[int, ...], ...]) -> tuple[list[int], np.ndarray]:
+    """Ascending union U of the supports {n : n contains the bits of e} of ``edges``, and the
+    edge-by-U indicator matrix.  One entry is kept, so the chunks of a sweep build them once."""
+    full = (1 << d) - 1
+    points = set()
+    for edge in edges:
+        mask = vertex_mask(d, edge)
+        free = sub = full ^ mask
+        while True:  # every submask of the free bits
+            points.add(mask | sub)
+            if not sub:
+                break
+            sub = (sub - 1) & free
+    points = sorted(points)
+    masks = np.array([vertex_mask(d, e) for e in edges], dtype=np.int64)[:, None]
+    indicators = (np.array(points, dtype=np.int64) & masks) == masks
+    indicators.flags.writeable = False
+    return points, indicators
+
+
+def membership_profile(d: int, edges: Sequence[tuple[int, ...]], rows: np.ndarray) -> SpectralProfile:
+    """Spectral profile of the state of each 0/1 row over ``edges``, one entry per row.
+
+    Rows in ``support_rows`` take ``operators.support_profile``: their truth
+    tables are read only at U, the union of the supports of the edges with at
+    most 2d points each, as t = (rows @ indicators[:, U]) mod 2, with no
+    length-2**d table or FFT.  The others take ``membership_amplitudes`` and
+    ``spectral_profile`` (the rfft route).  Each route reduces each row on its
+    own, so a row's values do not depend on the other rows, the edge list it
+    is written over, or the thread count.  Both routes are refused before
+    either allocates.
+    """
+    rows = np.asarray(rows)
+    dim = dimension(d)
+    small = support_rows(d, edges, rows)
+    count = int(small.sum())
+    weights = _edge_weights(d, edges)
+    # A support row uses only edges of support size <= 2d.  All such edges give
+    # the points, so that every chunk of a sweep shares them (``_dft_rows``).
+    used = np.flatnonzero(weights <= 2 * d)
+    used_edges = [edges[i] for i in used]
+    if count:
+        # The used edges' support sizes add up to at least the number of points.
+        require_bytes(f"support profile of {count} states at d={d}",
+                      support_bytes(count, int(weights[used].sum()), dim))
+    if count < len(rows):
+        require_bytes(f"spectral profile of {len(rows) - count} x 2**{d} amplitudes",
+                      profile_bytes(len(rows) - count, dim))
+    routes = []
+    if count:
+        points, indicators = _support_points(d, tuple(used_edges))
+        t = (rows[small][:, used].astype(np.float64) @ indicators) % 2
+        routes.append((small, support_profile(d, points, t)))
+    if count < len(rows):
+        routes.append((~small, spectral_profile(membership_amplitudes(d, edges, rows[~small]))))
+    if len(routes) == 1:
+        return routes[0][1]
+    merged = SpectralProfile(*(np.empty(len(rows)) for _ in fields(SpectralProfile)))
+    for chosen, profile in routes:
+        for name in (f.name for f in fields(SpectralProfile)):
+            getattr(merged, name)[chosen] = getattr(profile, name)
+    return merged
+
+
 def hypergraph_profile(g: Hypergraph) -> SpectralProfile:
-    """``spectral_profile`` of the state of ``g``, refused before its amplitudes are built."""
-    require_bytes(f"spectral profile at d={g.d}", profile_bytes(1, dimension(g.d)))
-    return spectral_profile(hypergraph_amplitudes([g])[0])
+    """``membership_profile`` of the state of ``g`` over its own edges, as scalars."""
+    profile = membership_profile(g.d, g.edges, np.ones((1, len(g.edges)), dtype=np.uint8))
+    return SpectralProfile(*(getattr(profile, f.name)[0] for f in fields(SpectralProfile)))
 
 
 def emit_circuit(g: Hypergraph) -> CircuitDescription:

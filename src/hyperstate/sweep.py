@@ -16,12 +16,16 @@ summary ranges over the configurations that actually exhibit squeezing
 statement about the squeezed subpopulation; all other metrics (and the
 fallback when nothing is squeezed) use plain extrema over defined values.
 
-Rows are evaluated in fixed-size chunks: one stack of real amplitudes
-(truth tables from one membership-by-indicator product,
-``state.membership_amplitudes``) and one ``spectral_profile`` call, hence
-one batched ``rfft``, per chunk.  Chunk boundaries depend only on record
-index, the truth tables are exact integers, and the profile reduces each
-row on its own, so the thread count never changes a digit.
+Rows are evaluated in fixed-size chunks, one ``state.membership_profile``
+call per chunk.  A row whose support bound (sum over its edges of
+2**(d - |e|)) is at most 2d, which holds for every (d-1)-graph, takes the
+support route: its truth table is read only at the union of its edges'
+supports, and its spectrum comes from exact integer sums, with no
+length-2**d truth table or FFT.  Other rows take the rfft route: one stack
+of real amplitudes (truth tables from one membership-by-indicator product,
+``state.membership_amplitudes``) and one batched ``rfft``.  Chunk boundaries
+depend only on record index, and each route reduces each row on its own,
+so the chunking and the thread count never change a digit.
 """
 
 from __future__ import annotations
@@ -46,9 +50,9 @@ import numpy as np
 from . import __version__
 from .errors import MAX_SWEEP_WORK, SchemaError, dimension, require_bytes, require_sweep_work
 from .hypergraph import Hypergraph, connected_rows
-from .operators import profile_bytes, spectral_profile
+from .operators import profile_bytes
 from .squeezing import number_stats, squeeze_degrees
-from .state import membership_amplitudes
+from .state import membership_profile
 
 METRIC_NAMES = ("s_p", "s_n", "var_p", "var_n", "half_comm", "c_l1_phase", "c_rel_phase")
 SQUEEZE_METRICS = frozenset({"s_p", "s_n"})
@@ -64,7 +68,9 @@ CACHE_ENV_VAR = "HYPERSTATE_CACHE"
 # 2: one spectral profile per state (values moved by about 1e-12).
 # 3: half-spectrum profile from one length-2**d rfft of psi and n psi
 #    (half_comm moved by up to about 6e-12 relative).
-RESULTS_VERSION = 3
+# 4: support route for states with a support bound of at most 2d (every
+#    (d-1)-graph): values moved by up to about 3e-15 relative.
+RESULTS_VERSION = 4
 
 # Rows per spectral-profile call: each row stacks the half spectra of psi
 # and n psi, 2 (2**(d-1) + 1) complex128 values, about 1 MiB per chunk.
@@ -180,7 +186,7 @@ def _evaluate_chunk(
     d: int, edges: Sequence[tuple[int, ...]], texts: Sequence[str], rows: np.ndarray
 ) -> list[SweepRecord]:
     """Records of 0/1 rows over ``edges`` (whose texts are ``texts``), from one profile."""
-    profile = spectral_profile(membership_amplitudes(d, edges, rows))
+    profile = membership_profile(d, edges, rows)
     var_n = number_stats(d)[1]
     records = []
     for row, var_p, half, c_l1, c_rel in zip(

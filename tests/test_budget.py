@@ -43,6 +43,8 @@ ROUTES = {
     "membership_amplitudes": (lambda d: membership_amplitudes(d, [(0, 1)], ONE_ROW), 24),
     "hypergraph_state": (lambda d: hypergraph_state(Hypergraph(d, [(0, 1)])), 24),
     "hypergraph_profile": (lambda d: hypergraph_profile(Hypergraph(d, [(0, 1)])), 23),
+    # The edgeless state takes the support route (support bound 0 <= 2d).
+    "hypergraph_profile support route": (lambda d: hypergraph_profile(Hypergraph(d)), 23),
     # A read-only zero-stride view: no 2**d bytes exist before the route runs.
     "spectral_profile": (lambda d: spectral_profile(np.broadcast_to(0.0, (1 << d,))), 23),
     "simulate_circuit": (lambda d: simulate_circuit(emit_circuit(Hypergraph(d, [(0, 1)]))), 23),

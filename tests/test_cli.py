@@ -80,6 +80,24 @@ def test_agarwal_tara_reports_discrepancies(capsys):
     assert any("mu_5" in note for note in data["paper_discrepancies"])
 
 
+def test_agarwal_tara_evaluates_its_witness_once(capsys, monkeypatch):
+    import hyperstate.cli as cli_mod
+    import hyperstate.reference_tables as ref
+
+    calls = []
+    real = cli_mod.agarwal_tara
+
+    def counted(d, n):
+        calls.append((d, n))
+        return real(d, n)
+
+    monkeypatch.setattr(cli_mod, "agarwal_tara", counted)
+    monkeypatch.setattr(ref, "agarwal_tara", counted)
+    code, out, _ = run_cli(capsys, "agarwal-tara", "--d", "3", "--n", "4", "--format", "json")
+    assert code == 0 and any("mu_5" in note for note in json.loads(out)["paper_discrepancies"])
+    assert calls == [(3, 4)]
+
+
 def test_agarwal_tara_insufficient_dimension(capsys):
     code, _, err = run_cli(capsys, "agarwal-tara", "--d", "2", "--n", "3")
     assert code == 1

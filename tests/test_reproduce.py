@@ -41,6 +41,41 @@ def test_report_sweeps_each_family_once(monkeypatch):
     assert others == [("check_determinism", "dminus1(d=6)")] * 2
 
 
+def test_witnesses_are_evaluated_once_across_c6_to_c8(monkeypatch):
+    calls = Counter()
+    real = reproduce.agarwal_tara
+
+    def counted(d, n):
+        calls[(d, n)] += 1
+        return real(d, n)
+
+    monkeypatch.setattr(reproduce, "agarwal_tara", counted)
+    monkeypatch.setattr(ref, "agarwal_tara", counted)
+    runner = Reproducer()
+    for check in (runner.check_witness_small, runner.check_moment_identities, runner.check_a4_crosscheck):
+        assert check().status == "PASS"
+    assert {pair for n, rows in ref.WITNESS_TABLES.items() for pair in ((d, n) for d in rows)} <= set(calls)
+    assert set(calls.values()) == {1}
+
+
+def test_structure_suite_builds_each_commutator_once(monkeypatch):
+    import hyperstate.operators as operators
+
+    built = Counter()
+    real = operators.number_phase_commutator_dense
+
+    def counted(dim):
+        built[dim] += 1
+        return real(dim)
+
+    monkeypatch.setattr(reproduce, "number_phase_commutator_dense", counted)
+    monkeypatch.setattr(operators, "number_phase_commutator_dense", counted)
+    runner = Reproducer()
+    assert runner.check_structure_suite().status == "PASS"
+    assert runner.check_stated_eigenvalue_bound().status == "FAIL"  # C10b, by design
+    assert built == Counter({4: 1, 8: 1, 16: 1, 64: 1, 256: 1})
+
+
 def _memo_matches_squeeze_report(runner, kind, d, k=None):
     records = runner.sweep(kind, d, k)[0]
     assert len(records) == 1

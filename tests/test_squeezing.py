@@ -14,7 +14,7 @@ from hyperstate.operators import (
     variance,
 )
 from hyperstate.squeezing import HALF_COMM_FLOOR, number_stats, phase_stats, squeeze_report
-from hyperstate.state import hypergraph_state
+from hyperstate.state import hypergraph_profile, hypergraph_state
 
 
 @pytest.mark.parametrize(
@@ -111,7 +111,8 @@ def test_variance_dominates_half_gershgorin_formula():
 
 def test_profile_half_comm_matches_dense_and_fft_oracles():
     # d = 8 against the dense [N, P]; d = 9, 10 against two FFT-applied
-    # operator products; squeeze_report carries the profile value.
+    # operator products.  squeeze_report carries the state's profile, which for
+    # a single full edge is the support route's, held to the same oracle.
     for d in (8, 9, 10):
         g = single_full_edge(d)
         psi = hypergraph_state(g)
@@ -121,7 +122,9 @@ def test_profile_half_comm_matches_dense_and_fft_oracles():
             oracle = abs(number_phase_commutator_expectation(psi)) / 2
         half = float(spectral_profile(psi.real).half_comm)
         assert abs(half - oracle) < 1e-10
-        assert squeeze_report(g).half_comm == half
+        report = squeeze_report(g).half_comm
+        assert abs(report - oracle) < 1e-10
+        assert report == float(hypergraph_profile(g).half_comm)
 
 
 def test_squeeze_report_guard():

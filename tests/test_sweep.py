@@ -170,7 +170,7 @@ def test_sweep_work_guard_refuses_before_enumeration(monkeypatch, kind, d, k):
         raise AssertionError("enumeration started")
 
     monkeypatch.setattr(sweep_mod.itertools, "combinations", boom)
-    for name in ("connected_rows", "membership_amplitudes", "spectral_profile"):
+    for name in ("connected_rows", "membership_profile"):
         monkeypatch.setattr(sweep_mod, name, boom)
     with pytest.raises(GuardError, match="work budget"):
         sweep_family(Family(kind, d, k))

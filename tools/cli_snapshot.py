@@ -65,6 +65,11 @@ CASES.update({
     "guard-refusal": ("state", "--d", "25"),
     "usage-error": ("sweep", "--family", "complete-k", "--d", "4"),
     "usage-error-argparse": ("squeeze", "--edges", "0,1"),
+    # Outputs the support route of the spectral profile computes.
+    "sweep-d3-json": ("sweep", "--family", "dminus1", "--d", "3", "--format", "json"),
+    "squeeze-single-full-d6-json": ("squeeze", "--d", "6", "--edges", "0,1,2,3,4,5", "--format", "json"),
+    "coherence-phase-single-full-d6-json": ("coherence", "--d", "6", "--edges", "0,1,2,3,4,5",
+                                            "--basis", "phase", "--format", "json"),
 })
 
 

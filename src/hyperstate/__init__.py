@@ -13,16 +13,14 @@ from .coherence import CoherenceReport, coherence_report, l1_coherence, rel_entr
 from .errors import GuardError, SchemaError
 from .hypergraph import (
     Hypergraph,
-    boolean_function,
     complete_k_graph,
     is_connected,
-    k_uniform_family,
     parse_hypergraph,
     serialize_hypergraph,
     single_full_edge,
 )
 from .moments import AgarwalTaraResult, agarwal_tara, moment_sequences, w_factor
-from .squeezing import SqueezeReport, number_stats, phase_stats, squeeze_report
+from .squeezing import SqueezeReport, number_stats, squeeze_report
 from .state import CircuitDescription, emit_circuit, hypergraph_state, simulate_circuit
 from .sweep import Family, SweepRecord, SweepSummary, sweep_family
 
@@ -39,18 +37,15 @@ __all__ = [
     "SweepRecord",
     "SweepSummary",
     "agarwal_tara",
-    "boolean_function",
     "coherence_report",
     "complete_k_graph",
     "emit_circuit",
     "hypergraph_state",
     "is_connected",
-    "k_uniform_family",
     "l1_coherence",
     "moment_sequences",
     "number_stats",
     "parse_hypergraph",
-    "phase_stats",
     "rel_entropy_coherence",
     "serialize_hypergraph",
     "simulate_circuit",

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, reproduce as reproduce_mod
 from .coherence import BASES, coherence_report
-from .errors import GuardError, dimension, require_bytes
+from .errors import GuardError, dimension, require_bytes, require_cubic_work
 from .hypergraph import Hypergraph, parse_edges
 from .moments import agarwal_tara, moment_sequences, presentable
 from .operators import (
@@ -212,11 +212,7 @@ def _cmd_operators(args: argparse.Namespace) -> int:
     require_bytes(f"dense operators at d={args.d}", 112 * dimension(args.d) ** 2)
     dim = 1 << args.d
     if args.check_all:
-        rng = np.random.default_rng(7)
-        state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        state /= np.linalg.norm(state)
-        # First, so that its cubic work guard fires before any dense matrix is built.
-        bound = spectral_bound_check(state)
+        require_cubic_work("eigensolver", dim)  # before any dense matrix is built
     phase_op = phase_operator_dense(dim)
     comm = number_phase_commutator_dense(dim)
     report: dict = {
@@ -226,6 +222,10 @@ def _cmd_operators(args: argparse.Namespace) -> int:
         "number_phase_commutator": verify_structure(comm).to_dict(),
     }
     if args.check_all:
+        rng = np.random.default_rng(7)
+        state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        state /= np.linalg.norm(state)
+        bound = spectral_bound_check(state, comm)
         spectral_error, fft_error = phase_operator_agreement(phase_op, [state])
         report["check_all"] = {
             "spectral_sum_max_error": spectral_error,

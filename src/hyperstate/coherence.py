@@ -10,7 +10,7 @@ pure-state von Neumann entropy vanishes).  ``l1_coherence`` and
 coefficients of a hypergraph state have one magnitude, so the values are
 2**d - 1 and d ln 2.  In the phase basis it reads the spectral profile
 (``state.hypergraph_profile``), which equals the general measures applied
-to ``operators.phase_overlaps(psi)``.
+to the state's phase-basis overlaps <theta_m|psi>, its unitary DFT.
 """
 
 from __future__ import annotations

@@ -1,24 +1,22 @@
-"""Hypergraphs, their Boolean functions, family generators, and text form.
+"""Hypergraphs, their generators, connectivity, and text form.
 
 A hypergraph on ``d`` vertices (labelled ``0 .. d-1``) carries a set of
 hyperedges, each a nonempty vertex subset.  Its Boolean function assigns to
 every basis index ``n`` the XOR, over edges, of the AND of the bits of ``n``
-selected by the edge.  Bit convention is MSB-first: vertex ``j`` reads the
-bit of weight ``2**(d-1-j)``, so vertex 0 is the most significant bit.
-A family can also be one candidate edge list plus 0/1 membership rows, one
-row per hypergraph; ``connected_rows`` is ``is_connected`` over such rows.
+selected by the edge; ``state.membership_amplitudes`` evaluates it.  Bit
+convention is MSB-first: vertex ``j`` reads the bit of weight ``2**(d-1-j)``,
+so vertex 0 is the most significant bit.  A family is one candidate edge
+list plus 0/1 membership rows, one row per hypergraph (``sweep.Family``);
+``connected_rows`` is ``is_connected`` over such rows.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
-
-from .errors import require_sweep_work
 
 
 @dataclass(frozen=True)
@@ -60,16 +58,6 @@ def canonical_edges(edges: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ..
 def vertex_mask(d: int, edge: Iterable[int]) -> int:
     """Bits of the edge's vertices in an index on d vertices (MSB-first)."""
     return sum(1 << (d - 1 - v) for v in edge)
-
-
-def boolean_function(g: Hypergraph) -> np.ndarray:
-    """Truth table of ``g``'s Boolean function: uint8 entry n is f(n)."""
-    n = np.arange(g.dim, dtype=np.int64)
-    table = np.zeros(g.dim, dtype=np.uint8)
-    for edge in g.edges:
-        mask = vertex_mask(g.d, edge)
-        table ^= ((n & mask) == mask).astype(np.uint8)
-    return table
 
 
 def is_connected(g: Hypergraph) -> bool:
@@ -124,27 +112,6 @@ def complete_k_graph(d: int, k: int) -> Hypergraph:
     if not 1 <= k <= d:
         raise ValueError(f"k must satisfy 1 <= k <= d, got k={k}, d={d}")
     return Hypergraph(d, tuple(itertools.combinations(range(d), k)))
-
-
-def k_uniform_family(d: int, k: int) -> Iterator[Hypergraph]:
-    """All hypergraphs whose edges are a nonempty set of k-subsets.
-
-    Yields 2**C(d,k) - 1 hypergraphs in ascending order of the edge-subset
-    bitmask, where bit i selects the i-th k-subset in lexicographic order.
-    """
-    if not 1 <= k <= d:
-        raise ValueError(f"k must satisfy 1 <= k <= d, got k={k}, d={d}")
-    n_edges = comb(d, k)
-    require_sweep_work(
-        f"family with C({d},{k}) = {n_edges} candidate edges",
-        ((1 << min(n_edges, 64)) - 1) * n_edges,
-        "configurations x candidate edges",
-    )
-    subsets = list(itertools.combinations(range(d), k))
-    for mask in range(1, 1 << n_edges):
-        yield Hypergraph(
-            d, tuple(subsets[i] for i in range(n_edges) if mask >> i & 1)
-        )
 
 
 def edges_text(g: Hypergraph) -> str:

@@ -18,10 +18,10 @@ turns <[N, P]> into a weighted sum over those bins).  ``support_profile``
 (the support route) takes states psi = |theta_0> - (2 / sqrt(dim)) 1_K with
 few points in K: their spectra are exact integer sums over a DFT table at
 K, and <[N, P]> comes from closed forms of the Pegg–Barnett kernel on K;
-the rfft route is its test oracle.  Dense matrices and the complex-state
-FFT helpers (``phase_overlaps``, ``apply_phase_operator``,
-``number_phase_commutator_expectation``) serve general states, structure
-and spectral checks, and act as the profiles' test oracles.
+the rfft route is its test oracle.  Dense matrices and
+``apply_phase_operator``, the FFT application of P to any complex state,
+serve the structure and spectral checks; the tests also hold the profiles
+against them.
 """
 
 from __future__ import annotations
@@ -75,20 +75,6 @@ def momentum(dim: int) -> np.ndarray:
     return (a - a.conj().T) / (1j * np.sqrt(2.0))
 
 
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """AB - BA."""
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"incompatible shapes {a.shape} and {b.shape}")
-    return a @ b - b @ a
-
-
-def expectation(op: np.ndarray, psi: np.ndarray) -> complex:
-    """<psi| op |psi> for a normalized state."""
-    if op.shape != (len(psi), len(psi)):
-        raise ValueError(f"operator shape {op.shape} does not match state length {len(psi)}")
-    return complex(np.vdot(psi, op @ psi))
-
-
 def variance(op: np.ndarray, psi: np.ndarray) -> float:
     """<op**2> - <op>**2; real for Hermitian op on a normalized state."""
     if op.shape != (len(psi), len(psi)):
@@ -112,17 +98,6 @@ def phase_state(dim: int, m: int) -> np.ndarray:
         raise ValueError(f"phase index m={m} out of range for dim={dim}")
     n = np.arange(dim)
     return np.exp(2j * np.pi * m * n / dim) / np.sqrt(float(dim))
-
-
-def phase_overlaps(psi: np.ndarray) -> np.ndarray:
-    """Overlaps <theta_m|psi> for all m, via the discrete Fourier transform.
-
-    Costs O(dim log dim); the squared magnitudes sum to 1 for a normalized
-    state (the phase basis is orthonormal and complete).
-    """
-    dim = len(psi)
-    _require_power_of_two(dim)
-    return np.fft.fft(psi) / np.sqrt(float(dim))
 
 
 def apply_phase_operator(psi: np.ndarray) -> np.ndarray:
@@ -402,20 +377,6 @@ def number_phase_commutator_dense(dim: int) -> np.ndarray:
     require_bytes(f"dense [N, P] at dim={dim}", 40 * dim * dim)
     k = np.arange(dim)
     return (k[:, None] - k[None, :]) * phase_operator_dense(dim)
-
-
-def number_phase_commutator_expectation(psi: np.ndarray) -> complex:
-    """<psi|[N, P]|psi> evaluated with two FFT-based operator applications.
-
-    Purely imaginary (both operators Hermitian); works at any power-of-two
-    dimension without materializing the dense commutator.
-    """
-    dim = len(psi)
-    _require_power_of_two(dim)
-    n = np.arange(dim)
-    n_then_p = np.vdot(psi, n * apply_phase_operator(psi))
-    p_then_n = np.vdot(psi, apply_phase_operator(n * psi))
-    return complex(n_then_p - p_then_n)
 
 
 def gershgorin_bound(dim: int) -> float:

@@ -22,7 +22,6 @@ from .hypergraph import (
     canonical_edges,
     complete_k_graph,
     edges_text,
-    k_uniform_family,
     parse_edges,
     single_full_edge,
 )
@@ -80,21 +79,24 @@ def _result(key: str, name: str, failures: list[str], detail: str, notes: list[s
     return CheckResult(key, name, "PASS", detail, tuple(notes))
 
 
+def _dminus1_edge_count(text: str, d: int) -> int | None:
+    """Number of edges of ``text`` when each is a (d-1)-subset of the d vertices, else None."""
+    edges = canonical_edges(parse_edges(text))
+    if all(len(e) == d - 1 and set(e) <= set(range(d)) for e in edges):
+        return len(edges)
+    return None
+
+
 def _matches_up_to_relabeling(expected: str, candidates: tuple[str, ...], d: int) -> bool:
-    """Does some candidate edge set equal ``expected`` after relabeling?"""
-    if expected in candidates:
-        return True
-    expected_edges = canonical_edges(parse_edges(expected))
-    candidate_sets = {canonical_edges(parse_edges(c)) for c in candidates}
-    if d <= 8:
-        for perm in itertools.permutations(range(d)):
-            mapped = canonical_edges(tuple(tuple(perm[v] for v in e) for e in expected_edges))
-            if mapped in candidate_sets:
-                return True
-        return False
-    # (d-1)-uniform edge sets are relabeling-equivalent iff they have the
-    # same edge count (each edge is the complement of one vertex).
-    return any(len(c) == len(expected_edges) for c in candidate_sets)
+    """Does some candidate edge set equal the (d-1)-uniform ``expected`` after relabeling?
+
+    Each edge of a (d-1)-uniform set leaves out one vertex, and a relabeling can
+    send any set of left-out vertices to any other of the same size, so two such
+    sets are relabelings of each other exactly when they have the same number of
+    edges.  A set that is not (d-1)-uniform matches nothing.
+    """
+    count = _dminus1_edge_count(expected, d)
+    return count is not None and any(_dminus1_edge_count(c, d) == count for c in candidates)
 
 
 @dataclass
@@ -410,10 +412,10 @@ class Reproducer:
         states: list[Hypergraph] = []
         for d in (2, 3, 4):
             for k in range(1, d + 1):
-                states.extend(k_uniform_family(d, k))
+                states.extend(Family("k-uniform", d, k).configurations())
         for d in (5, 6):
             states.append(single_full_edge(d))
-            states.extend(itertools.islice(k_uniform_family(d, d - 1), 5))
+            states.extend(itertools.islice(Family("dminus1", d).configurations(), 5))
         for g in states:
             psi = hypergraph_state(g)
             for k in (1, 2):

@@ -5,18 +5,14 @@ h = |<[N, P]>| / 2 is (Var A - h) / h; negative values signal squeezing.
 Number statistics admit closed forms independent of the hypergraph:
 mean (2**d - 1)/2 and variance (2**d - 1)(2**d + 1)/12.  The phase
 statistics and h of a hypergraph state come from its spectral profile
-(``state.hypergraph_profile``); ``phase_stats`` evaluates the phase
-moments of any complex state directly from its phase-basis overlaps.
+(``state.hypergraph_profile``).
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from .hypergraph import Hypergraph, edges_text
-from .operators import phase_angles, phase_overlaps
 from .state import hypergraph_profile
 
 # Below this the commutator expectation counts as vanishing and squeezing
@@ -30,15 +26,6 @@ def number_stats(d: int) -> tuple[float, float]:
         raise ValueError(f"need d >= 1, got {d}")
     dim = 1 << d
     return (dim - 1) / 2.0, (dim - 1) * (dim + 1) / 12.0
-
-
-def phase_stats(psi: np.ndarray) -> tuple[float, float]:
-    """(mean, variance) of the phase operator from |<theta_m|psi>|**2."""
-    theta = phase_angles(len(psi))
-    prob = np.abs(phase_overlaps(psi)) ** 2
-    mean = float(np.sum(theta * prob))
-    second = float(np.sum(theta**2 * prob))
-    return mean, second - mean**2
 
 
 def squeeze_degrees(var_n: float, var_p: float, half: float) -> tuple[float | None, float | None]:

@@ -58,11 +58,11 @@ class CircuitDescription:
 def membership_amplitudes(d: int, edges: Sequence[tuple[int, ...]], rows: np.ndarray) -> np.ndarray:
     """Real amplitudes (-1)**f(n) / sqrt(2**d), one per 0/1 row over ``edges``.
 
-    Row r selects hypergraph r's edges; f(n) counts, mod 2, those whose
-    vertex bits are all set in n (``hypergraph.boolean_function``), so the
-    truth tables are one product: rows @ (edge-by-n indicators), mod 2.  The
-    float32 product is exact: the byte budget admits no d beyond 24, and
-    d <= 24 allows fewer than 2**24 distinct edges.
+    Row r selects hypergraph r's edges; its Boolean function f(n) counts,
+    mod 2, those whose vertex bits are all set in n, so the truth tables are
+    one product: rows @ (edge-by-n indicators), mod 2.  The float32 product
+    is exact: the byte budget admits no d beyond 24, and d <= 24 allows
+    fewer than 2**24 distinct edges.
     """
     step = max(1, _INDICATOR_BYTES >> (d + 2))  # edges per block of float32 rows
     # The int64 index n, per row the float32 counts, int32 parity, its double and
@@ -81,20 +81,10 @@ def membership_amplitudes(d: int, edges: Sequence[tuple[int, ...]], rows: np.nda
     return (1 - 2 * odd) / np.sqrt(float(1 << d))
 
 
-def hypergraph_amplitudes(graphs: Sequence[Hypergraph]) -> np.ndarray:
-    """``membership_amplitudes`` of hypergraphs on one d, each row over its own edges."""
-    d = graphs[0].d
-    if any(g.d != d for g in graphs):
-        raise ValueError("hypergraphs in one batch must share the vertex count")
-    edges = [e for g in graphs for e in g.edges]
-    rows = np.repeat(np.eye(len(graphs)), [len(g.edges) for g in graphs], axis=1)
-    return membership_amplitudes(d, edges, rows)
-
-
 def hypergraph_state(g: Hypergraph) -> np.ndarray:
     """State vector of ``g``: amplitudes (-1)**f(n) / sqrt(2**d)."""
     # membership_amplitudes' guard covers the float64 and complex128 copies (24 bytes).
-    return hypergraph_amplitudes([g])[0].astype(np.complex128)
+    return membership_amplitudes(g.d, g.edges, np.ones((1, len(g.edges))))[0].astype(np.complex128)
 
 
 def _edge_weights(d: int, edges: Sequence[tuple[int, ...]]) -> np.ndarray:

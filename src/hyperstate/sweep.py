@@ -59,7 +59,7 @@ SQUEEZE_METRICS = frozenset({"s_p", "s_n"})
 
 CSV_HEADER = ("d", "edges") + METRIC_NAMES
 
-FAMILY_KINDS = ("dminus1", "complete-k", "single-full")
+FAMILY_KINDS = ("dminus1", "k-uniform", "complete-k", "single-full")
 
 CACHE_ENV_VAR = "HYPERSTATE_CACHE"
 
@@ -82,8 +82,9 @@ class Family:
     """A named hypergraph family: candidate edges plus 0/1 membership rows.
 
     ``edges`` are the (d-1)-, k- or d-subsets in lexicographic order.  dminus1
-    rows are the bits of masks 1 .. 2**C(d,d-1) - 1 (bit i selects edge i);
-    the other kinds have one all-ones row.
+    and k-uniform rows are the bits of masks 1 .. 2**len(edges) - 1 in
+    ascending order (bit i selects edge i), so dminus1 is k-uniform with
+    k = d - 1; complete-k and single-full have one all-ones row.
     """
 
     kind: str
@@ -98,13 +99,14 @@ class Family:
         least_d = 2 if self.kind == "dminus1" else 1
         if self.d < least_d:
             raise ValueError(f"{self.kind} family needs d >= {least_d}, got d={self.d}")
-        if self.kind == "complete-k" and not 1 <= (self.k or 0) <= self.d:
-            raise ValueError(f"complete-k family needs 1 <= k <= d, got k={self.k}, d={self.d}")
-        size = {"dminus1": self.d - 1, "complete-k": self.k}.get(self.kind, self.d)
+        if self.kind in ("complete-k", "k-uniform") and not 1 <= (self.k or 0) <= self.d:
+            raise ValueError(f"{self.kind} family needs 1 <= k <= d, got k={self.k}, d={self.d}")
+        size = {"dminus1": self.d - 1, "complete-k": self.k, "k-uniform": self.k}.get(self.kind, self.d)
+        every_mask = self.kind in ("dminus1", "k-uniform")
         # 2**d alone exceeds the budget from this d on; below it the count is exact.
         small = self.d < MAX_SWEEP_WORK.bit_length()
         n_edges = comb(self.d, size) if small else 0
-        configurations = (1 << n_edges) - 1 if self.kind == "dminus1" and small else 1
+        configurations = (1 << min(n_edges, 64)) - 1 if every_mask and small else 1
         require_sweep_work(
             f"sweep of {self.descriptor}",
             configurations * dimension(self.d) * (n_edges + self.d),
@@ -112,7 +114,7 @@ class Family:
         )
         edges = tuple(itertools.combinations(range(self.d), size))
         rows = np.ones((1, n_edges), dtype=np.uint8)
-        if self.kind == "dminus1":
+        if every_mask:
             rows = (np.arange(1, 1 << n_edges)[:, None] >> np.arange(n_edges) & 1).astype(np.uint8)
         rows.flags.writeable = False
         object.__setattr__(self, "edges", edges)
@@ -120,8 +122,8 @@ class Family:
 
     @property
     def descriptor(self) -> str:
-        if self.kind == "complete-k":
-            return f"complete-k(d={self.d},k={self.k})"
+        if self.kind in ("complete-k", "k-uniform"):
+            return f"{self.kind}(d={self.d},k={self.k})"
         return f"{self.kind}(d={self.d})"
 
     @property

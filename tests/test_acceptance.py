@@ -33,6 +33,7 @@ from hyperstate.state import hypergraph_state
 from hyperstate.sweep import dminus1_family, render_results, sweep_family, write_results
 
 from conftest import EXAMPLE_EDGES
+from oracles import k_uniform_hypergraphs
 
 EXAMPLE_SIGNS = (1, 1, 1, 1, 1, 1, 1, -1, 1, -1, 1, 1, 1, -1, 1, -1)
 
@@ -247,11 +248,9 @@ def test_c10b_eigenvalues_within_stated_gershgorin_formula():
 
 
 def test_c11_quadrature_nullity(reproducer):
-    from hyperstate.hypergraph import k_uniform_family
-
     states = [single_full_edge(d) for d in range(2, 7)]
     for d, k in ((3, 2), (4, 3), (5, 4), (6, 5)):
-        states.extend(list(k_uniform_family(d, k))[:10])
+        states.extend(list(k_uniform_hypergraphs(d, k))[:10])
     for g in states:
         psi = hypergraph_state(g)
         assert abs(quadrature_commutator_expectation(psi, 1)) < 1e-10, g

@@ -161,6 +161,30 @@ def test_operators_check_all(capsys):
     assert report["check_all"]["eigenvalues_within_stated_formula"] is False
 
 
+@pytest.mark.parametrize("d, check_all, exit_code, builds", [
+    ("8", False, 0, [256]),
+    ("8", True, 0, [256]),
+    ("9", True, 2, []),  # the eigensolver guard refuses before any dense build
+])
+def test_operators_builds_the_commutator_once(capsys, monkeypatch, d, check_all, exit_code, builds):
+    import hyperstate.cli as cli_mod
+    import hyperstate.operators as operators
+
+    built = []
+    real = operators.number_phase_commutator_dense
+
+    def counted(dim):
+        built.append(dim)
+        return real(dim)
+
+    monkeypatch.setattr(cli_mod, "number_phase_commutator_dense", counted)
+    monkeypatch.setattr(operators, "number_phase_commutator_dense", counted)
+    argv = ("operators", "--d", d) + (("--check-all",) if check_all else ())
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == exit_code
+    assert built == builds
+
+
 def test_sweep_to_file(capsys, tmp_path):
     out_path = tmp_path / "sweep.csv"
     code, out, _ = run_cli(capsys, "sweep", "--family", "dminus1", "--d", "4",

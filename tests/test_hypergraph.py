@@ -8,18 +8,18 @@ import pytest
 from hyperstate.errors import GuardError
 from hyperstate.hypergraph import (
     Hypergraph,
-    boolean_function,
     complete_k_graph,
     connected_rows,
     edges_text,
     is_connected,
-    k_uniform_family,
     parse_hypergraph,
     serialize_hypergraph,
     single_full_edge,
 )
+from hyperstate.sweep import Family
 
 from conftest import EXAMPLE_EDGES, random_hypergraph
+from oracles import boolean_function, k_uniform_hypergraphs
 
 
 # Hypergraph type
@@ -148,7 +148,7 @@ def test_connected_rows_match_is_connected_on_every_k_uniform_subset(d, k):
     edges = tuple(itertools.combinations(range(d), k))
     masks = np.arange(1, 1 << len(edges))
     rows = (masks[:, None] >> np.arange(len(edges))) & 1
-    expected = [is_connected(g) for g in k_uniform_family(d, k)]
+    expected = [is_connected(g) for g in k_uniform_hypergraphs(d, k)]
     assert connected_rows(d, edges, rows).tolist() == expected
 
 
@@ -174,16 +174,16 @@ def test_complete_k_graph_range_errors():
 
 
 def test_k_uniform_family_counts_and_order():
-    family = list(k_uniform_family(5, 4))
+    family = list(Family("k-uniform", 5, 4).configurations())
     assert len(family) == 31
     assert family[0].edges == ((0, 1, 2, 3),)
     assert len(set(family)) == 31
-    assert len(list(k_uniform_family(4, 3))) == 15
+    assert len(list(Family("k-uniform", 4, 3).configurations())) == 15
 
 
 def test_k_uniform_family_guard():
     with pytest.raises(GuardError):
-        list(k_uniform_family(8, 4))  # C(8,4) = 70 candidate edges
+        list(Family("k-uniform", 8, 4).configurations())  # C(8,4) = 70 candidate edges
 
 
 # text form
@@ -210,7 +210,7 @@ def test_serialize_example():
 
 
 def test_round_trip_on_families():
-    for g in k_uniform_family(4, 3):
+    for g in k_uniform_hypergraphs(4, 3):
         assert parse_hypergraph(serialize_hypergraph(g)) == g
 
 

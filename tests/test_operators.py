@@ -4,21 +4,17 @@ import numpy as np
 import pytest
 
 from hyperstate.errors import GuardError
-from hyperstate.hypergraph import Hypergraph, k_uniform_family, single_full_edge
+from hyperstate.hypergraph import Hypergraph, single_full_edge
 from hyperstate.operators import (
     annihilation,
     apply_phase_operator,
-    commutator,
     creation,
-    expectation,
     gershgorin_bound,
     momentum,
     number_operator,
     number_phase_commutator_dense,
-    number_phase_commutator_expectation,
     phase_angles,
     phase_operator_dense,
-    phase_overlaps,
     phase_state,
     position,
     quadrature_commutator_expectation,
@@ -29,6 +25,13 @@ from hyperstate.operators import (
 from hyperstate.state import hypergraph_state
 
 from conftest import EXAMPLE_EDGES
+from oracles import (
+    commutator,
+    expectation,
+    k_uniform_hypergraphs,
+    number_phase_commutator_expectation,
+    phase_overlaps,
+)
 
 
 # ladder operators
@@ -322,7 +325,7 @@ def test_spectral_bound_check_guard():
 
 
 def test_quadrature_commutator_vanishes_k1_k2():
-    for g in list(k_uniform_family(3, 2)) + [single_full_edge(4), Hypergraph(4, EXAMPLE_EDGES)]:
+    for g in list(k_uniform_hypergraphs(3, 2)) + [single_full_edge(4), Hypergraph(4, EXAMPLE_EDGES)]:
         psi = hypergraph_state(g)
         assert abs(quadrature_commutator_expectation(psi, 1)) < 1e-10
         assert abs(quadrature_commutator_expectation(psi, 2)) < 1e-10

@@ -16,14 +16,10 @@ from hypothesis import strategies as st
 
 from hyperstate.coherence import l1_coherence, rel_entropy_coherence
 from hyperstate.hypergraph import Hypergraph, single_full_edge
-from hyperstate.operators import (
-    number_phase_commutator_dense,
-    number_phase_commutator_expectation,
-    phase_overlaps,
-    spectral_profile,
-)
-from hyperstate.squeezing import phase_stats
-from hyperstate.state import hypergraph_amplitudes, hypergraph_state
+from hyperstate.operators import number_phase_commutator_dense, spectral_profile
+from hyperstate.state import hypergraph_state
+
+from oracles import hypergraph_amplitudes, number_phase_commutator_expectation, phase_overlaps, phase_stats
 
 FIELDS = ("mean_p", "var_p", "half_comm", "c_l1_phase", "c_rel_phase")
 TOL = 1e-10

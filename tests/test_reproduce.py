@@ -7,9 +7,12 @@ import pytest
 
 import hyperstate.reference_tables as ref
 import hyperstate.reproduce as reproduce
-from hyperstate.hypergraph import complete_k_graph, single_full_edge
+from hyperstate.hypergraph import complete_k_graph, edges_text, parse_edges, single_full_edge
 from hyperstate.reproduce import Reproducer
 from hyperstate.squeezing import squeeze_report
+from hyperstate.sweep import Family
+
+from oracles import matches_by_permutation
 
 
 def _caller() -> str:
@@ -120,3 +123,58 @@ def test_c7_fails_on_a_transcribed_table_that_disagrees(monkeypatch):
         "published W_3(d=3) = 19/4, closed form 15/4, m_3/m_2 = 15/4; "
         "published Stirling triangle differs from S(k, j)"
     )
+
+
+PUBLISHED_SET_TABLES = {"DMINUS1_S_P": ref.DMINUS1_S_P, "PHASE_BASIS_ENTROPY": ref.PHASE_BASIS_ENTROPY,
+                        "PHASE_BASIS_L1": ref.PHASE_BASIS_L1}
+
+
+def test_every_published_extremal_set_is_dminus1_uniform():
+    for name, table in PUBLISHED_SET_TABLES.items():
+        for d, (_, max_sets, _, min_sets) in table.items():
+            for text in max_sets + min_sets:
+                edges = parse_edges(text)
+                assert edges and all(len(set(e)) == len(e) == d - 1 and set(e) < set(range(d)) for e in edges), (
+                    name, d, text)
+
+
+def test_relabeling_rule_agrees_with_the_permutation_oracle_on_every_extended_call(monkeypatch):
+    calls = []
+    real = reproduce._matches_up_to_relabeling
+
+    def recorded(expected, candidates, d):
+        answer = real(expected, candidates, d)
+        calls.append((expected, candidates, d, answer))
+        return answer
+
+    monkeypatch.setattr(reproduce, "_matches_up_to_relabeling", recorded)
+    runner = Reproducer(extended=True)
+    runner.check_dminus1_extrema()
+    runner.check_coherence()
+    assert {d for _, _, d, _ in calls} == set(range(4, 13))
+    checked = [(e, c, d, answer) for e, c, d, answer in calls if d <= 8]
+    assert checked
+    for expected, candidates, d, answer in checked:
+        assert answer == matches_by_permutation(expected, candidates, d), (expected, candidates, d)
+
+
+@pytest.mark.parametrize("expected, candidates, d", [
+    ("0,1;1,2", ("0,1;1,2",), 4),              # 2-uniform on d = 4, even as exact text
+    ("0,1;1,2", ("0,1,2;0,1,3",), 4),           # same edge count, other sizes
+    ("0,1,2;0,1,3;2,3", ("0,1,2;0,1,3;0,2,3",), 4),  # one edge too small
+    ("0,1,2;0,1,4", ("0,1,2;0,1,3",), 4),       # vertex 4 is not on d = 4
+    ("0,1,2,3", ("0,1,2,3",), 4),                # the full edge on d = 4
+])
+def test_a_set_that_is_not_dminus1_uniform_never_matches(expected, candidates, d):
+    assert not reproduce._matches_up_to_relabeling(expected, candidates, d)
+
+
+def test_dminus1_uniform_sets_match_exactly_when_their_edge_counts_agree():
+    for d in (3, 4, 5):
+        family = Family("dminus1", d)
+        texts = [edges_text(g) for g in family.configurations()]
+        for expected in texts:
+            for candidate in texts:
+                agree = reproduce._matches_up_to_relabeling(expected, (candidate,), d)
+                assert agree == matches_by_permutation(expected, (candidate,), d)
+                assert agree == (expected.count(";") == candidate.count(";"))

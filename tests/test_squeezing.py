@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 
 from hyperstate.errors import GuardError
-from hyperstate.hypergraph import Hypergraph, k_uniform_family, single_full_edge
+from hyperstate.hypergraph import Hypergraph, single_full_edge
 from hyperstate.operators import (
     number_operator,
     number_phase_commutator_dense,
-    number_phase_commutator_expectation,
     phase_state,
     spectral_profile,
     variance,
 )
-from hyperstate.squeezing import HALF_COMM_FLOOR, number_stats, phase_stats, squeeze_report
+from hyperstate.squeezing import HALF_COMM_FLOOR, number_stats, squeeze_report
 from hyperstate.state import hypergraph_profile, hypergraph_state
+
+from oracles import k_uniform_hypergraphs, number_phase_commutator_expectation, phase_stats
 
 
 @pytest.mark.parametrize(
@@ -94,7 +95,7 @@ def test_squeeze_report_fields(example_hypergraph):
 
 
 def test_s_p_at_least_minus_one():
-    for g in k_uniform_family(4, 3):
+    for g in k_uniform_hypergraphs(4, 3):
         report = squeeze_report(g)
         if report.s_p is not None:
             assert report.s_p >= -1.0

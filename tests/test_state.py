@@ -7,23 +7,17 @@ from hypothesis import strategies as st
 
 import hyperstate.state as state_mod
 from hyperstate.errors import GuardError
-from hyperstate.hypergraph import (
-    Hypergraph,
-    boolean_function,
-    complete_k_graph,
-    k_uniform_family,
-    single_full_edge,
-)
+from hyperstate.hypergraph import Hypergraph, complete_k_graph, single_full_edge
 from hyperstate.state import (
     CircuitDescription,
     circuit_text,
     emit_circuit,
-    hypergraph_amplitudes,
     hypergraph_state,
     simulate_circuit,
 )
 
 from conftest import EXAMPLE_EDGES, random_hypergraph
+from oracles import boolean_function, hypergraph_amplitudes, k_uniform_hypergraphs
 
 EXAMPLE_SIGNS = (1, 1, 1, 1, 1, 1, 1, -1, 1, -1, 1, 1, 1, -1, 1, -1)
 
@@ -57,7 +51,7 @@ def test_state_guard():
 
 def test_injective_from_truth_tables():
     seen = {}
-    for g in k_uniform_family(3, 2):
+    for g in k_uniform_hypergraphs(3, 2):
         key = boolean_function(g).tobytes()
         vec = hypergraph_state(g)
         for other_key, other_vec in seen.items():

@@ -25,14 +25,10 @@ import hyperstate.state as state_mod
 import hyperstate.sweep as sweep_mod
 from hyperstate.hypergraph import Hypergraph
 from hyperstate.operators import spectral_profile, support_profile
-from hyperstate.state import (
-    hypergraph_amplitudes,
-    hypergraph_profile,
-    membership_amplitudes,
-    membership_profile,
-    support_rows,
-)
+from hyperstate.state import hypergraph_profile, membership_amplitudes, membership_profile, support_rows
 from hyperstate.sweep import Family, dminus1_family, sweep_family
+
+from oracles import hypergraph_amplitudes
 
 FIELDS = ("mean_p", "var_p", "half_comm", "c_l1_phase", "c_rel_phase")
 TOL = 1e-13

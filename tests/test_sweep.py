@@ -4,6 +4,7 @@ import errno
 import itertools
 import json
 import os
+from math import comb
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from hyperstate.hypergraph import (
     connected_rows,
     edges_text,
     is_connected,
-    k_uniform_family,
     parse_hypergraph,
     serialize_hypergraph,
 )
@@ -42,11 +42,14 @@ from hyperstate.sweep import (
     write_results,
 )
 
+from oracles import k_uniform_hypergraphs
+
 
 def test_family_descriptors():
     assert dminus1_family(5).descriptor == "dminus1(d=5)"
     assert Family("complete-k", 6, 4).descriptor == "complete-k(d=6,k=4)"
     assert Family("single-full", 7).descriptor == "single-full(d=7)"
+    assert Family("k-uniform", 5, 2).descriptor == "k-uniform(d=5,k=2)"
 
 
 def test_family_validation():
@@ -63,6 +66,9 @@ def test_family_validation():
     ("complete-k", 5, 0, "1 <= k <= d"),
     ("complete-k", 5, 6, "1 <= k <= d"),
     ("single-full", 0, None, "d >= 1"),
+    ("k-uniform", 0, 1, "d >= 1"),
+    ("k-uniform", 5, None, "1 <= k <= d"),
+    ("k-uniform", 5, 6, "1 <= k <= d"),
 ])
 def test_family_states_its_own_range_rule(kind, d, k, rule):
     with pytest.raises(ValueError, match=f"^{kind} family needs {rule}"):
@@ -73,7 +79,25 @@ def test_family_states_its_own_range_rule(kind, d, k, rule):
 def test_dminus1_rows_decode_to_k_uniform_family(d):
     family = dminus1_family(d)
     assert family.edges == tuple(itertools.combinations(range(d), d - 1))
-    assert list(family.configurations()) == list(k_uniform_family(d, d - 1))
+    assert list(family.configurations()) == list(k_uniform_hypergraphs(d, d - 1))
+    k_uniform = Family("k-uniform", d, d - 1)
+    assert (k_uniform.edges, k_uniform.rows.tobytes()) == (family.edges, family.rows.tobytes())
+
+
+@pytest.mark.parametrize("d, k", [(d, k) for d in range(1, 6) for k in range(1, d + 1) if comb(d, k) <= 10])
+def test_k_uniform_rows_decode_to_every_k_subset_mask(d, k):
+    family = Family("k-uniform", d, k)
+    assert family.edges == tuple(itertools.combinations(range(d), k))
+    assert list(family.configurations()) == list(k_uniform_hypergraphs(d, k))
+
+
+@pytest.mark.parametrize("d", range(3, 13))
+def test_dminus1_connected_rows_are_the_rows_with_two_edges_or_more(d):
+    # Each (d-1)-edge leaves out one vertex: one edge misses a vertex, and any
+    # two cover all d vertices and share d - 2 >= 1 of them.
+    family = dminus1_family(d)
+    connected = connected_rows(d, family.edges, family.rows)
+    assert connected.tolist() == (family.rows.sum(axis=1) >= 2).tolist()
 
 
 def _k_uniform_rows():

@@ -8,7 +8,7 @@ pure-state von Neumann entropy vanishes).  ``l1_coherence`` and
 
 ``coherence_report`` builds no state in the number basis: all 2**d
 coefficients of a hypergraph state have one magnitude, so the values are
-2**d - 1 and d ln 2.  In the phase basis it reads the spectral profile
+2**d - 1 (d <= 1023) and d ln 2.  The phase basis reads the spectral profile
 (``state.hypergraph_profile``), which equals the general measures applied
 to the state's phase-basis overlaps <theta_m|psi>, its unitary DFT.
 """
@@ -74,6 +74,8 @@ def coherence_report(g: Hypergraph, basis: str = "number") -> CoherenceReport:
     if basis == "phase":
         profile = hypergraph_profile(g)
         c_l1, c_rel_ent = float(profile.c_l1_phase), float(profile.c_rel_phase)
+    elif g.d > 1023:  # 2**1024 is past float range
+        raise ValueError(f"number-basis l1 coherence 2**d - 1 needs d <= 1023, got d={g.d}")
     else:
         c_l1, c_rel_ent = math.ldexp(1.0, g.d) - 1.0, g.d * math.log(2.0)
     return CoherenceReport(

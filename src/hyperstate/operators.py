@@ -261,7 +261,7 @@ def _im_w(d: int, point: int) -> float:
 def _dft_rows(d: int, points: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """The integer DFT table's cos and -sin rows at ``points``, over m = 0 .. dim/2.
 
-    One block is kept, so a sweep whose chunks share their points gathers them once.
+    One entry is kept, so a sweep whose chunks share their points gathers them once.
     """
     dim = 1 << d
     cos, msin = _support_tables(d)[:2]
@@ -272,26 +272,20 @@ def _dft_rows(d: int, points: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     return rows
 
 
-def _support_step(dim: int) -> int:
-    """Support points per block of DFT rows, so that gathering a block holds at most 16 MiB."""
-    return max(1, (1 << 24) // (40 * (dim // 2 + 1)))
-
-
 def support_bytes(count: int, points: int, dim: int) -> int:
     """Bytes ``support_profile`` holds at its peak for ``count`` states over ``points`` support points."""
     half = dim // 2 + 1
     # The three float64 tables of this d and the kept tables of smaller d
     # (under 48 per index) and, while Im (P n) is summed at one point, its
     # int64 index and two float64 term arrays (24 per index; building the
-    # tables peaks at 40, measured with tracemalloc at d = 16); gathering a
-    # block of DFT rows beside the kept block: the int64 index and two float64
-    # rows of each, 40 per point and bin; per state the spectrum's two
-    # parts, the probabilities and up to five reduction temporaries (64 per
-    # bin); and the half_comm terms of each state's at most 2d points, with
-    # their indices and running sums (64 per pair).
-    block = min(points, _support_step(dim))
+    # tables peaks at 40, measured with tracemalloc at d = 16); gathering the
+    # DFT rows beside the kept rows of the last gather: the int64 index and
+    # two float64 rows of each, 40 per point and bin; per state the
+    # spectrum's two parts, the probabilities and up to five reduction
+    # temporaries (64 per bin); and the half_comm terms of each state's at
+    # most 2d points, with their indices and running sums (64 per pair).
     pairs = min(points, 2 * (dim.bit_length() - 1))
-    return 72 * dim + 40 * block * half + 64 * count * half + 64 * count * pairs * (pairs + 1)
+    return 72 * dim + 40 * points * half + 64 * count * half + 64 * count * pairs * (pairs + 1)
 
 
 def support_profile(d: int, points: Sequence[int], t: np.ndarray) -> SpectralProfile:
@@ -323,13 +317,8 @@ def support_profile(d: int, points: Sequence[int], t: np.ndarray) -> SpectralPro
         raise ValueError(f"a support state has more than 2d = {2 * d} points")
     require_bytes(f"support profile of {count} states over {width} points at d={d}",
                   support_bytes(count, width, dim))
-    # t @ Q one block of points at a time; the partial sums are exact integers.
-    re, im = np.zeros((2, count, dim // 2 + 1))
-    step = _support_step(dim)
-    for start in range(0, width, step):
-        cos, msin = _dft_rows(d, tuple(points[start : start + step]))
-        re += t[:, start : start + step] @ cos
-        im += t[:, start : start + step] @ msin
+    cos, msin = _dft_rows(d, tuple(points))
+    re, im = t @ cos, t @ msin
     scale = -np.ldexp(2.0 / np.sqrt(dim), -_support_scale(d))
     re *= scale
     im *= scale

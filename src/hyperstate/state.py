@@ -22,6 +22,16 @@ from .operators import SpectralProfile, profile_bytes, spectral_profile, support
 # graph with many edges at large d needs no edges-by-2**d matrix at once.
 _INDICATOR_BYTES = 1 << 24
 
+# Largest d of the support route: errors.MAX_SWEEP_WORK admits Family("dminus1", d)
+# up to this d and no family of more than one row past it.  The route exists to
+# batch a sweep's states; one state past this d is faster on the rfft route.
+SUPPORT_MAX_D = 16
+
+# Peak bytes per gate of the ``circuit`` command: the gate tuples and their
+# output text (measured at d = 10**6: 357 with --format json, 217-233 for csv
+# and table).  A sign flip's qubits are the edge tuple the hypergraph holds.
+CIRCUIT_GATE_BYTES = 384
+
 Gate = tuple[str, tuple[int, ...]]
 
 
@@ -94,13 +104,14 @@ def _edge_weights(d: int, edges: Sequence[tuple[int, ...]]) -> np.ndarray:
 
 
 def support_rows(d: int, edges: Sequence[tuple[int, ...]], rows: np.ndarray) -> np.ndarray:
-    """Rows that take the support route: support bound sum_{e in row} 2**(d - |e|) <= 2d.
+    """Rows that take the support route: d <= SUPPORT_MAX_D and support bound
+    sum_{e in row} 2**(d - |e|) <= 2d.
 
     The bound caps |K|, the number of indices with f(n) = 1, and depends only
     on the sizes of the row's edges: every (d-1)-graph, the single full edge
     and the complete k-graphs with k >= d - 1 are in, most other states out.
     """
-    return np.asarray(rows) @ _edge_weights(d, edges) <= 2 * d
+    return (np.asarray(rows) @ _edge_weights(d, edges) <= 2 * d) & (d <= SUPPORT_MAX_D)
 
 
 @lru_cache(maxsize=1)
@@ -176,6 +187,8 @@ def hypergraph_profile(g: Hypergraph) -> SpectralProfile:
 
 def emit_circuit(g: Hypergraph) -> CircuitDescription:
     """Generating circuit: d Hadamards, then one sign flip per edge."""
+    count = g.d + len(g.edges)
+    require_bytes(f"circuit of {count} gates", CIRCUIT_GATE_BYTES * count)
     gates: list[Gate] = [("H", (v,)) for v in range(g.d)]
     gates.extend(("CZ", e) for e in g.edges)
     return CircuitDescription(g.d, tuple(gates))

@@ -17,9 +17,9 @@ statement about the squeezed subpopulation; all other metrics (and the
 fallback when nothing is squeezed) use plain extrema over defined values.
 
 Rows are evaluated in fixed-size chunks, one ``state.membership_profile``
-call per chunk.  A row whose support bound (sum over its edges of
-2**(d - |e|)) is at most 2d, which holds for every (d-1)-graph, takes the
-support route: its truth table is read only at the union of its edges'
+call per chunk.  A row at d <= 16 whose support bound (sum over its edges
+of 2**(d - |e|)) is at most 2d, which holds for every (d-1)-graph, takes
+the support route: its truth table is read only at the union of its edges'
 supports, and its spectrum comes from exact integer sums, with no
 length-2**d truth table or FFT.  Other rows take the rfft route: one stack
 of real amplitudes (truth tables from one membership-by-indicator product,
@@ -70,7 +70,9 @@ CACHE_ENV_VAR = "HYPERSTATE_CACHE"
 #    (half_comm moved by up to about 6e-12 relative).
 # 4: support route for states with a support bound of at most 2d (every
 #    (d-1)-graph): values moved by up to about 3e-15 relative.
-RESULTS_VERSION = 4
+# 5: support route only up to d = 16; support states past it moved back to
+#    their rfft-route values, by about 1e-16 relative.
+RESULTS_VERSION = 5
 
 # Rows per spectral-profile call: each row stacks the half spectra of psi
 # and n psi, 2 (2**(d-1) + 1) complex128 values, about 1 MiB per chunk.
@@ -96,6 +98,8 @@ class Family:
     def __post_init__(self) -> None:
         if self.kind not in FAMILY_KINDS:
             raise ValueError(f"kind must be one of {FAMILY_KINDS}, got {self.kind!r}")
+        if self.k is not None and self.kind in ("dminus1", "single-full"):
+            raise ValueError(f"{self.kind} family needs no k, got k={self.k}")
         least_d = 2 if self.kind == "dminus1" else 1
         if self.d < least_d:
             raise ValueError(f"{self.kind} family needs d >= {least_d}, got d={self.d}")

@@ -21,8 +21,14 @@ import hyperstate.errors as errors
 from hyperstate import cli
 from hyperstate.errors import GuardError
 from hyperstate.hypergraph import Hypergraph
-from hyperstate.operators import number_phase_commutator_dense, phase_operator_dense, spectral_profile
+from hyperstate.operators import (
+    number_phase_commutator_dense,
+    phase_operator_dense,
+    spectral_profile,
+    support_profile,
+)
 from hyperstate.state import (
+    CIRCUIT_GATE_BYTES,
     emit_circuit,
     hypergraph_profile,
     hypergraph_state,
@@ -43,8 +49,9 @@ ROUTES = {
     "membership_amplitudes": (lambda d: membership_amplitudes(d, [(0, 1)], ONE_ROW), 24),
     "hypergraph_state": (lambda d: hypergraph_state(Hypergraph(d, [(0, 1)])), 24),
     "hypergraph_profile": (lambda d: hypergraph_profile(Hypergraph(d, [(0, 1)])), 23),
-    # The edgeless state takes the support route (support bound 0 <= 2d).
-    "hypergraph_profile support route": (lambda d: hypergraph_profile(Hypergraph(d)), 23),
+    # The support route's own guard, on the edgeless state; hypergraph_profile
+    # sends no state past d = 16 to it.
+    "support_profile": (lambda d: support_profile(d, [], ONE_ROW[:, :0]), 23),
     # A read-only zero-stride view: no 2**d bytes exist before the route runs.
     "spectral_profile": (lambda d: spectral_profile(np.broadcast_to(0.0, (1 << d,))), 23),
     "simulate_circuit": (lambda d: simulate_circuit(emit_circuit(Hypergraph(d, [(0, 1)]))), 23),
@@ -54,7 +61,11 @@ ROUTES = {
     "sweep_family single-full": (lambda d: sweep_family(Family("single-full", d)), 23),
 }
 # Beyond dim 256 its eigensolve is refused first, by the cubic work budget.
-GUARDED = {**ROUTES, "_cmd_operators --check-all": (lambda d: _operators(d, check_all=True), None)}
+GUARDED = {
+    **ROUTES,
+    "_cmd_operators --check-all": (lambda d: _operators(d, check_all=True), None),
+    "emit_circuit": (lambda d: emit_circuit(Hypergraph(d, [(0, 1)])), None),
+}
 
 
 class Allocated(Exception):
@@ -90,6 +101,16 @@ def test_budget_admits_the_documented_sizes(no_allocation, name):
         route(largest + 1)
 
 
+def test_circuit_budget_counts_gates(monkeypatch):
+    largest = errors.MAX_BYTES // CIRCUIT_GATE_BYTES
+    with pytest.raises(GuardError, match=f"circuit of {largest + 1} gates"):
+        emit_circuit(Hypergraph(largest + 1))
+    monkeypatch.setattr(errors, "MAX_BYTES", 10 * CIRCUIT_GATE_BYTES)
+    assert len(emit_circuit(Hypergraph(9, [(0, 1)])).gates) == 10
+    with pytest.raises(GuardError, match="circuit of 11 gates"):
+        emit_circuit(Hypergraph(10, [(0, 1)]))
+
+
 def test_absurd_d_is_refused_without_a_huge_integer():
     with pytest.raises(GuardError, match="more than 2\\*\\*64 bytes"):
         hypergraph_state(Hypergraph(10**12))
@@ -122,6 +143,7 @@ def _peak(argv):
     (["operators", "--d", "11"], ["operators", "--d", "12"]),
     (["operators", "--d", "8", "--check-all"], ["operators", "--d", "12", "--check-all"]),
     (["simulate", "23"], ["simulate", "24"]),
+    (["circuit", "--d", "2796202", "--format", "json"], ["circuit", "--d", "2796203", "--format", "json"]),
 ], ids=lambda argv: " ".join(argv))
 def test_largest_admitted_input_stays_within_the_budget(largest, next_up):
     def command(argv):

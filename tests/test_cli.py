@@ -139,6 +139,14 @@ def test_agarwal_tara_rejects_nonpositive_d(capsys):
     assert err == "error: need d >= 1, got -1\n"
 
 
+def test_coherence_number_basis_names_its_float_limit(capsys):
+    code, out, _ = run_cli(capsys, "coherence", "--d", "1023", "--format", "json")
+    assert code == 0 and json.loads(out)["c_l1"] == 2.0**1023
+    code, out, err = run_cli(capsys, "coherence", "--d", "1024")
+    assert (code, out) == (1, "")
+    assert err == "error: number-basis l1 coherence 2**d - 1 needs d <= 1023, got d=1024\n"
+
+
 def test_coherence_json(capsys):
     code, out, _ = run_cli(capsys, "coherence", "--d", "4", "--edges", EXAMPLE_EDGES_FLAG,
                            "--basis", "number", "--format", "json")
@@ -244,6 +252,12 @@ def test_sweep_rejects_family_out_of_range(capsys, argv):
     assert err.startswith(f"error: {argv[0]} family needs") and err.count("\n") == 1
     if argv[0] != "complete-k":
         assert "k=" not in err
+
+
+@pytest.mark.parametrize("family", ["dminus1", "single-full"])
+def test_sweep_rejects_a_k_its_family_does_not_use(capsys, family):
+    code, out, err = run_cli(capsys, "sweep", "--family", family, "--d", "4", "--k", "2")
+    assert (code, out, err) == (1, "", f"error: {family} family needs no k, got k=2\n")
 
 
 @pytest.mark.parametrize("d", ["17", "30"])

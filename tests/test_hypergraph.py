@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperstate.errors import GuardError
 from hyperstate.hypergraph import (
@@ -212,6 +214,26 @@ def test_serialize_example():
 def test_round_trip_on_families():
     for g in k_uniform_hypergraphs(4, 3):
         assert parse_hypergraph(serialize_hypergraph(g)) == g
+
+
+@st.composite
+def _raw_edge_lists(draw):
+    """(d, edges) with vertices in any order, repeated vertices and repeated edges."""
+    d = draw(st.integers(1, 8))
+    edges = draw(st.lists(st.lists(st.integers(0, d - 1), min_size=1, max_size=2 * d), max_size=8))
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=3))
+    return d, draw(st.permutations(edges))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_raw_edge_lists())
+def test_round_trip_on_random_edge_lists(raw):
+    d, edges = raw
+    g = Hypergraph(d, edges)
+    assert parse_hypergraph(serialize_hypergraph(g)) == g
+    text = ";".join(",".join(map(str, edge)) for edge in edges)
+    assert parse_hypergraph(f"d={d}; edges={text}") == g
 
 
 def test_round_trip_canonicalizes():

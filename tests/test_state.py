@@ -13,6 +13,7 @@ from hyperstate.state import (
     circuit_text,
     emit_circuit,
     hypergraph_state,
+    membership_amplitudes,
     simulate_circuit,
 )
 
@@ -42,6 +43,27 @@ def test_unit_norm():
     for _ in range(20):
         g = random_hypergraph(rng, int(rng.integers(1, 7)))
         assert abs(np.linalg.norm(hypergraph_state(g)) - 1.0) < 1e-12
+
+
+@st.composite
+def _edge_rows(draw):
+    """(d, edges, rows): edges are vertex sets, possibly repeated; rows are 0/1 over them."""
+    d = draw(st.integers(1, 8))
+    edge = st.sets(st.integers(0, d - 1), min_size=1).map(lambda vs: tuple(sorted(vs)))
+    edges = draw(st.lists(edge, max_size=8))
+    shape = (draw(st.integers(1, 4)), len(edges))
+    bits = draw(st.lists(st.integers(0, 1), min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
+    return d, edges, np.array(bits, dtype=np.uint8).reshape(shape)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_edge_rows())
+def test_membership_amplitudes_rows_have_unit_norm(case):
+    d, edges, rows = case
+    amplitudes = membership_amplitudes(d, edges, rows)
+    assert amplitudes.shape == (len(rows), 1 << d)
+    assert np.all(np.abs(amplitudes) == 1.0 / np.sqrt(float(1 << d)))
+    assert np.all(np.abs(np.linalg.norm(amplitudes, axis=1) - 1.0) < 1e-12)
 
 
 def test_state_guard():

@@ -21,8 +21,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hyperstate
+import hyperstate.operators as operators_mod
 import hyperstate.state as state_mod
 import hyperstate.sweep as sweep_mod
+from hyperstate.errors import GuardError
 from hyperstate.hypergraph import Hypergraph
 from hyperstate.operators import spectral_profile, support_profile
 from hyperstate.state import hypergraph_profile, membership_amplitudes, membership_profile, support_rows
@@ -109,6 +111,29 @@ def test_route_follows_edge_sizes(monkeypatch):
     assert calls == []
     sweep_family(Family("complete-k", 6, 4))
     assert calls == [1]
+
+
+def test_support_route_ends_where_dminus1_sweeps_end():
+    largest = state_mod.SUPPORT_MAX_D
+    assert len(Family("dminus1", largest).rows) > 1
+    with pytest.raises(GuardError, match="work budget"):
+        Family("dminus1", largest + 1)
+    for d, routed in ((largest, True), (largest + 1, False)):
+        family = Family("single-full", d)
+        assert support_rows(d, family.edges, family.rows).tolist() == [routed]
+
+
+def test_support_points_of_a_sweep_are_gathered_once():
+    family = dminus1_family(16)
+    points, indicators = state_mod._support_points(16, family.edges)
+    assert len(points) == 17
+    t = (family.rows[[0, 2, -1]].astype(np.float64) @ indicators) % 2
+    operators_mod._dft_rows.cache_clear()
+    first = support_profile(16, points, t)
+    second = support_profile(16, points, t)
+    assert operators_mod._dft_rows.cache_info().misses == 1
+    for name in FIELDS:
+        assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
 
 
 def test_support_profile_rejects_bad_input():

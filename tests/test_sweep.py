@@ -66,6 +66,8 @@ def test_family_validation():
     ("complete-k", 5, 0, "1 <= k <= d"),
     ("complete-k", 5, 6, "1 <= k <= d"),
     ("single-full", 0, None, "d >= 1"),
+    ("dminus1", 4, 2, "no k, got k=2"),
+    ("single-full", 4, 4, "no k, got k=4"),
     ("k-uniform", 0, 1, "d >= 1"),
     ("k-uniform", 5, None, "1 <= k <= d"),
     ("k-uniform", 5, 6, "1 <= k <= d"),

@@ -22,7 +22,7 @@ from .hypergraph import (
 from .moments import AgarwalTaraResult, agarwal_tara, moment_sequences, w_factor
 from .squeezing import SqueezeReport, number_stats, squeeze_report
 from .state import CircuitDescription, emit_circuit, hypergraph_state, simulate_circuit
-from .sweep import Family, SweepRecord, SweepSummary, sweep_family
+from .sweep import Family, SweepRecord, SweepResults, SweepSummary, sweep_family
 
 __all__ = [
     "__version__",
@@ -35,6 +35,7 @@ __all__ = [
     "SchemaError",
     "SqueezeReport",
     "SweepRecord",
+    "SweepResults",
     "SweepSummary",
     "agarwal_tara",
     "coherence_report",

@@ -35,14 +35,15 @@ from .operators import (
 )
 from .reference_tables import witness_discrepancies
 from .squeezing import squeeze_report
-from .state import circuit_text, emit_circuit, hypergraph_state
+from .state import CircuitDescription, emit_circuit, hypergraph_state
 from .sweep import (
     METRIC_NAMES,
     Family,
+    SweepResults,
+    SweepSummary,
     cached_sweep,
     csv_text,
-    records_payload,
-    render_results,
+    render_blocks,
     resolve_cache_dir,
     write_results,
     write_text,
@@ -50,7 +51,8 @@ from .sweep import (
 
 SQUEEZE_FIELDS = ("d", "edges", "mean_n", "var_n", "mean_p", "var_p", "half_comm", "s_n", "s_p")
 COHERENCE_FIELDS = ("d", "edges", "basis", "c_l1", "c_rel_ent")
-# Amplitudes per block of ``state`` output; its text for all 2**d is never held.
+# Amplitudes (gates) per block of ``state`` (``circuit``) output; the text of
+# the whole output is never held.
 STATE_BLOCK = 1 << 16
 
 
@@ -189,18 +191,23 @@ def _cmd_state(args: argparse.Namespace) -> int:
     return 0
 
 
+def _circuit_text(circ: CircuitDescription, fmt: str) -> Iterator[str]:
+    """``circuit`` output, one block of STATE_BLOCK gates at a time."""
+    yield {"json": f'{{"d": {circ.d}, "gates": [', "csv": "gate,qubits\n"}.get(fmt, "")
+    for start in range(0, len(circ.gates), STATE_BLOCK):
+        block = circ.gates[start : start + STATE_BLOCK]
+        if fmt == "json":
+            yield ("" if start == 0 else ", ") + ", ".join(
+                f'["{kind}", [{", ".join(map(str, qs))}]]' for kind, qs in block)
+        elif fmt == "csv":
+            yield "".join(f"{kind},{' '.join(map(str, qs))}\n" for kind, qs in block)
+        else:
+            yield "".join(f"{kind} {' '.join(map(str, qs))}\n" for kind, qs in block)
+    yield "]}\n" if fmt == "json" else ""
+
+
 def _cmd_circuit(args: argparse.Namespace) -> int:
-    circ = emit_circuit(_hypergraph(args))
-    if args.format == "json":
-        payload = json.dumps(
-            {"d": circ.d, "gates": [[kind, list(qs)] for kind, qs in circ.gates]}
-        ) + "\n"
-    elif args.format == "csv":
-        rows = ((kind, " ".join(map(str, qs))) for kind, qs in circ.gates)
-        payload = csv_text(("gate", "qubits"), rows)
-    else:
-        payload = circuit_text(circ) + "\n"
-    _emit(payload, args.out)
+    _emit(_circuit_text(emit_circuit(_hypergraph(args)), args.format), args.out)
     return 0
 
 
@@ -280,11 +287,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         sys.stdout.write(_summary_text(summary))
         return 0
     if args.format == "json":
-        payload = json.dumps(
-            {"records": records_payload(records), "summary": summary.to_dict()}, indent=2
-        ) + "\n"
+        payload: Iterable[str] = _sweep_json(records, summary)
     elif args.format == "csv":
-        payload = render_results(records, "csv")
+        payload = render_blocks(records, "csv")
     else:
         lines = [f"{'d':>2} {'edges':<40} " + " ".join(f"{m:>12}" for m in METRIC_NAMES)]
         for record in records:
@@ -295,6 +300,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         payload = "\n".join(lines) + "\n\n" + _summary_text(summary)
     _emit(payload, args.out)
     return 0
+
+
+def _sweep_json(records: SweepResults, summary: SweepSummary) -> Iterator[str]:
+    """``{"records": [...], "summary": {...}}`` as ``json.dumps(..., indent=2)`` writes it."""
+    head, tail = json.dumps({"records": None, "summary": summary.to_dict()}, indent=2).split("null", 1)
+    yield head  # the records come first, so the first null is theirs
+    yield from render_blocks(records, "json", depth=1)
+    yield tail + "\n"
 
 
 def _summary_text(summary) -> str:

@@ -48,7 +48,7 @@ from .operators import (
 )
 from .squeezing import squeeze_report
 from .state import hypergraph_state
-from .sweep import Family, SweepRecord, SweepSummary, dminus1_family, render_results, sweep_family
+from .sweep import Family, SweepResults, SweepSummary, dminus1_family, render_results, sweep_family
 
 VALUE_TOL = 1e-3
 EXACT_TOL = 1e-9
@@ -105,7 +105,7 @@ class Reproducer:
 
     extended: bool = False
     threads: int = 1
-    _sweeps: dict[tuple, tuple[list[SweepRecord], SweepSummary]] = field(default_factory=dict)
+    _sweeps: dict[tuple, tuple[SweepResults, SweepSummary]] = field(default_factory=dict)
     _bounds: dict[int, SpectralBoundReport] = field(default_factory=dict)
     _witnesses: dict[tuple[int, int], AgarwalTaraResult] = field(default_factory=dict)
 
@@ -113,7 +113,7 @@ class Reproducer:
         if self.threads < 1:
             raise ValueError(f"threads must be at least 1, got {self.threads}")
 
-    def sweep(self, kind: str, d: int, k: int | None = None) -> tuple[list[SweepRecord], SweepSummary]:
+    def sweep(self, kind: str, d: int, k: int | None = None) -> tuple[SweepResults, SweepSummary]:
         """``sweep_family`` of ``Family(kind, d, k)``, run once per family and shared by every check."""
         key = (kind, d, k)
         if key not in self._sweeps:

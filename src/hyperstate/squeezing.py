@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 from .hypergraph import Hypergraph, edges_text
 from .state import hypergraph_profile
 
@@ -28,11 +30,17 @@ def number_stats(d: int) -> tuple[float, float]:
     return (dim - 1) / 2.0, (dim - 1) * (dim + 1) / 12.0
 
 
-def squeeze_degrees(var_n: float, var_p: float, half: float) -> tuple[float | None, float | None]:
-    """(s_n, s_p) against the half commutator ``half``; None where undefined."""
-    if half >= HALF_COMM_FLOOR:
-        return (var_n - half) / half, (var_p - half) / half
-    return None, (-1.0 if abs(var_p) < HALF_COMM_FLOOR else None)
+def squeeze_degrees(
+    var_n: float, var_p: np.ndarray | float, half: np.ndarray | float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(s_n, s_p) against the half commutator ``half``, elementwise; NaN where undefined."""
+    var_p, half = np.asarray(var_p, dtype=np.float64), np.asarray(half, dtype=np.float64)
+    defined = half >= HALF_COMM_FLOOR
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s_n = np.where(defined, (var_n - half) / half, np.nan)
+        s_p = np.where(defined, (var_p - half) / half,
+                       np.where(np.abs(var_p) < HALF_COMM_FLOOR, -1.0, np.nan))
+    return s_n, s_p
 
 
 @dataclass(frozen=True)
@@ -63,7 +71,7 @@ def squeeze_report(g: Hypergraph) -> SqueezeReport:
     profile = hypergraph_profile(g)
     mean_n, var_n = number_stats(g.d)
     mean_p, var_p, half = float(profile.mean_p), float(profile.var_p), float(profile.half_comm)
-    s_n, s_p = squeeze_degrees(var_n, var_p, half)
+    s_n, s_p = (None if np.isnan(s) else float(s) for s in squeeze_degrees(var_n, var_p, half))
     return SqueezeReport(
         d=g.d,
         edges=edges_text(g),

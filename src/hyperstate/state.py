@@ -27,10 +27,10 @@ _INDICATOR_BYTES = 1 << 24
 # batch a sweep's states; one state past this d is faster on the rfft route.
 SUPPORT_MAX_D = 16
 
-# Peak bytes per gate of the ``circuit`` command: the gate tuples and their
-# output text (measured at d = 10**6: 357 with --format json, 217-233 for csv
-# and table).  A sign flip's qubits are the edge tuple the hypergraph holds.
-CIRCUIT_GATE_BYTES = 384
+# Peak bytes per gate of the ``circuit`` command: the gate tuples, whose text
+# is written a block at a time (measured at d = 10**6: 216 for each of json,
+# csv and table).  A sign flip's qubits are the edge tuple the hypergraph holds.
+CIRCUIT_GATE_BYTES = 232
 
 Gate = tuple[str, tuple[int, ...]]
 

@@ -4,17 +4,29 @@ A family is one candidate edge list plus 0/1 membership rows (``Family``).
 A sweep evaluates every row (optionally filtered to connected hypergraphs,
 ``hypergraph.connected_rows``), producing one record per configuration in
 row order plus a per-metric extremal summary, and builds no Hypergraph.
-Records serialize to CSV/JSON with shortest round-trip float formatting,
-so repeated runs are byte-identical regardless of the worker count.
+The records are one columnar ``SweepResults``: a ``d`` per record, the
+joined edge texts and one (records x 7) float64 matrix in ``METRIC_NAMES``
+order, with NaN for an undefined value.  Indexing and iteration give
+``SweepRecord`` views.  Results serialize to CSV/JSON with shortest
+round-trip float formatting, so repeated runs are byte-identical regardless
+of the worker count.  The text of each defined value is formed once per
+results object, on its first render, and every later render (the cache
+entry, then the CSV or JSON output) reuses it.  Both formats are rendered
+from the columns in blocks of ``RENDER_BLOCK`` records.
 
-Every CSV of the package comes from ``csv_text`` and every file it writes
-(results, cache entries, CLI ``--out`` and plot files) from ``write_text``.
+Every other CSV of the package comes from ``csv_text``, and every file it
+writes (results, cache entries, CLI ``--out`` and plot files) from
+``write_text``.  A cache entry is read back into columns with vectorised
+type and finiteness checks; anything unusual goes to the per-record
+validator, so every malformed entry is a ``SchemaError``.
 
 Extremal semantics: for the squeezing-degree metrics (s_p, s_n) the
 summary ranges over the configurations that actually exhibit squeezing
 (negative degree) whenever any exist, since extremal squeezing is a
 statement about the squeezed subpopulation; all other metrics (and the
 fallback when nothing is squeezed) use plain extrema over defined values.
+An extremum is the value at its first index, as Python's ``min`` and ``max``
+give it, and every tied edge set is listed, sorted.
 
 Rows are evaluated in fixed-size chunks, one ``state.membership_profile``
 call per chunk.  A row at d <= 16 whose support bound (sum over its edges
@@ -41,6 +53,8 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import starmap
+from json.encoder import encode_basestring_ascii
 from math import comb, isfinite
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -73,6 +87,11 @@ CACHE_ENV_VAR = "HYPERSTATE_CACHE"
 # 5: support route only up to d = 16; support states past it moved back to
 #    their rfft-route values, by about 1e-16 relative.
 RESULTS_VERSION = 5
+
+# Records per text block of a CSV or JSON render, about 50 kB of text at d = 12.
+# With blocks of 128 records the sweep-d12 benchmark peaked about 1 MiB lower
+# in RSS than with blocks of 512, and about 1.5 MiB lower than with 4096.
+RENDER_BLOCK = 1 << 7
 
 # Rows per spectral-profile call: each row stacks the half spectra of psi
 # and n psi, 2 (2**(d-1) + 1) complex128 values, about 1 MiB per chunk.
@@ -153,8 +172,66 @@ class SweepRecord:
     edges: str
     metrics: dict[str, float | None]
 
-    def row(self) -> list:
-        return [self.d, self.edges] + [self.metrics[name] for name in METRIC_NAMES]
+
+def _record(d: int, edges: str, row: list[float]) -> SweepRecord:
+    return SweepRecord(d, edges, {name: None if v != v else v for name, v in zip(METRIC_NAMES, row)})
+
+
+class SweepResults(Sequence[SweepRecord]):
+    """A sweep's records as columns.
+
+    ``d`` holds one Python int per record, ``edges`` the joined edge texts and
+    ``values`` one (records x 7) float64 matrix in ``METRIC_NAMES`` order, NaN
+    where a metric is undefined.  Indexing and iteration give ``SweepRecord``
+    views with Python float or None metrics; ``==`` compares with any sequence
+    of records element by element.
+    """
+
+    def __init__(self, d: list[int], edges: list[str], values: np.ndarray) -> None:
+        self.d = d
+        self.edges = edges
+        self.values = values
+        self.values.flags.writeable = False  # the text of its values is formed once
+        self._cells: list[list[str]] | None = None
+
+    @classmethod
+    def of(cls, records: Iterable[SweepRecord]) -> SweepResults:
+        """``records`` as columns; results already columnar are returned as they are."""
+        if isinstance(records, SweepResults):
+            return records
+        records = list(records)
+        values = np.array(
+            [[np.nan if r.metrics[m] is None else r.metrics[m] for m in METRIC_NAMES] for r in records],
+            dtype=np.float64,
+        ).reshape(len(records), len(METRIC_NAMES))
+        return cls([r.d for r in records], [r.edges for r in records], values)
+
+    def __len__(self) -> int:
+        return len(self.edges)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return SweepResults(self.d[index], self.edges[index], self.values[index])
+        return _record(self.d[index], self.edges[index], self.values[index].tolist())
+
+    def __iter__(self) -> Iterator[SweepRecord]:
+        return map(_record, self.d, self.edges, self.values.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, SweepResults):
+            return (self.d == other.d and self.edges == other.edges
+                    and np.array_equal(self.values, other.values, equal_nan=True))
+        if isinstance(other, Sequence) and not isinstance(other, str):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def _cell_texts(self) -> list[list[str]]:
+        """Per metric, the repr of each defined value and "" for undefined, formed on first use."""
+        if self._cells is None:
+            self._cells = [["" if v != v else repr(v) for v in column] for column in self.values.T.tolist()]
+        return self._cells
 
 
 @dataclass(frozen=True)
@@ -190,30 +267,23 @@ class SweepSummary:
 
 def _evaluate_chunk(
     d: int, edges: Sequence[tuple[int, ...]], texts: Sequence[str], rows: np.ndarray
-) -> list[SweepRecord]:
-    """Records of 0/1 rows over ``edges`` (whose texts are ``texts``), from one profile."""
+) -> SweepResults:
+    """Results of 0/1 rows over ``edges`` (whose texts are ``texts``), from one profile."""
     profile = membership_profile(d, edges, rows)
     var_n = number_stats(d)[1]
-    records = []
-    for row, var_p, half, c_l1, c_rel in zip(
-        rows.tolist(),
-        profile.var_p.tolist(),
-        profile.half_comm.tolist(),
-        profile.c_l1_phase.tolist(),
-        profile.c_rel_phase.tolist(),
-    ):
-        s_n, s_p = squeeze_degrees(var_n, var_p, half)
-        metrics: dict[str, float | None] = {
-            "s_p": s_p,
-            "s_n": s_n,
-            "var_p": var_p,
-            "var_n": var_n,
-            "half_comm": half,
-            "c_l1_phase": c_l1,
-            "c_rel_phase": c_rel,
-        }
-        records.append(SweepRecord(d, ";".join(itertools.compress(texts, row)), metrics))
-    return records
+    s_n, s_p = squeeze_degrees(var_n, profile.var_p, profile.half_comm)
+    columns = {
+        "s_p": s_p,
+        "s_n": s_n,
+        "var_p": profile.var_p,
+        "var_n": np.full(len(rows), var_n),
+        "half_comm": profile.half_comm,
+        "c_l1_phase": profile.c_l1_phase,
+        "c_rel_phase": profile.c_rel_phase,
+    }
+    values = np.column_stack([columns[name] for name in METRIC_NAMES])
+    joined = [";".join(itertools.compress(texts, row)) for row in rows.tolist()]
+    return SweepResults([d] * len(joined), joined, values)
 
 
 def _edge_texts(edges: Sequence[tuple[int, ...]]) -> list[str]:
@@ -243,28 +313,32 @@ def _metric_names(metrics: Sequence[str] | None) -> tuple[str, ...]:
     return chosen
 
 
-def _summarize(records: Sequence[SweepRecord], metric: str) -> MetricSummary:
-    defined = [(r.metrics[metric], r.edges) for r in records if r.metrics[metric] is not None]
-    if metric in SQUEEZE_METRICS:
-        squeezed = [(v, e) for v, e in defined if v < 0.0]
-        if squeezed:
-            defined = squeezed
-    if not defined:
-        return MetricSummary(metric=metric, min_value=None, max_value=None)
-    lo = min(v for v, _ in defined)
-    hi = max(v for v, _ in defined)
-    return MetricSummary(
-        metric=metric,
-        min_value=lo,
-        max_value=hi,
-        argmin=tuple(sorted(e for v, e in defined if v == lo)),
-        argmax=tuple(sorted(e for v, e in defined if v == hi)),
-    )
+def _summarize(results: SweepResults, metrics: Sequence[str]) -> dict[str, MetricSummary]:
+    """Each metric's extrema and the sorted edge sets that attain them, over all columns at once."""
+    if not len(results):
+        return {m: MetricSummary(metric=m, min_value=None, max_value=None) for m in metrics}
+    values = results.values[:, [METRIC_NAMES.index(m) for m in metrics]]
+    squeezed = values < 0.0
+    only_squeezed = squeezed.any(axis=0) & np.array([m in SQUEEZE_METRICS for m in metrics])
+    values = np.where(only_squeezed & ~squeezed, np.nan, values)
+    extrema = []
+    for reduce in (np.fmin.reduce, np.fmax.reduce):  # both skip NaN
+        at = values == reduce(values, axis=0, initial=np.nan)
+        # The value at the first extremal index, as min() and max() pick between 0.0 and -0.0.
+        first = values[at.argmax(axis=0), np.arange(len(metrics))].tolist()
+        tied: list[list[str]] = [[] for _ in metrics]
+        for j, i in zip(*(index.tolist() for index in at.T.nonzero())):
+            tied[j].append(results.edges[i])
+        extrema.append((first, [tuple(sorted(t)) for t in tied]))
+    (lo, at_lo), (hi, at_hi) = extrema
+    return {
+        m: MetricSummary(m, lo[j], hi[j], at_lo[j], at_hi[j]) if at_lo[j] else MetricSummary(m, None, None)
+        for j, m in enumerate(metrics)
+    }
 
 
-def _summary(family: Family, records: Sequence[SweepRecord], metrics: Sequence[str] | None) -> SweepSummary:
-    chosen = _metric_names(metrics)
-    return SweepSummary(family.descriptor, len(records), {m: _summarize(records, m) for m in chosen})
+def _summary(family: Family, results: SweepResults, metrics: Sequence[str] | None) -> SweepSummary:
+    return SweepSummary(family.descriptor, len(results), _summarize(results, _metric_names(metrics)))
 
 
 def sweep_family(
@@ -272,7 +346,7 @@ def sweep_family(
     metrics: Sequence[str] | None = None,
     connectivity_filter: bool | None = None,
     threads: int = 1,
-) -> tuple[list[SweepRecord], SweepSummary]:
+) -> tuple[SweepResults, SweepSummary]:
     """Evaluate every configuration of ``family`` and summarize extrema.
 
     Record order is row order; the worker pool preserves it, so output is
@@ -298,8 +372,9 @@ def sweep_family(
             parts = list(pool.map(evaluate, chunks))
     else:
         parts = [evaluate(chunk) for chunk in chunks]
-    records = [record for part in parts for record in part]
-    return records, _summary(family, records, metrics)
+    edges = [text for part in parts for text in part.edges]
+    results = SweepResults([family.d] * len(edges), edges, np.concatenate([part.values for part in parts]))
+    return results, _summary(family, results, metrics)
 
 
 def csv_text(fields: Sequence[str], rows: Iterable[Sequence]) -> str:
@@ -342,28 +417,66 @@ def write_text(path: str | os.PathLike, parts: str | Iterable[str]) -> None:
             os.unlink(target)
 
 
-def records_payload(records: Iterable[SweepRecord]) -> list[dict]:
-    """Records as JSON-ready dicts, the one record shape of all sweep JSON."""
-    return [
-        {"d": r.d, "edges": r.edges, **{name: r.metrics[name] for name in METRIC_NAMES}}
-        for r in records
-    ]
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it in a row of more than one field."""
+    if '"' in text or "\r" in text or "\n" in text:
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerow([text, ""])
+        return buffer.getvalue()[:-2]
+    return f'"{text}"' if "," in text else text
+
+
+def _csv_blocks(results: SweepResults) -> Iterator[str]:
+    yield ",".join(CSV_HEADER) + "\n"
+    cells = results._cell_texts()
+    for start in range(0, len(results), RENDER_BLOCK):
+        block = slice(start, start + RENDER_BLOCK)
+        rows = zip(map(str, results.d[block]), map(_csv_field, results.edges[block]),
+                   *(column[block] for column in cells))
+        yield "\n".join(map(",".join, rows)) + "\n"
+
+
+def _json_blocks(results: SweepResults, depth: int) -> Iterator[str]:
+    """The records as ``json.dumps(..., indent=2)`` writes their list ``depth`` levels deep."""
+    if not len(results):
+        yield "[]"
+        return
+    indent = "\n" + "  " * depth
+    outer, inner = indent + "  ", indent + "    "
+    record = outer + "{{" + ",".join(f'{inner}"{key}": {{}}' for key in CSV_HEADER) + outer + "}}"
+    cells = results._cell_texts()
+    yield "["
+    for start in range(0, len(results), RENDER_BLOCK):
+        block = slice(start, start + RENDER_BLOCK)
+        rows = zip(map(str, results.d[block]), map(encode_basestring_ascii, results.edges[block]),
+                   *([text or "null" for text in column[block]] for column in cells))
+        yield ("," if start else "") + ",".join(starmap(record.format, rows))
+    yield indent + "]"
+
+
+def render_blocks(records: Iterable[SweepRecord], fmt: str, depth: int = 0) -> Iterator[str]:
+    """Records as text blocks: CSV, or the JSON list ``depth`` levels deep in an indented document.
+
+    Their concatenation is a whole CSV or JSON file, newline included, at depth 0.
+    """
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
+    results = SweepResults.of(records)
+    if fmt == "csv":
+        return _csv_blocks(results)
+    return itertools.chain(_json_blocks(results, depth), ["\n"] if depth == 0 else [])
 
 
 def render_results(records: Iterable[SweepRecord], fmt: str) -> str:
     """Serialize records to the requested format (csv or json)."""
-    if fmt == "csv":
-        return csv_text(CSV_HEADER, (record.row() for record in records))
-    if fmt == "json":
-        return json.dumps(records_payload(records), indent=2) + "\n"
-    raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
+    return "".join(render_blocks(records, fmt))
 
 
 def write_results(records: Iterable[SweepRecord], path: str | os.PathLike, fmt: str | None = None) -> None:
     """Write records to ``path`` through ``write_text``; format from arg or file extension."""
     if fmt is None:
         fmt = Path(path).suffix.lstrip(".").lower()
-    write_text(path, render_results(records, fmt))
+    write_text(path, render_blocks(records, fmt))
 
 
 def _record_from_fields(path: Path, d, edges, values: dict) -> SweepRecord:
@@ -382,7 +495,55 @@ def _record_from_fields(path: Path, d, edges, values: dict) -> SweepRecord:
         raise SchemaError(f"{path}: malformed record: {exc}") from None
 
 
-def read_results(path: str | os.PathLike) -> list[SweepRecord]:
+def _finite_columns(columns: list[list]) -> np.ndarray | None:
+    """(records x metrics) float64 of float-or-None columns, or None if any float is not finite."""
+    values = np.array(columns, dtype=np.float64).reshape(len(columns), -1).T
+    undefined = sum(column.count(None) for column in columns)
+    if np.isinf(values).any() or np.count_nonzero(np.isnan(values)) != undefined:
+        return None
+    return np.ascontiguousarray(values)
+
+
+def _json_results(path: Path, payload: list[dict]) -> SweepResults:
+    keys = set(CSV_HEADER)
+    if all(entry.keys() == keys for entry in payload):
+        d = [entry["d"] for entry in payload]
+        edges = [entry["edges"] for entry in payload]
+        columns = [[entry[name] for entry in payload] for name in METRIC_NAMES]
+        plain = (set(map(type, d)) <= {int} and set(map(type, edges)) <= {str}
+                 and all(set(map(type, column)) <= {float, type(None)} for column in columns))
+        values = _finite_columns(columns) if plain else None
+        if values is not None:
+            return SweepResults(d, edges, values)
+    records = []  # something unusual: the per-record validator says what
+    for entry in payload:
+        if set(entry) != keys:
+            raise SchemaError(f"{path}: record keys {sorted(entry)} do not match schema")
+        records.append(_record_from_fields(path, entry["d"], entry["edges"], entry))
+    return SweepResults.of(records)
+
+
+def _csv_results(path: Path, rows: list[list[str]]) -> SweepResults:
+    if all(len(row) == len(CSV_HEADER) for row in rows):
+        try:
+            d = [int(row[0]) for row in rows]
+            columns = [[float(row[j]) if row[j] else None for row in rows] for j in range(2, len(CSV_HEADER))]
+        except ValueError:
+            pass
+        else:
+            values = _finite_columns(columns)
+            if values is not None:
+                return SweepResults(d, [row[1] for row in rows], values)
+    records = []  # something unusual: the per-record validator says what
+    for row in rows:
+        if len(row) != len(CSV_HEADER):
+            raise SchemaError(f"{path}: row has {len(row)} fields, expected {len(CSV_HEADER)}")
+        values = {name: (None if cell == "" else cell) for name, cell in zip(METRIC_NAMES, row[2:])}
+        records.append(_record_from_fields(path, row[0], row[1], values))
+    return SweepResults.of(records)
+
+
+def read_results(path: str | os.PathLike) -> SweepResults:
     """Read records back from a CSV or JSON results file.
 
     Raises SchemaError for anything that is not a well-formed results file.
@@ -399,13 +560,7 @@ def read_results(path: str | os.PathLike) -> list[SweepRecord]:
             raise SchemaError(f"{path}: not valid JSON: {exc}") from None
         if not isinstance(payload, list) or not all(isinstance(e, dict) for e in payload):
             raise SchemaError(f"{path}: expected a JSON list of record objects")
-        records = []
-        expected = {"d", "edges", *METRIC_NAMES}
-        for entry in payload:
-            if set(entry) != expected:
-                raise SchemaError(f"{path}: record keys {sorted(entry)} do not match schema")
-            records.append(_record_from_fields(path, entry["d"], entry["edges"], entry))
-        return records
+        return _json_results(path, payload)
     if path.suffix.lower() == ".csv":
         try:
             rows = list(csv.reader(io.StringIO(text)))
@@ -413,13 +568,7 @@ def read_results(path: str | os.PathLike) -> list[SweepRecord]:
             raise SchemaError(f"{path}: not valid CSV: {exc}") from None
         if not rows or tuple(rows[0]) != CSV_HEADER:
             raise SchemaError(f"{path}: header {rows[0] if rows else []} does not match schema")
-        records = []
-        for row in rows[1:]:
-            if len(row) != len(CSV_HEADER):
-                raise SchemaError(f"{path}: row has {len(row)} fields, expected {len(CSV_HEADER)}")
-            values = {name: (None if cell == "" else cell) for name, cell in zip(METRIC_NAMES, row[2:])}
-            records.append(_record_from_fields(path, row[0], row[1], values))
-        return records
+        return _csv_results(path, rows[1:])
     raise SchemaError(f"{path}: unknown results format (expected .csv or .json)")
 
 
@@ -446,10 +595,10 @@ def resolve_cache_dir(cli_value: str | None = None) -> Path | None:
     return Path(env) if env else None
 
 
-def _read_entry(path: Path, family: Family) -> list[SweepRecord]:
+def _read_entry(path: Path, family: Family) -> SweepResults:
     """The records of a cache entry, or SchemaError when they cannot be ``family``'s."""
     records = read_results(path)
-    found = {r.d for r in records}
+    found = set(records.d)
     if found != {family.d}:
         raise SchemaError(f"{path}: records on d in {sorted(found)}, expected d={family.d}")
     return records
@@ -461,7 +610,7 @@ def cached_sweep(
     connectivity_filter: bool | None = None,
     threads: int = 1,
     cache_dir: str | os.PathLike | None = None,
-) -> tuple[list[SweepRecord], SweepSummary]:
+) -> tuple[SweepResults, SweepSummary]:
     """Sweep with a content-addressed cache of the record list.
 
     An entry that cannot be read or is not this family's is a miss, recomputed and

@@ -4,20 +4,29 @@ Each one computes a quantity by a route independent of the package's own:
 the truth table edge by edge, every k-uniform hypergraph by a mask loop,
 amplitudes of hypergraphs batched over their own edges, commutators and
 expectations of dense matrices, the phase-basis overlaps and moments of any
-complex state, <[N, P]> by two FFT applications of the phase operator, and
-relabeling equivalence by trying every vertex permutation.
+complex state, <[N, P]> by two FFT applications of the phase operator,
+relabeling equivalence by trying every vertex permutation, and the summary,
+CSV/JSON rendering and reading of sweep records one record (one metrics
+dict) at a time.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
-from typing import Iterator, Sequence
+import json
+from math import isfinite
+from pathlib import Path
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from hyperstate.errors import SchemaError
 from hyperstate.hypergraph import Hypergraph, canonical_edges, parse_edges, vertex_mask
 from hyperstate.operators import _require_power_of_two, apply_phase_operator, phase_angles
 from hyperstate.state import membership_amplitudes
+from hyperstate.sweep import CSV_HEADER, METRIC_NAMES, SQUEEZE_METRICS, MetricSummary, SweepRecord, csv_text
 
 
 def boolean_function(g: Hypergraph) -> np.ndarray:
@@ -103,3 +112,98 @@ def matches_by_permutation(expected: str, candidates: Sequence[str], d: int) -> 
         canonical_edges(tuple(tuple(perm[v] for v in e) for e in expected_edges)) in candidate_sets
         for perm in itertools.permutations(range(d))
     )
+
+
+def _summarize(records: Sequence[SweepRecord], metric: str) -> MetricSummary:
+    """Extrema of ``metric`` over the records' metrics dicts, with every tied edge set."""
+    defined = [(r.metrics[metric], r.edges) for r in records if r.metrics[metric] is not None]
+    if metric in SQUEEZE_METRICS:
+        squeezed = [(v, e) for v, e in defined if v < 0.0]
+        if squeezed:
+            defined = squeezed
+    if not defined:
+        return MetricSummary(metric=metric, min_value=None, max_value=None)
+    lo = min(v for v, _ in defined)
+    hi = max(v for v, _ in defined)
+    return MetricSummary(
+        metric=metric,
+        min_value=lo,
+        max_value=hi,
+        argmin=tuple(sorted(e for v, e in defined if v == lo)),
+        argmax=tuple(sorted(e for v, e in defined if v == hi)),
+    )
+
+
+def records_payload(records: Iterable[SweepRecord]) -> list[dict]:
+    """Records as JSON-ready dicts, the one record shape of all sweep JSON."""
+    return [
+        {"d": r.d, "edges": r.edges, **{name: r.metrics[name] for name in METRIC_NAMES}}
+        for r in records
+    ]
+
+
+def render_results(records: Iterable[SweepRecord], fmt: str) -> str:
+    """Serialize records to the requested format (csv or json)."""
+    if fmt == "csv":
+        return csv_text(CSV_HEADER, ([r.d, r.edges] + [r.metrics[name] for name in METRIC_NAMES]
+                                     for r in records))
+    if fmt == "json":
+        return json.dumps(records_payload(records), indent=2) + "\n"
+    raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
+
+
+def _record_from_fields(path: Path, d, edges, values: dict) -> SweepRecord:
+    """A record from JSON values or CSV cells: an integer d, text edges, metrics None or finite."""
+    try:
+        if isinstance(d, bool) or not isinstance(d, (int, str)):
+            raise TypeError(f"d {d!r} is not an integer")
+        if not isinstance(edges, str):
+            raise TypeError(f"edges {edges!r} is not text")
+        metrics = {name: None if values[name] is None else float(values[name]) for name in METRIC_NAMES}
+        bad = [n for n in METRIC_NAMES if isinstance(values[n], bool) or not isfinite(metrics[n] or 0.0)]
+        if bad:
+            raise ValueError(f"{bad[0]} {values[bad[0]]!r} is not a finite number")
+        return SweepRecord(d=int(d), edges=edges, metrics=metrics)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"{path}: malformed record: {exc}") from None
+
+
+def read_results(path) -> list[SweepRecord]:
+    """Read records back from a CSV or JSON results file.
+
+    Raises SchemaError for anything that is not a well-formed results file.
+    """
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text: {exc}") from None
+    if path.suffix.lower() == ".json":
+        try:
+            payload = json.loads(text)
+        except (ValueError, RecursionError) as exc:  # also int digit limit and deep nesting
+            raise SchemaError(f"{path}: not valid JSON: {exc}") from None
+        if not isinstance(payload, list) or not all(isinstance(e, dict) for e in payload):
+            raise SchemaError(f"{path}: expected a JSON list of record objects")
+        records = []
+        expected = {"d", "edges", *METRIC_NAMES}
+        for entry in payload:
+            if set(entry) != expected:
+                raise SchemaError(f"{path}: record keys {sorted(entry)} do not match schema")
+            records.append(_record_from_fields(path, entry["d"], entry["edges"], entry))
+        return records
+    if path.suffix.lower() == ".csv":
+        try:
+            rows = list(csv.reader(io.StringIO(text)))
+        except csv.Error as exc:
+            raise SchemaError(f"{path}: not valid CSV: {exc}") from None
+        if not rows or tuple(rows[0]) != CSV_HEADER:
+            raise SchemaError(f"{path}: header {rows[0] if rows else []} does not match schema")
+        records = []
+        for row in rows[1:]:
+            if len(row) != len(CSV_HEADER):
+                raise SchemaError(f"{path}: row has {len(row)} fields, expected {len(CSV_HEADER)}")
+            values = {name: (None if cell == "" else cell) for name, cell in zip(METRIC_NAMES, row[2:])}
+            records.append(_record_from_fields(path, row[0], row[1], values))
+        return records
+    raise SchemaError(f"{path}: unknown results format (expected .csv or .json)")

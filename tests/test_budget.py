@@ -143,7 +143,7 @@ def _peak(argv):
     (["operators", "--d", "11"], ["operators", "--d", "12"]),
     (["operators", "--d", "8", "--check-all"], ["operators", "--d", "12", "--check-all"]),
     (["simulate", "23"], ["simulate", "24"]),
-    (["circuit", "--d", "2796202", "--format", "json"], ["circuit", "--d", "2796203", "--format", "json"]),
+    (["circuit", "--d", "4628197", "--format", "json"], ["circuit", "--d", "4628198", "--format", "json"]),
 ], ids=lambda argv: " ".join(argv))
 def test_largest_admitted_input_stays_within_the_budget(largest, next_up):
     def command(argv):

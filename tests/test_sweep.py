@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import hyperstate.cli as cli_mod
 import hyperstate.hypergraph as hypergraph_mod
 import hyperstate.sweep as sweep_mod
 from hyperstate.errors import GuardError, SchemaError
@@ -30,19 +31,21 @@ from hyperstate.sweep import (
     METRIC_NAMES,
     Family,
     SweepRecord,
+    SweepResults,
+    SweepSummary,
     cache_key,
     cached_sweep,
     dminus1_family,
     evaluate_record,
     read_results,
-    records_payload,
     render_results,
     sweep_family,
     worker_count,
     write_results,
 )
 
-from oracles import k_uniform_hypergraphs
+import oracles
+from oracles import k_uniform_hypergraphs, records_payload
 
 
 def test_family_descriptors():
@@ -600,3 +603,132 @@ def test_family_value_multiset_invariant_under_relabeling():
         relabeled_values.append(evaluate_record(Hypergraph(5, edges)).metrics["s_p"])
     original_values = [r.metrics["s_p"] for r in original]
     assert sorted(np.round(relabeled_values, 12)) == sorted(np.round(original_values, 12))
+
+
+# --- columnar results against the per-record oracles ---------------------------------
+
+_ODD_EDGE_RECORDS = st.lists(st.builds(
+    SweepRecord,
+    d=st.integers(-3, 20),
+    edges=st.text(max_size=12) | st.sampled_from(["", ",", '"', 'a"b,c', "x\ny", "x\r\ny", " ;", "é,ü"]),
+    metrics=st.fixed_dictionaries({name: _METRIC_VALUES for name in METRIC_NAMES}),
+), max_size=5)
+
+
+def _oracle_summary(records):
+    return SweepSummary("oracle", len(records), {m: oracles._summarize(records, m) for m in METRIC_NAMES})
+
+
+@settings(max_examples=80, deadline=None)
+@given(records=_RECORDS | _ODD_EDGE_RECORDS)
+def test_columnar_text_equals_the_per_record_oracle(records):
+    results = SweepResults.of(records)
+    assert list(results) == records and results == records
+    assert all(type(r.d) is int for r in results)
+    for _ in range(2):  # the second render reuses the text of the first
+        for fmt in ("csv", "json"):
+            assert render_results(results, fmt) == oracles.render_results(records, fmt)
+    summary = _oracle_summary(records)
+    nested = json.dumps({"records": records_payload(records), "summary": summary.to_dict()}, indent=2) + "\n"
+    assert "".join(cli_mod._sweep_json(results, summary)) == nested
+
+
+def test_columnar_text_of_no_records_and_of_extreme_values():
+    values = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, None, 0.0, -2.5e-310]
+    records = [SweepRecord(4, 'a,"b"\n', dict(zip(METRIC_NAMES, values))), SweepRecord(-7, "", dict.fromkeys(METRIC_NAMES))]
+    for chosen in ([], records):
+        for fmt in ("csv", "json"):
+            assert render_results(chosen, fmt) == oracles.render_results(chosen, fmt)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    text=st.one_of(
+        st.text(),
+        st.text().map(lambda body: ",".join(CSV_HEADER) + "\n" + body),
+        st.one_of(_JSON_VALUES, _RECORD_SHAPED).map(json.dumps),
+        st.tuples(_RECORDS | _ODD_EDGE_RECORDS, st.sampled_from(["csv", "json"])).map(
+            lambda case: oracles.render_results(*case)),
+    ),
+    suffix=st.sampled_from([".csv", ".json"]),
+)
+def test_read_results_equals_the_per_record_oracle(tmp_path, text, suffix):
+    path = tmp_path / f"entry{suffix}"
+    path.write_text(text, encoding="utf-8")
+    try:
+        want = oracles.read_results(path)
+    except SchemaError as exc:
+        with pytest.raises(SchemaError) as info:
+            read_results(path)
+        assert str(info.value) == str(exc)
+        return
+    got = read_results(path)
+    assert got == want and all(type(r.d) is int for r in got)
+    for fmt in ("csv", "json"):  # also tells -0.0 from 0.0
+        assert render_results(got, fmt) == oracles.render_results(want, fmt)
+
+
+_TIED_VALUES = st.sampled_from([None, 0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 5e-324, -5e-324])
+_TIED_RECORDS = st.lists(st.builds(
+    SweepRecord,
+    d=st.just(4),
+    edges=st.text(alphabet="012;,", max_size=5),
+    metrics=st.fixed_dictionaries({name: _TIED_VALUES for name in METRIC_NAMES}),
+), max_size=12)
+
+
+def _same_summary(got, want):
+    assert got == want
+    assert repr(got) == repr(want)  # tells -0.0 from 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(records=_TIED_RECORDS)
+def test_columnar_summary_equals_the_oracle(records):
+    summary = sweep_mod._summarize(SweepResults.of(records), METRIC_NAMES)
+    for metric in METRIC_NAMES:
+        _same_summary(summary[metric], oracles._summarize(records, metric))
+
+
+@pytest.mark.parametrize("column", [
+    [],
+    [None, None, None],
+    [0.0, -0.0, 1.0],
+    [-0.0, 0.0, -1.0, -1.0],
+    [2.0, 0.0, None, 2.0],
+    [-0.0, None, 0.0],
+], ids=["empty", "all-undefined", "zero-first", "negative-zero-first", "positive-only", "zero-ties"])
+def test_columnar_summary_edge_cases_equal_the_oracle(column):
+    records = [SweepRecord(4, f"{i},9", dict.fromkeys(METRIC_NAMES, value)) for i, value in enumerate(column)]
+    summary = sweep_mod._summarize(SweepResults.of(records), METRIC_NAMES)
+    for metric in METRIC_NAMES:  # s_p and s_n: the squeezed subpopulation or its fallback
+        _same_summary(summary[metric], oracles._summarize(records, metric))
+
+
+@pytest.mark.parametrize("d", range(3, 13))
+def test_dminus1_summary_equals_the_oracle(d):
+    results, summary = sweep_family(dminus1_family(d))
+    records = list(results)
+    for metric in METRIC_NAMES:
+        _same_summary(summary.metrics[metric], oracles._summarize(records, metric))
+
+
+def test_cache_entries_are_compatible_with_the_per_record_writer(tmp_path, monkeypatch):
+    family = dminus1_family(6)
+    fresh, fresh_summary = sweep_family(family)
+    oracle_text = oracles.render_results(list(fresh), "json")
+    entry = tmp_path / f"{cache_key(family)}.json"
+    with monkeypatch.context() as patch:
+        patch.setattr(sweep_mod, "render_blocks", lambda records, fmt: oracles.render_results(records, fmt))
+        write_results(list(fresh), entry)
+    assert entry.read_text(encoding="utf-8") == oracle_text
+
+    def boom(*args, **kwargs):
+        raise AssertionError("sweep recomputed despite a per-record cache entry")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sweep_mod, "sweep_family", boom)
+        assert cached_sweep(family, cache_dir=tmp_path) == (fresh, fresh_summary)
+    entry.unlink()
+    assert cached_sweep(family, cache_dir=tmp_path) == (fresh, fresh_summary)
+    assert entry.read_bytes() == oracle_text.encode()

@@ -6,7 +6,9 @@ Each case runs ``python -m hyperstate.cli`` from this checkout's ``src`` in a
 fresh interpreter, with BLAS and OpenMP at 1 thread and no cache directory
 from the environment.  Its working directory is ``OUTDIR/<case>``, so its
 ``--out``, ``--plot-dir`` and ``--cache-dir`` files land there beside the
-``stdout``, ``stderr`` and ``exit`` files this script writes.  A case whose
+``stdout``, ``stderr`` and ``exit`` files this script writes.  A case named
+in ``RUN_TWICE`` runs once unrecorded first, so what is recorded is its
+second run (a sweep served from the cache the first run wrote).  A case whose
 ``--out`` is a FIFO reads the FIFO while the command runs and records the
 bytes it received in ``fifo-received`` and what the path is afterwards in
 ``fifo-kind``; the FIFO itself is then removed.
@@ -46,6 +48,9 @@ for fmt in FORMATS:
                                  "--out", f"state.{fmt}")
     CASES[f"sweep-out-{fmt}"] = ("sweep", "--family", "dminus1", "--d", "4", "--format", fmt,
                                  "--out", f"sweep.{fmt}")
+    # Rendered from columns read back from the cache entry.
+    CASES[f"sweep-cache-hit-{fmt}"] = ("sweep", "--family", "dminus1", "--d", "6", "--cache-dir", "cache",
+                                       "--format", fmt)
 CASES.update({
     "squeeze-out-json": ("squeeze", "--d", "4", "--format", "json", "--out", "squeeze.json"),
     "sweep-cache": ("sweep", "--family", "dminus1", "--d", "4", "--cache-dir", "cache"),
@@ -70,7 +75,11 @@ CASES.update({
     "squeeze-single-full-d6-json": ("squeeze", "--d", "6", "--edges", "0,1,2,3,4,5", "--format", "json"),
     "coherence-phase-single-full-d6-json": ("coherence", "--d", "6", "--edges", "0,1,2,3,4,5",
                                             "--basis", "phase", "--format", "json"),
+    # Sweep output of 500+ records on stdout.
+    "sweep-d9-json": ("sweep", "--family", "dminus1", "--d", "9", "--format", "json"),
+    "sweep-d9-csv": ("sweep", "--family", "dminus1", "--d", "9", "--format", "csv"),
 })
+RUN_TWICE = {f"sweep-cache-hit-{fmt}" for fmt in FORMATS}
 
 
 def _environment() -> dict[str, str]:
@@ -92,8 +101,11 @@ def _drain(fd: int, received: bytearray) -> None:
         received.extend(chunk)
 
 
-def run_case(case_dir: Path, argv: tuple[str, ...], env: dict[str, str]) -> None:
+def run_case(case_dir: Path, argv: tuple[str, ...], env: dict[str, str], twice: bool = False) -> None:
     case_dir.mkdir(parents=True)
+    if twice:
+        subprocess.run([sys.executable, "-m", "hyperstate.cli", *argv], cwd=case_dir, env=env,
+                       stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, check=False)
     fifo = case_dir / "fifo" if "fifo" in argv else None
     if fifo is not None:
         os.mkfifo(fifo)
@@ -131,7 +143,7 @@ def main(argv: list[str]) -> int:
         return 1
     env = _environment()
     for name, case_argv in CASES.items():
-        run_case(outdir / name, case_argv, env)
+        run_case(outdir / name, case_argv, env, twice=name in RUN_TWICE)
     print(f"{len(CASES)} cases written to {outdir}")
     return 0
 

@@ -232,7 +232,7 @@ def _cmd_operators(args: argparse.Namespace) -> int:
         rng = np.random.default_rng(7)
         state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         state /= np.linalg.norm(state)
-        bound = spectral_bound_check(state, comm)
+        bound = spectral_bound_check(dim, comm)
         spectral_error, fft_error = phase_operator_agreement(phase_op, [state])
         report["check_all"] = {
             "spectral_sum_max_error": spectral_error,

@@ -41,14 +41,22 @@ from .operators import (
     number_phase_commutator_dense,
     phase_operator_agreement,
     phase_operator_dense,
-    quadrature_commutator_expectation,
+    quadrature_commutator,
     spectral_bound_check,
     variance,
     verify_structure,
 )
 from .squeezing import squeeze_report
 from .state import hypergraph_state
-from .sweep import Family, SweepResults, SweepSummary, dminus1_family, render_results, sweep_family
+from .sweep import (
+    Family,
+    SweepResults,
+    SweepSummary,
+    _require_threads,
+    dminus1_family,
+    render_results,
+    sweep_family,
+)
 
 VALUE_TOL = 1e-3
 EXACT_TOL = 1e-9
@@ -110,8 +118,7 @@ class Reproducer:
     _witnesses: dict[tuple[int, int], AgarwalTaraResult] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.threads < 1:
-            raise ValueError(f"threads must be at least 1, got {self.threads}")
+        _require_threads(self.threads)
 
     def sweep(self, kind: str, d: int, k: int | None = None) -> tuple[SweepResults, SweepSummary]:
         """``sweep_family`` of ``Family(kind, d, k)``, run once per family and shared by every check."""
@@ -121,12 +128,12 @@ class Reproducer:
         return self._sweeps[key]
 
     def spectral_bound(self, dim: int, comm: np.ndarray | None = None) -> SpectralBoundReport:
-        """``spectral_bound_check`` at ``dim``, run once for C10 and C10b (both read only its bounds).
+        """``spectral_bound_check`` at ``dim``, run once for C10 and C10b.
 
         ``comm`` is the dense [N, P] at ``dim`` when the caller already built it.
         """
         if dim not in self._bounds:
-            self._bounds[dim] = spectral_bound_check(np.full(dim, dim**-0.5), comm)
+            self._bounds[dim] = spectral_bound_check(dim, comm)
         return self._bounds[dim]
 
     def witness(self, d: int, n: int) -> AgarwalTaraResult:
@@ -413,10 +420,18 @@ class Reproducer:
         for d in (5, 6):
             states.append(single_full_edge(d))
             states.extend(itertools.islice(Family("dminus1", d).configurations(), 5))
+        commutators: dict[tuple[int, int], np.ndarray] = {}
+
+        def expectation(psi: np.ndarray, k: int) -> complex:
+            key = (len(psi), k)
+            if key not in commutators:
+                commutators[key] = quadrature_commutator(*key)
+            return complex(np.vdot(psi, commutators[key] @ psi))
+
         for g in states:
             psi = hypergraph_state(g)
             for k in (1, 2):
-                value = quadrature_commutator_expectation(psi, k)
+                value = expectation(psi, k)
                 if abs(value) > 1e-10:
                     failures.append(
                         f"<[X^{k},P^{k}]> = {value} on d={g.d}, edges {edges_text(g)}"
@@ -424,7 +439,7 @@ class Reproducer:
         for g in (single_full_edge(3), Hypergraph(4, ref.EXAMPLE_STATE_EDGES), complete_k_graph(4, 3)):
             psi = hypergraph_state(g)
             for k in (3, 4):
-                value = quadrature_commutator_expectation(psi, k)
+                value = expectation(psi, k)
                 notes.append(
                     f"claim verification: <[X^{k},P^{k}]> on d={g.d} edges {edges_text(g)} "
                     f"= {value.real:.6g}{value.imag:+.6g}j"

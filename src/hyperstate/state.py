@@ -194,14 +194,6 @@ def emit_circuit(g: Hypergraph) -> CircuitDescription:
     return CircuitDescription(g.d, tuple(gates))
 
 
-def circuit_text(circ: CircuitDescription) -> str:
-    """One gate per line: ``H <v>`` / ``CZ <v1> <v2> ... <vk>``."""
-    return "\n".join(
-        f"{kind} " + " ".join(str(v) for v in qubits)
-        for kind, qubits in circ.gates
-    )
-
-
 def simulate_circuit(circ: CircuitDescription) -> np.ndarray:
     """Run the circuit on |0...0> with a dense statevector simulator.
 

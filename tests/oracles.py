@@ -152,15 +152,18 @@ def render_results(records: Iterable[SweepRecord], fmt: str) -> str:
     raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
 
 
-def _record_from_fields(path: Path, d, edges, values: dict) -> SweepRecord:
-    """A record from JSON values or CSV cells: an integer d, text edges, metrics None or finite."""
+def _record_from_fields(path: Path, d, edges, values: dict, cells: bool) -> SweepRecord:
+    """A record from CSV ``cells`` or JSON values: an integer d, text edges, metrics None or finite."""
+    # A CSV cell is text; a JSON d must be a JSON integer and a JSON metric a number or null.
+    raw = (str, type(None)) if cells else (int, float, type(None))
     try:
-        if isinstance(d, bool) or not isinstance(d, (int, str)):
+        if isinstance(d, bool) or not isinstance(d, str if cells else int):
             raise TypeError(f"d {d!r} is not an integer")
         if not isinstance(edges, str):
             raise TypeError(f"edges {edges!r} is not text")
         metrics = {name: None if values[name] is None else float(values[name]) for name in METRIC_NAMES}
-        bad = [n for n in METRIC_NAMES if isinstance(values[n], bool) or not isfinite(metrics[n] or 0.0)]
+        bad = [n for n in METRIC_NAMES if isinstance(values[n], bool) or not isinstance(values[n], raw)
+               or not isfinite(metrics[n] or 0.0)]
         if bad:
             raise ValueError(f"{bad[0]} {values[bad[0]]!r} is not a finite number")
         return SweepRecord(d=int(d), edges=edges, metrics=metrics)
@@ -190,7 +193,7 @@ def read_results(path) -> list[SweepRecord]:
         for entry in payload:
             if set(entry) != expected:
                 raise SchemaError(f"{path}: record keys {sorted(entry)} do not match schema")
-            records.append(_record_from_fields(path, entry["d"], entry["edges"], entry))
+            records.append(_record_from_fields(path, entry["d"], entry["edges"], entry, cells=False))
         return records
     if path.suffix.lower() == ".csv":
         try:
@@ -204,6 +207,6 @@ def read_results(path) -> list[SweepRecord]:
             if len(row) != len(CSV_HEADER):
                 raise SchemaError(f"{path}: row has {len(row)} fields, expected {len(CSV_HEADER)}")
             values = {name: (None if cell == "" else cell) for name, cell in zip(METRIC_NAMES, row[2:])}
-            records.append(_record_from_fields(path, row[0], row[1], values))
+            records.append(_record_from_fields(path, row[0], row[1], values, cells=True))
         return records
     raise SchemaError(f"{path}: unknown results format (expected .csv or .json)")

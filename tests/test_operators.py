@@ -17,7 +17,7 @@ from hyperstate.operators import (
     phase_operator_dense,
     phase_state,
     position,
-    quadrature_commutator_expectation,
+    quadrature_commutator,
     spectral_bound_check,
     variance,
     verify_structure,
@@ -286,17 +286,24 @@ def test_gershgorin_bound_values():
 def test_row_sum_bound_contains_spectrum():
     for dim in (2, 8, 64):
         radius = np.max(np.abs(np.linalg.eigvalsh(1j * number_phase_commutator_dense(dim))))
-        assert radius <= spectral_bound_check(phase_state(dim, 1)).row_sum_bound * (1 + 1e-12)
+        assert radius <= spectral_bound_check(dim).row_sum_bound * (1 + 1e-12)
         assert radius <= np.pi * (dim - 1) ** 2 / 2
 
 
+def _bound_and_expectation(psi):
+    """``spectral_bound_check`` at len(psi) and |<psi|[N, P]|psi>|."""
+    comm = number_phase_commutator_dense(len(psi))
+    return spectral_bound_check(len(psi), comm), abs(np.vdot(psi, comm @ psi))
+
+
 def test_spectral_bound_check(example_hypergraph):
-    report = spectral_bound_check(hypergraph_state(example_hypergraph))
-    assert report.within_spectrum and report.within_row_sum
-    assert report.expectation_abs == pytest.approx(2 * 1.8624, abs=2e-3)
-    report0 = spectral_bound_check(phase_state(8, 0))
-    assert report0.within_spectrum and report0.expectation_abs < 1e-10
-    assert spectral_bound_check(hypergraph_state(Hypergraph(2))).within_spectrum
+    report, expect = _bound_and_expectation(hypergraph_state(example_hypergraph))
+    assert expect <= report.spectral_radius and report.within_row_sum
+    assert expect == pytest.approx(2 * 1.8624, abs=2e-3)
+    report0, expect0 = _bound_and_expectation(phase_state(8, 0))
+    assert expect0 <= report0.spectral_radius and expect0 < 1e-10
+    report2, expect2 = _bound_and_expectation(hypergraph_state(Hypergraph(2)))
+    assert expect2 <= report2.spectral_radius
 
 
 def test_c10b_reads_the_spectral_bounds_of_c10(monkeypatch):
@@ -318,35 +325,39 @@ def test_c10b_reads_the_spectral_bounds_of_c10(monkeypatch):
 
 def test_spectral_bound_check_guard():
     with pytest.raises(GuardError):
-        spectral_bound_check(np.ones(512) / np.sqrt(512))
+        spectral_bound_check(512)
 
 
 # quadrature commutators
 
 
+def _quadrature_expectation(psi, k):
+    return complex(np.vdot(psi, quadrature_commutator(len(psi), k) @ psi))
+
+
 def test_quadrature_commutator_vanishes_k1_k2():
     for g in list(k_uniform_hypergraphs(3, 2)) + [single_full_edge(4), Hypergraph(4, EXAMPLE_EDGES)]:
         psi = hypergraph_state(g)
-        assert abs(quadrature_commutator_expectation(psi, 1)) < 1e-10
-        assert abs(quadrature_commutator_expectation(psi, 2)) < 1e-10
+        assert abs(_quadrature_expectation(psi, 1)) < 1e-10
+        assert abs(_quadrature_expectation(psi, 2)) < 1e-10
 
 
 def test_quadrature_commutator_k3_nonzero_regression():
-    value = quadrature_commutator_expectation(hypergraph_state(single_full_edge(3)), 3)
+    value = _quadrature_expectation(hypergraph_state(single_full_edge(3)), 3)
     assert abs(value.real) < 1e-10
     assert value.imag == pytest.approx(-17.77881974235878, abs=1e-6)
 
 
 def test_quadrature_commutator_k4_vanishes():
-    value = quadrature_commutator_expectation(hypergraph_state(single_full_edge(3)), 4)
+    value = _quadrature_expectation(hypergraph_state(single_full_edge(3)), 4)
     assert abs(value) < 1e-10
 
 
 def test_quadrature_commutator_guard_and_range():
     with pytest.raises(GuardError):
-        quadrature_commutator_expectation(np.ones(512) / np.sqrt(512), 1)
+        quadrature_commutator(512, 1)
     with pytest.raises(ValueError):
-        quadrature_commutator_expectation(np.ones(4) / 2.0, 0)
+        quadrature_commutator(4, 0)
 
 
 # structure report

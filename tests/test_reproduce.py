@@ -79,6 +79,21 @@ def test_structure_suite_builds_each_commutator_once(monkeypatch):
     assert built == Counter({4: 1, 8: 1, 16: 1, 64: 1, 256: 1})
 
 
+def test_quadrature_claims_build_each_commutator_once(monkeypatch):
+    built = Counter()
+    real = reproduce.quadrature_commutator
+
+    def counted(dim, k):
+        built[dim, k] += 1
+        return real(dim, k)
+
+    monkeypatch.setattr(reproduce, "quadrature_commutator", counted)
+    assert Reproducer().check_quadrature_claims().status == "PASS"
+    once = [(dim, k) for dim in (4, 8, 16, 32, 64) for k in (1, 2)]  # the d = 2..6 states
+    once += [(dim, k) for dim in (8, 16) for k in (3, 4)]  # the notes on d = 3, 4
+    assert built == Counter(once) and len(once) == 14
+
+
 def _memo_matches_squeeze_report(runner, kind, d, k=None):
     records = runner.sweep(kind, d, k)[0]
     assert len(records) == 1

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hyperstate.cli as cli
 import hyperstate.state as state_mod
 from hyperstate.errors import GuardError
 from hyperstate.hypergraph import Hypergraph, complete_k_graph, single_full_edge
 from hyperstate.state import (
     CircuitDescription,
-    circuit_text,
     emit_circuit,
     hypergraph_state,
     membership_amplitudes,
@@ -98,7 +98,7 @@ def test_emit_circuit_edgeless_and_full():
 
 
 def test_circuit_text_format(example_hypergraph):
-    text = circuit_text(emit_circuit(example_hypergraph))
+    text = "".join(cli._circuit_text(emit_circuit(example_hypergraph), "table"))
     assert text.splitlines() == [
         "H 0", "H 1", "H 2", "H 3", "CZ 0 3", "CZ 0 2 3", "CZ 1 2 3",
     ]

@@ -333,6 +333,7 @@ MALFORMED = {
     "boolean-metric": lambda records: _with_raw(records, "var_n", "true"),
     "boolean-d": lambda records: _with_raw(records, "d", "true"),
     "fractional-d": lambda records: _with_raw(records, "d", "3.7"),
+    "string-d": lambda records: _with_raw(records, "d", '"4"'),
 }
 # Well-formed results files that cannot be the entry of the d = 4 family.
 FOREIGN = {
@@ -357,6 +358,10 @@ def test_read_rejects_malformed_json(tmp_path, kind):
     ' "half_comm": 1, "c_l1_phase": 1, "c_rel_phase": 1}]',
     '[{"d": 4, "edges": "", "s_p": "low", "s_n": 1, "var_p": 1, "var_n": 1,'
     ' "half_comm": 1, "c_l1_phase": 1, "c_rel_phase": 1}]',
+    # JSON text is not a JSON number, even when int() or float() would read it.
+    *('[{"d": %s, "edges": "", "s_p": %s, "s_n": 1, "var_p": 1, "var_n": 1,'
+      ' "half_comm": 1, "c_l1_phase": 1, "c_rel_phase": 1}]' % case
+      for case in (('"4"', "1"), ('"\u0664"', "1"), ("4", '"0.5"'), ("4", '"1_0.5"'), ("4.0", "1"))),
 ])
 def test_read_rejects_malformed_json_values(tmp_path, text):
     path = tmp_path / "bad.json"

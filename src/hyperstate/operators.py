@@ -11,15 +11,20 @@ sum_m theta_m |theta_m><theta_m|, a Hermitian circulant matrix; its
 commutator with the number operator is skew-Hermitian Toeplitz.
 
 Squeezing and phase-basis coherence of real states are evaluated along two
-routes that share one set of reductions.  ``spectral_profile`` (the rfft
-route) takes the half spectra of psi and n psi from one length-dim real
-FFT, batched over a stack of states and read with mirror weights (Parseval
-turns <[N, P]> into a weighted sum over those bins).  ``support_profile``
-(the support route) takes states psi = |theta_0> - (2 / sqrt(dim)) 1_K with
-few points in K: their spectra are exact integer sums over a DFT table at
-K, and <[N, P]> comes from closed forms of the Pegg–Barnett kernel on K;
-the rfft route is its test oracle.  Dense matrices, functions of the
-dimension alone (a caller takes a state's expectation with ``np.vdot``), and
+routes that share one set of reductions, ``_phase_moments``.  It reads each
+mirror-weighted sum over the half spectrum as twice the plain row sum less
+the unmirrored end bins, takes the relative entropy as log T - (sum p log p)
+/ T with T the total (a bin with p = 0 is logged at the smallest normal
+float and adds exactly 0), and reuses one scratch array for its 9 passes.
+``spectral_profile`` (the rfft route) takes the half spectra of psi and n psi
+from one length-dim real FFT, batched over a stack of states and read with
+mirror weights (Parseval turns <[N, P]> into a weighted sum over those
+bins).  ``support_profile`` (the support route) takes states
+psi = |theta_0> - (2 / sqrt(dim)) 1_K with few points in K: their spectra
+are exact integer sums over a DFT table at K, squared in place, and
+<[N, P]> comes from closed forms of the Pegg–Barnett kernel on K; the rfft
+route is its test oracle.  Dense matrices, functions of the dimension alone
+(a caller takes a state's expectation with ``np.vdot``), and
 ``apply_phase_operator``, the FFT application of P to any complex state,
 serve the structure and spectral checks and the tests' oracles.
 """
@@ -151,11 +156,16 @@ def spectral_profile(psi: np.ndarray) -> SpectralProfile:
     mirrored bin contributes the conjugate at angle 2 pi - theta_m, and both
     end bins are real, hence
       |<[N, P]>| / 2 = |sum_{0<m<dim/2} (2 theta_m - 2 pi) Im(conj(G_m) F_m)| / dim.
-    The two coherences are mirror-weighted sums over the same p_m.
+    The two coherences are mirror-weighted sums over the same p_m,
+    normalized by their total T: the l1 coherence is (sum sqrt p)**2 / T - 1
+    and the relative entropy log T - (sum p log p) / T.
 
     F and G come from one ``rfft`` of length dim over the stacked rows of
-    psi and n psi.  Every reduction is a row-wise ``np.sum``, so a state's
-    values do not depend on which other states share its batch.
+    psi and n psi.  ``_phase_moments`` reduces p, reading each mirror-weighted
+    sum as twice the row sum less the unmirrored end bins, with the squared
+    imaginary parts' array as its scratch.  Every reduction is a row-wise
+    ``np.sum``, so a state's values do not depend on which other states share
+    its batch.
     """
     psi = np.asarray(psi)
     if np.iscomplexobj(psi):
@@ -169,13 +179,12 @@ def spectral_profile(psi: np.ndarray) -> SpectralProfile:
     rows = psi.reshape(-1, dim).astype(np.float64, copy=False)
     spectra = np.fft.rfft(np.concatenate((rows, rows * np.arange(dim))), axis=-1)
     f, g = spectra[:count], spectra[count:]
-    prob = (f.real**2 + f.imag**2) / dim
-    offset = _half_spectrum_weights(dim)[1]
+    prob, scratch = f.real**2, f.imag**2
+    prob += scratch
+    prob /= dim
     cross = g.real * f.imag - g.imag * f.real
-    weight = 2.0 * offset
-    weight[[0, -1]] = 0.0
-    half_comm = np.abs(np.sum(cross * weight, axis=-1)) / dim
-    mean, var, c_l1, c_rel = _phase_moments(prob)
+    half_comm = np.abs(np.sum(cross * _half_spectrum_weights(dim)[0], axis=-1)) / dim
+    mean, var, c_l1, c_rel = _phase_moments(prob, scratch)
     shape = psi.shape[:-1]
     return SpectralProfile(
         *(value.reshape(shape) for value in (mean, var, half_comm, c_l1, c_rel))
@@ -184,34 +193,52 @@ def spectral_profile(psi: np.ndarray) -> SpectralProfile:
 
 @lru_cache(maxsize=2)
 def _half_spectrum_weights(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mirror weights (1 at m = 0 and m = dim/2, else 2) and theta_m - pi over the half spectrum."""
-    mirror = np.full(dim // 2 + 1, 2.0)
-    mirror[[0, -1]] = 1.0
+    """Weights over the half spectrum m = 0 .. dim/2: 2 (theta_m - pi) with 0 at both ends (half_comm),
+    and mirror_m (theta_m - pi)**2 (the variance), mirror_m = 1 at m = 0 and m = dim/2, else 2."""
     offset = phase_angles(dim)[: dim // 2 + 1] - np.pi
-    mirror.flags.writeable = offset.flags.writeable = False
-    return mirror, offset
+    comm = 2.0 * offset
+    comm[[0, -1]] = 0.0
+    spread = np.full(dim // 2 + 1, 2.0)
+    spread[[0, -1]] = 1.0
+    spread *= offset**2
+    comm.flags.writeable = spread.flags.writeable = False
+    return comm, spread
 
 
-def _phase_moments(prob: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _phase_moments(
+    prob: np.ndarray, scratch: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """mean_p, var_p, c_l1_phase and c_rel_phase of half-spectrum phase probabilities.
 
-    ``prob`` holds p_m = |F_m|**2 / dim for m = 0 .. dim/2, one row per state, and is
-    normalized in place.  Every reduction is a row-wise ``np.sum``.
+    ``prob`` holds p_m = |F_m|**2 / dim for m = 0 .. dim/2, one row per state,
+    and is left as it is; ``scratch``, of the same shape, is overwritten.  It
+    holds in turn the variance terms, the square roots and the logs, so no
+    reduction allocates a row: 9 passes over the bins in all.
+
+    A mirror-weighted sum is read as twice the plain row sum minus the bins
+    that have no mirror: 2 sum_{m>=1} - p_{dim/2} over m >= 1, and
+    2 sum_m - (m = 0) - (m = dim/2) over every bin.  The doubling is exact.
+    Sums over m >= 1 are taken directly, not as T - p_0, which would cancel
+    when p_0 is close to 1; the m = 0 bin's variance term is p_0 mean**2.
+    With T the mirror-weighted total (1 up to round-off),
+      c_l1_phase = (sum_m sqrt p_m)**2 / T - 1,
+      c_rel_phase = -sum_m (p_m / T) log(p_m / T) = log T - (sum_m p_m log p_m) / T,
+    with the log taken of max(p_m, tiny), the smallest normal float, so a bin
+    with p_m = 0 adds exactly 0 and no log(0) is taken.  Every reduction is a
+    row-wise ``np.sum``, so a state's values do not depend on its batch.
     """
-    mirror, offset = _half_spectrum_weights(2 * (prob.shape[-1] - 1))
-    # Sums over m >= 1 are taken directly, not as total - p_0, which would
-    # cancel when p_0 is close to 1.  The m = 0 bin has no mirror; its
-    # variance term is p_0 mean**2.
-    p0 = prob[:, 0]
-    rest = np.sum(mirror[1:] * prob[:, 1:], axis=-1)
+    spread_weights = _half_spectrum_weights(2 * (prob.shape[-1] - 1))[1]
+    p0, last = prob[:, 0], prob[:, -1]
+    rest = 2.0 * np.sum(prob[:, 1:], axis=-1) - last
     total = p0 + rest
     mean = np.pi * rest
-    spread = np.sum(prob[:, 1:] * (mirror[1:] * offset[1:] ** 2), axis=-1)
+    spread = np.sum(np.multiply(prob[:, 1:], spread_weights[1:], out=scratch[:, 1:]), axis=-1)
     var = spread + (np.pi - mean) ** 2 * rest + p0 * mean**2
-    c_l1 = np.sum(mirror * np.sqrt(prob), axis=-1) ** 2 / total - 1.0
-    prob /= total[:, None]
-    logs = np.log(prob, out=np.zeros_like(prob), where=prob > 0.0)
-    c_rel = -np.sum(mirror * prob * logs, axis=-1)
+    roots = np.sqrt(prob, out=scratch)
+    c_l1 = (2.0 * np.sum(roots, axis=-1) - roots[:, 0] - roots[:, -1]) ** 2 / total - 1.0
+    logs = np.log(np.maximum(prob, np.finfo(np.float64).tiny, out=scratch), out=scratch)
+    logs *= prob
+    c_rel = np.log(total) - (2.0 * np.sum(logs, axis=-1) - logs[:, 0] - logs[:, -1]) / total
     return mean, var, c_l1, c_rel
 
 
@@ -258,17 +285,19 @@ def _im_w(d: int, point: int) -> float:
 
 
 @lru_cache(maxsize=1)
-def _dft_rows(d: int, points: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The integer DFT table's cos and -sin rows at ``points``, over m = 0 .. dim/2.
+def _dft_rows(d: int, points: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The integer DFT table's cos and -sin rows at ``points``, over m = 0 .. dim/2, and
+    (2 / dim) Im (P n) at each point.
 
-    One entry is kept, so a sweep whose chunks share their points gathers them once.
+    One entry is kept, so a sweep whose chunks share their points builds them once.
     """
     dim = 1 << d
     cos, msin = _support_tables(d)[:2]
     index = np.multiply.outer(np.array(points, dtype=np.int64), np.arange(dim // 2 + 1))
     index &= dim - 1  # in place: fewer fresh pages
-    rows = np.take(cos, index), np.take(msin, index)
-    rows[0].flags.writeable = rows[1].flags.writeable = False
+    rows = np.take(cos, index), np.take(msin, index), (2.0 / dim) * np.array([_im_w(d, p) for p in points])
+    for row in rows:
+        row.flags.writeable = False
     return rows
 
 
@@ -281,11 +310,13 @@ def support_bytes(count: int, points: int, dim: int) -> int:
     # tables peaks at 40, measured with tracemalloc at d = 16); gathering the
     # DFT rows beside the kept rows of the last gather: the int64 index and
     # two float64 rows of each, 40 per point and bin; per state the
-    # spectrum's two parts, the probabilities and up to five reduction
-    # temporaries (64 per bin); and the half_comm terms of each state's at
-    # most 2d points, with their indices and running sums (64 per pair).
+    # spectrum's two parts, squared in place into the probabilities and the
+    # reductions' scratch (16 per bin; tracemalloc measured at most 23 per
+    # bin, half_comm terms included, at d = 10 and 12), kept at 32; and the
+    # half_comm terms of each state's at most 2d points, with their indices
+    # and running sums (64 per pair).
     pairs = min(points, 2 * (dim.bit_length() - 1))
-    return 72 * dim + 40 * points * half + 64 * count * half + 64 * count * pairs * (pairs + 1)
+    return 72 * dim + 40 * points * half + 32 * count * half + 64 * count * pairs * (pairs + 1)
 
 
 def support_profile(d: int, points: Sequence[int], t: np.ndarray) -> SpectralProfile:
@@ -297,8 +328,12 @@ def support_profile(d: int, points: Sequence[int], t: np.ndarray) -> SpectralPro
     where Q holds the integer DFT rows round(2**s exp(-2 pi i m u / dim)) of
     the points.  t @ Q adds at most 2d integers of at most 2**s, so every
     partial sum is an integer below 2**53 and exact in any order: F does not
-    depend on BLAS, its threads, or the other rows and points.  The phase
-    moments and coherences are ``spectral_profile``'s reductions of those F.
+    depend on BLAS, its threads, or the other rows and points.  With
+    c = -(2 / sqrt(dim)) 2**-s, the real bin m = 0 is formed on its own as
+    p_0 = (sqrt(dim) + c (t @ Q)_0)**2 / dim, and every bin as
+    |t @ Q|**2 c**2 / dim in place, in 4 passes, before p_0 is written back.
+    The phase moments and coherences are ``spectral_profile``'s reductions of
+    those p, with the imaginary part's array as their scratch.
     P theta_0 = 0, so with w = P n
       Im <N psi|P psi> = (2 / dim) sum_{l in K} Im w_l
                          + (4 / dim) sum_{k, l in K} k Im P_kl,
@@ -317,23 +352,22 @@ def support_profile(d: int, points: Sequence[int], t: np.ndarray) -> SpectralPro
         raise ValueError(f"a support state has more than 2d = {2 * d} points")
     require_bytes(f"support profile of {count} states over {width} points at d={d}",
                   support_bytes(count, width, dim))
-    cos, msin = _dft_rows(d, tuple(points))
+    cos, msin, linear = _dft_rows(d, tuple(points))
     re, im = t @ cos, t @ msin
     scale = -np.ldexp(2.0 / np.sqrt(dim), -_support_scale(d))
-    re *= scale
-    im *= scale
-    re[:, 0] += np.sqrt(dim)
+    first = (np.sqrt(dim) + scale * re[:, 0]) ** 2 / dim
     re *= re
     im *= im
     re += im
-    re /= dim
-    mean, var, c_l1, c_rel = _phase_moments(re)
+    re *= scale * scale / dim
+    re[:, 0] = first
+    mean, var, c_l1, c_rel = _phase_moments(re, im)
     # Each row's K in ascending order, padded with points outside K (present 0).
     order = np.argsort(-t, axis=1, kind="stable")[:, :width_k]
     present = np.take_along_axis(t, order, axis=1)
     k = np.asarray(points, dtype=np.int64)[order]
     # terms[r, l] = (2/dim) Im w_l, then (4/dim) k Im P_kl for each k, zero off K.
-    linear = (2.0 / dim) * np.array([_im_w(d, point) for point in points])[order]
+    linear = linear[order]
     im_p = (-np.pi / dim) * _support_tables(d)[2][(k[:, None, :] - k[:, :, None]) & (dim - 1)]
     pairs = ((4.0 / dim) * k)[:, None, :] * im_p
     terms = np.concatenate(

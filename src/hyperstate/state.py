@@ -97,10 +97,15 @@ def hypergraph_state(g: Hypergraph) -> np.ndarray:
     return membership_amplitudes(g.d, g.edges, np.ones((1, len(g.edges))))[0].astype(np.complex128)
 
 
-def _edge_weights(d: int, edges: Sequence[tuple[int, ...]]) -> np.ndarray:
-    """Support size 2**(d - |e|) of each edge, capped at 2d + 1 (any more rules a row out)."""
+@lru_cache(maxsize=1)
+def _edge_weights(d: int, edges: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """Support size 2**(d - |e|) of each edge, capped at 2d + 1 (any more rules a row out).
+
+    One entry is kept, so the chunks of a sweep build it once."""
     cap = 2 * d + 1
-    return np.array([min(1 << min(d - len(e), 64), cap) for e in edges], dtype=np.int64)
+    weights = np.array([min(1 << min(d - len(e), 64), cap) for e in edges], dtype=np.int64)
+    weights.flags.writeable = False
+    return weights
 
 
 def support_rows(d: int, edges: Sequence[tuple[int, ...]], rows: np.ndarray) -> np.ndarray:
@@ -111,16 +116,19 @@ def support_rows(d: int, edges: Sequence[tuple[int, ...]], rows: np.ndarray) -> 
     on the sizes of the row's edges: every (d-1)-graph, the single full edge
     and the complete k-graphs with k >= d - 1 are in, most other states out.
     """
-    return (np.asarray(rows) @ _edge_weights(d, edges) <= 2 * d) & (d <= SUPPORT_MAX_D)
+    return (np.asarray(rows) @ _edge_weights(d, tuple(edges)) <= 2 * d) & (d <= SUPPORT_MAX_D)
 
 
 @lru_cache(maxsize=1)
-def _support_points(d: int, edges: tuple[tuple[int, ...], ...]) -> tuple[list[int], np.ndarray]:
-    """Ascending union U of the supports {n : n contains the bits of e} of ``edges``, and the
-    edge-by-U indicator matrix.  One entry is kept, so the chunks of a sweep build them once."""
+def _support_points(d: int, edges: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], np.ndarray]:
+    """Ascending union U of the supports {n : n contains the bits of e} of the edges a support
+    row can use (support size <= 2d), and the float64 edge-by-U indicator matrix over all of
+    ``edges``.  One entry is kept, so the chunks of a sweep build them once."""
     full = (1 << d) - 1
     points = set()
-    for edge in edges:
+    for edge, weight in zip(edges, _edge_weights(d, edges).tolist()):
+        if weight > 2 * d:
+            continue  # no support row has this edge: its column of rows is 0
         mask = vertex_mask(d, edge)
         free = sub = full ^ mask
         while True:  # every submask of the free bits
@@ -128,9 +136,9 @@ def _support_points(d: int, edges: tuple[tuple[int, ...], ...]) -> tuple[list[in
             if not sub:
                 break
             sub = (sub - 1) & free
-    points = sorted(points)
-    masks = np.array([vertex_mask(d, e) for e in edges], dtype=np.int64)[:, None]
-    indicators = (np.array(points, dtype=np.int64) & masks) == masks
+    points = tuple(sorted(points))
+    masks = np.array([vertex_mask(d, e) for e in edges], dtype=np.int64).reshape(-1, 1)
+    indicators = ((np.array(points, dtype=np.int64) & masks) == masks).astype(np.float64)
     indicators.flags.writeable = False
     return points, indicators
 
@@ -148,25 +156,24 @@ def membership_profile(d: int, edges: Sequence[tuple[int, ...]], rows: np.ndarra
     either allocates.
     """
     rows = np.asarray(rows)
+    edges = tuple(edges)
     dim = dimension(d)
     small = support_rows(d, edges, rows)
     count = int(small.sum())
-    weights = _edge_weights(d, edges)
-    # A support row uses only edges of support size <= 2d.  All such edges give
-    # the points, so that every chunk of a sweep shares them (``_dft_rows``).
-    used = np.flatnonzero(weights <= 2 * d)
-    used_edges = [edges[i] for i in used]
     if count:
-        # The used edges' support sizes add up to at least the number of points.
+        # A support row uses only edges of support size <= 2d.  All such edges give
+        # the points, so that every chunk of a sweep shares them (``_dft_rows``), and
+        # their support sizes add up to at least the number of points.
+        weights = _edge_weights(d, edges)
         require_bytes(f"support profile of {count} states at d={d}",
-                      support_bytes(count, int(weights[used].sum()), dim))
+                      support_bytes(count, int(weights[weights <= 2 * d].sum()), dim))
     if count < len(rows):
         require_bytes(f"spectral profile of {len(rows) - count} x 2**{d} amplitudes",
                       profile_bytes(len(rows) - count, dim))
     routes = []
     if count:
-        points, indicators = _support_points(d, tuple(used_edges))
-        t = (rows[small][:, used].astype(np.float64) @ indicators) % 2
+        points, indicators = _support_points(d, edges)
+        t = (rows[small].astype(np.float64) @ indicators) % 2
         routes.append((small, support_profile(d, points, t)))
     if count < len(rows):
         routes.append((~small, spectral_profile(membership_amplitudes(d, edges, rows[~small]))))

@@ -86,7 +86,11 @@ CACHE_ENV_VAR = "HYPERSTATE_CACHE"
 #    (d-1)-graph): values moved by up to about 3e-15 relative.
 # 5: support route only up to d = 16; support states past it moved back to
 #    their rfft-route values, by about 1e-16 relative.
-RESULTS_VERSION = 5
+# 6: phase moments as plain row sums less the unmirrored end bins, c_rel_phase
+#    as log T - (sum p log p) / T, and the support spectrum squared in place:
+#    over every dminus1 record at d = 3..14, var_p and the coherences moved by
+#    at most 1.6e-15 relative and s_p by 7.9e-15; half_comm and var_n did not.
+RESULTS_VERSION = 6
 
 # Records per text block of a CSV or JSON render, about 50 kB of text at d = 12.
 # With blocks of 128 records the sweep-d12 benchmark peaked about 1 MiB lower
@@ -481,16 +485,18 @@ def write_results(records: Iterable[SweepRecord], path: str | os.PathLike, fmt: 
 
 def _record_from_fields(path: Path, d, edges, values: dict, cells: bool) -> SweepRecord:
     """A record from CSV ``cells`` or JSON values: an integer d, text edges, metrics None or finite."""
-    # A CSV cell is text; a JSON d must be a JSON integer and a JSON metric a number or null.
+    # A CSV cell must be text as ``csv_text`` writes it: d the str of an int, a metric
+    # the repr of a float.  A JSON d must be a JSON integer and a JSON metric a number or null.
     raw = (str, type(None)) if cells else (int, float, type(None))
     try:
-        if isinstance(d, bool) or not isinstance(d, str if cells else int):
+        if isinstance(d, bool) or not isinstance(d, str if cells else int) or cells and str(int(d)) != d:
             raise TypeError(f"d {d!r} is not an integer")
         if not isinstance(edges, str):
             raise TypeError(f"edges {edges!r} is not text")
         metrics = {name: None if values[name] is None else float(values[name]) for name in METRIC_NAMES}
         bad = [n for n in METRIC_NAMES if isinstance(values[n], bool) or not isinstance(values[n], raw)
-               or not isfinite(metrics[n] or 0.0)]
+               or not isfinite(metrics[n] or 0.0)
+               or cells and metrics[n] is not None and repr(metrics[n]) != values[n]]
         if bad:
             raise ValueError(f"{bad[0]} {values[bad[0]]!r} is not a finite number")
         return SweepRecord(d=int(d), edges=edges, metrics=metrics)
@@ -534,7 +540,11 @@ def _csv_results(path: Path, rows: list[list[str]]) -> SweepResults:
         except ValueError:
             pass
         else:
-            values = _finite_columns(columns)
+            # Only the text csv_text writes: each cell must be the str or repr of the value read.
+            written = (list(map(str, d)) == [row[0] for row in rows]
+                       and all(["" if v is None else repr(v) for v in column] == [row[j] for row in rows]
+                               for j, column in enumerate(columns, 2)))
+            values = _finite_columns(columns) if written else None
             if values is not None:
                 return SweepResults(d, [row[1] for row in rows], values)
     records = []  # something unusual: the per-record validator says what

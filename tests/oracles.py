@@ -4,7 +4,10 @@ Each one computes a quantity by a route independent of the package's own:
 the truth table edge by edge, every k-uniform hypergraph by a mask loop,
 amplitudes of hypergraphs batched over their own edges, commutators and
 expectations of dense matrices, the phase-basis overlaps and moments of any
-complex state, <[N, P]> by two FFT applications of the phase operator,
+complex state, the half-spectrum phase moments and coherences by the
+two-pass reduction with explicit mirror weights and normalized
+probabilities (with the support route's spectrum squared in seven passes),
+<[N, P]> by two FFT applications of the phase operator,
 relabeling equivalence by trying every vertex permutation, and the summary,
 CSV/JSON rendering and reading of sweep records one record (one metrics
 dict) at a time.
@@ -24,7 +27,15 @@ import numpy as np
 
 from hyperstate.errors import SchemaError
 from hyperstate.hypergraph import Hypergraph, canonical_edges, parse_edges, vertex_mask
-from hyperstate.operators import _require_power_of_two, apply_phase_operator, phase_angles
+from hyperstate.operators import (
+    SpectralProfile,
+    _dft_rows,
+    _require_power_of_two,
+    _support_scale,
+    apply_phase_operator,
+    phase_angles,
+    support_profile,
+)
 from hyperstate.state import membership_amplitudes
 from hyperstate.sweep import CSV_HEADER, METRIC_NAMES, SQUEEZE_METRICS, MetricSummary, SweepRecord, csv_text
 
@@ -88,6 +99,69 @@ def phase_stats(psi: np.ndarray) -> tuple[float, float]:
     mean = float(np.sum(theta * prob))
     second = float(np.sum(theta**2 * prob))
     return mean, second - mean**2
+
+
+def _half_spectrum_weights(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mirror weights (1 at m = 0 and m = dim/2, else 2) and theta_m - pi over the half spectrum."""
+    mirror = np.full(dim // 2 + 1, 2.0)
+    mirror[[0, -1]] = 1.0
+    offset = phase_angles(dim)[: dim // 2 + 1] - np.pi
+    return mirror, offset
+
+
+def _phase_moments(prob: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """mean_p, var_p, c_l1_phase and c_rel_phase of half-spectrum phase probabilities.
+
+    ``prob`` holds p_m = |F_m|**2 / dim for m = 0 .. dim/2, one row per state, and is
+    normalized in place.  Every reduction is a row-wise ``np.sum``.
+    """
+    mirror, offset = _half_spectrum_weights(2 * (prob.shape[-1] - 1))
+    # Sums over m >= 1 are taken directly, not as total - p_0, which would
+    # cancel when p_0 is close to 1.  The m = 0 bin has no mirror; its
+    # variance term is p_0 mean**2.
+    p0 = prob[:, 0]
+    rest = np.sum(mirror[1:] * prob[:, 1:], axis=-1)
+    total = p0 + rest
+    mean = np.pi * rest
+    spread = np.sum(prob[:, 1:] * (mirror[1:] * offset[1:] ** 2), axis=-1)
+    var = spread + (np.pi - mean) ** 2 * rest + p0 * mean**2
+    c_l1 = np.sum(mirror * np.sqrt(prob), axis=-1) ** 2 / total - 1.0
+    prob /= total[:, None]
+    logs = np.log(prob, out=np.zeros_like(prob), where=prob > 0.0)
+    c_rel = -np.sum(mirror * prob * logs, axis=-1)
+    return mean, var, c_l1, c_rel
+
+
+def rfft_probabilities(rows: np.ndarray) -> np.ndarray:
+    """Half-spectrum phase probabilities |F_m|**2 / dim of real state rows, from their rfft."""
+    f = np.fft.rfft(rows, axis=-1)
+    return (f.real**2 + f.imag**2) / rows.shape[-1]
+
+
+def support_probabilities(d: int, points, t: np.ndarray) -> np.ndarray:
+    """``support_profile``'s half-spectrum phase probabilities, scaled, shifted and squared in seven passes."""
+    dim = 1 << d
+    cos, msin = _dft_rows(d, tuple(points))[:2]
+    re, im = t @ cos, t @ msin
+    scale = -np.ldexp(2.0 / np.sqrt(dim), -_support_scale(d))
+    re *= scale
+    im *= scale
+    re[:, 0] += np.sqrt(dim)
+    re *= re
+    im *= im
+    re += im
+    re /= dim
+    return re
+
+
+def two_pass_support_profile(d: int, points, t: np.ndarray) -> SpectralProfile:
+    """``support_profile`` with its phase moments from the two-pass reduction above.
+
+    half_comm is ``support_profile``'s own: it reads no phase probability.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    mean, var, c_l1, c_rel = _phase_moments(support_probabilities(d, points, t))
+    return SpectralProfile(mean, var, support_profile(d, points, t).half_comm, c_l1, c_rel)
 
 
 def number_phase_commutator_expectation(psi: np.ndarray) -> complex:
@@ -154,16 +228,18 @@ def render_results(records: Iterable[SweepRecord], fmt: str) -> str:
 
 def _record_from_fields(path: Path, d, edges, values: dict, cells: bool) -> SweepRecord:
     """A record from CSV ``cells`` or JSON values: an integer d, text edges, metrics None or finite."""
-    # A CSV cell is text; a JSON d must be a JSON integer and a JSON metric a number or null.
+    # A CSV cell must be text as ``csv_text`` writes it: d the str of an int, a metric
+    # the repr of a float.  A JSON d must be a JSON integer and a JSON metric a number or null.
     raw = (str, type(None)) if cells else (int, float, type(None))
     try:
-        if isinstance(d, bool) or not isinstance(d, str if cells else int):
+        if isinstance(d, bool) or not isinstance(d, str if cells else int) or cells and str(int(d)) != d:
             raise TypeError(f"d {d!r} is not an integer")
         if not isinstance(edges, str):
             raise TypeError(f"edges {edges!r} is not text")
         metrics = {name: None if values[name] is None else float(values[name]) for name in METRIC_NAMES}
         bad = [n for n in METRIC_NAMES if isinstance(values[n], bool) or not isinstance(values[n], raw)
-               or not isfinite(metrics[n] or 0.0)]
+               or not isfinite(metrics[n] or 0.0)
+               or cells and metrics[n] is not None and repr(metrics[n]) != values[n]]
         if bad:
             raise ValueError(f"{bad[0]} {values[bad[0]]!r} is not a finite number")
         return SweepRecord(d=int(d), edges=edges, metrics=metrics)

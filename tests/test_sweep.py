@@ -380,9 +380,15 @@ def test_read_rejects_malformed_csv_values(tmp_path):
         read_results(path)
 
 
+# The last seven are read by int() or float() but are not text that csv_text writes:
+# d is the str of an int and a metric the repr of a float.
 @pytest.mark.parametrize("row", ["4,0,nan,,,,,,", "4,0,1e999,,,,,,", "3.7,0,,,,,,,", "9" * 5000 + ",0,,,,,,,",
-                                 '4,"' + "0" * 200_000 + '",,,,,,,'],
-                         ids=["nan", "overflow", "fractional-d", "long-d", "huge-field"])
+                                 '4,"' + "0" * 200_000 + '",,,,,,,',
+                                 "4,0,1_0.5,,,,,,", "\u0664,0,,,,,,,", " 4 ,0,,,,,,,", "4,0, 2.0 ,,,,,,",
+                                 "04,0,,,,,,,", "4,0,2,,,,,,", "4,0,,,,,,,0.50"],
+                         ids=["nan", "overflow", "fractional-d", "long-d", "huge-field",
+                              "underscore-metric", "arabic-indic-d", "spaced-d", "spaced-metric",
+                              "zero-padded-d", "integer-metric", "trailing-zero-metric"])
 def test_read_rejects_malformed_csv_cells(tmp_path, row):
     path = tmp_path / "bad.csv"
     path.write_text(",".join(CSV_HEADER) + "\n" + row + "\n")

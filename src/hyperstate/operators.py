@@ -21,10 +21,11 @@ from one length-dim real FFT, batched over a stack of states and read with
 mirror weights (Parseval turns <[N, P]> into a weighted sum over those
 bins).  ``support_profile`` (the support route) takes states
 psi = |theta_0> - (2 / sqrt(dim)) 1_K with few points in K: their spectra
-are exact integer sums over a DFT table at K, squared in place, and
-<[N, P]> comes from closed forms of the Pegg–Barnett kernel on K; the rfft
-route is its test oracle.  Dense matrices, functions of the dimension alone
-(a caller takes a state's expectation with ``np.vdot``), and
+are exact integer sums over a DFT table at K, scaled by exact powers of two
+and squared in place, and <[N, P]> is a masked sum over a pair table of
+closed forms of the Pegg–Barnett kernel, built once per set of points; the
+rfft route is its test oracle.  Dense matrices, functions of the dimension
+alone (a caller takes a state's expectation with ``np.vdot``), and
 ``apply_phase_operator``, the FFT application of P to any complex state,
 serve the structure and spectral checks and the tests' oracles.
 """
@@ -287,15 +288,20 @@ def _im_w(d: int, point: int) -> float:
 @lru_cache(maxsize=1)
 def _dft_rows(d: int, points: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The integer DFT table's cos and -sin rows at ``points``, over m = 0 .. dim/2, and
-    (2 / dim) Im (P n) at each point.
+    the half_comm pair table over the points: row l is (2 / dim) Im (P n)_l, then
+    (4 / dim) k Im P_kl for each point k.
 
     One entry is kept, so a sweep whose chunks share their points builds them once.
     """
     dim = 1 << d
-    cos, msin = _support_tables(d)[:2]
-    index = np.multiply.outer(np.array(points, dtype=np.int64), np.arange(dim // 2 + 1))
+    cos, msin, cot = _support_tables(d)
+    k = np.array(points, dtype=np.int64)
+    index = np.multiply.outer(k, np.arange(dim // 2 + 1))
     index &= dim - 1  # in place: fewer fresh pages
-    rows = np.take(cos, index), np.take(msin, index), (2.0 / dim) * np.array([_im_w(d, p) for p in points])
+    im_p = (-np.pi / dim) * cot[(k[None, :] - k[:, None]) & (dim - 1)]
+    linear = (2.0 / dim) * np.array([_im_w(d, p) for p in points]).reshape(-1, 1)
+    pairs = np.concatenate((linear, ((4.0 / dim) * k) * im_p), axis=1)
+    rows = np.take(cos, index), np.take(msin, index), pairs
     for row in rows:
         row.flags.writeable = False
     return rows
@@ -309,14 +315,15 @@ def support_bytes(count: int, points: int, dim: int) -> int:
     # int64 index and two float64 term arrays (24 per index; building the
     # tables peaks at 40, measured with tracemalloc at d = 16); gathering the
     # DFT rows beside the kept rows of the last gather: the int64 index and
-    # two float64 rows of each, 40 per point and bin; per state the
-    # spectrum's two parts, squared in place into the probabilities and the
-    # reductions' scratch (16 per bin; tracemalloc measured at most 23 per
-    # bin, half_comm terms included, at d = 10 and 12), kept at 32; and the
-    # half_comm terms of each state's at most 2d points, with their indices
-    # and running sums (64 per pair).
-    pairs = min(points, 2 * (dim.bit_length() - 1))
-    return 72 * dim + 40 * points * half + 32 * count * half + 64 * count * pairs * (pairs + 1)
+    # two float64 rows of each, 40 per point and bin; the pair table, built
+    # beside the kept table of the last gather (16 and 8 per entry, measured
+    # at d = 8, 9 and 10); per state the spectrum's two parts, squared in
+    # place into the probabilities and the reductions' scratch (16 per bin,
+    # measured at d = 10, 12 and 16), kept at 32; and the half_comm terms over
+    # every pair-table entry with their running sums (16 per entry, measured
+    # at d = 10, 12 and 16), kept at 24.
+    pairs = points * (points + 1)
+    return 72 * dim + 40 * points * half + 24 * pairs + count * (32 * half + 24 * pairs)
 
 
 def support_profile(d: int, points: Sequence[int], t: np.ndarray) -> SpectralProfile:
@@ -324,56 +331,47 @@ def support_profile(d: int, points: Sequence[int], t: np.ndarray) -> SpectralPro
 
     ``points`` ascend and ``t`` is 0/1 with at most 2d ones per row.  Writing
     psi = |theta_0> - (2 / sqrt(dim)) 1_K,
-      F_m = sqrt(dim) delta_m0 - (2 / sqrt(dim)) 2**-s (t @ Q)_m,
+      F_m / sqrt(dim) = delta_m0 - 2**(1 + shift) (t @ Q)_m,  shift = -d - s,
     where Q holds the integer DFT rows round(2**s exp(-2 pi i m u / dim)) of
     the points.  t @ Q adds at most 2d integers of at most 2**s, so every
     partial sum is an integer below 2**53 and exact in any order: F does not
-    depend on BLAS, its threads, or the other rows and points.  With
-    c = -(2 / sqrt(dim)) 2**-s, the real bin m = 0 is formed on its own as
-    p_0 = (sqrt(dim) + c (t @ Q)_0)**2 / dim, and every bin as
-    |t @ Q|**2 c**2 / dim in place, in 4 passes, before p_0 is written back.
-    The phase moments and coherences are ``spectral_profile``'s reductions of
-    those p, with the imaginary part's array as their scratch.
+    depend on BLAS, its threads, or the other rows and points.  Every scale
+    is an exact power of two: the real bin m = 0, whose sum is |K| 2**s, is
+    formed on its own as p_0 = (1 - 2**(1 + shift) (t @ Q)_0)**2 =
+    (1 - 2 |K| / dim)**2, and every bin as |t @ Q|**2 2**(2 + 2 shift) in
+    place, in 4 passes, before p_0 is written back; |theta_0> gets p_0 = 1
+    exactly.  The phase moments and coherences are ``spectral_profile``'s
+    reductions of those p, with the imaginary part's array as their scratch.
     P theta_0 = 0, so with w = P n
       Im <N psi|P psi> = (2 / dim) sum_{l in K} Im w_l
                          + (4 / dim) sum_{k, l in K} k Im P_kl,
-    and half_comm is its magnitude, summed by ``np.cumsum`` (sequential, no
-    BLAS) over l, then k, ascending in the row's K; the padding of shorter
-    rows adds exact zeros.  A state's values are therefore a function of K
-    alone.
+    and half_comm is its magnitude: the pair table of ``_dft_rows`` masked by
+    t_l, then t_l t_k, summed by ``np.cumsum`` (sequential, no BLAS) over l,
+    then k, ascending over every point.  The terms off K are exact zeros, so
+    a state's values are a function of K alone.
     """
-    dim = 1 << d
     t = np.asarray(t, dtype=np.float64)
     count, width = t.shape
     if width != len(points):
         raise ValueError(f"{width} columns of t for {len(points)} support points")
-    width_k = int(t.sum(axis=1).max(initial=0))
-    if width_k > 2 * d:
+    if t.sum(axis=1).max(initial=0) > 2 * d:
         raise ValueError(f"a support state has more than 2d = {2 * d} points")
     require_bytes(f"support profile of {count} states over {width} points at d={d}",
-                  support_bytes(count, width, dim))
-    cos, msin, linear = _dft_rows(d, tuple(points))
+                  support_bytes(count, width, 1 << d))
+    cos, msin, pairs = _dft_rows(d, tuple(points))
     re, im = t @ cos, t @ msin
-    scale = -np.ldexp(2.0 / np.sqrt(dim), -_support_scale(d))
-    first = (np.sqrt(dim) + scale * re[:, 0]) ** 2 / dim
+    shift = -d - _support_scale(d)
+    first = (1.0 - np.ldexp(re[:, 0], 1 + shift)) ** 2
     re *= re
     im *= im
     re += im
-    re *= scale * scale / dim
+    re *= np.ldexp(1.0, 2 + 2 * shift)
     re[:, 0] = first
     mean, var, c_l1, c_rel = _phase_moments(re, im)
-    # Each row's K in ascending order, padded with points outside K (present 0).
-    order = np.argsort(-t, axis=1, kind="stable")[:, :width_k]
-    present = np.take_along_axis(t, order, axis=1)
-    k = np.asarray(points, dtype=np.int64)[order]
-    # terms[r, l] = (2/dim) Im w_l, then (4/dim) k Im P_kl for each k, zero off K.
-    linear = linear[order]
-    im_p = (-np.pi / dim) * _support_tables(d)[2][(k[:, None, :] - k[:, :, None]) & (dim - 1)]
-    pairs = ((4.0 / dim) * k)[:, None, :] * im_p
-    terms = np.concatenate(
-        ((present * linear)[:, :, None], (present[:, :, None] * present[:, None, :]) * pairs), axis=2
-    ).reshape(count, width_k * (width_k + 1))
-    half_comm = np.abs(np.cumsum(terms, axis=1)[:, -1]) if width_k else np.zeros(count)
+    # terms[r, l] = t_l (2/dim) Im w_l, then t_l t_k (4/dim) k Im P_kl for each k.
+    terms = t[:, :, None] * pairs
+    terms[:, :, 1:] *= t[:, None, :]
+    half_comm = np.abs(np.cumsum(terms.reshape(count, -1), axis=1)[:, -1]) if width else np.zeros(count)
     return SpectralProfile(mean, var, half_comm, c_l1, c_rel)
 
 

@@ -118,8 +118,7 @@ STIRLING_TRIANGLE = (
     (1, 31, 90, 65, 15, 1),
 )
 
-# Number-basis coherence rows (closed forms rounded as published).
-NUMBER_BASIS_L1 = {d: float(2**d - 1) for d in range(4, 11)}
+# Number-basis relative-entropy coherence rows (closed form d ln 2, rounded as published).
 NUMBER_BASIS_ENTROPY = {
     4: 2.772, 5: 3.465, 6: 4.158, 7: 4.852, 8: 5.545, 9: 6.238, 10: 6.931,
 }

@@ -90,7 +90,12 @@ CACHE_ENV_VAR = "HYPERSTATE_CACHE"
 #    as log T - (sum p log p) / T, and the support spectrum squared in place:
 #    over every dminus1 record at d = 3..14, var_p and the coherences moved by
 #    at most 1.6e-15 relative and s_p by 7.9e-15; half_comm and var_n did not.
-RESULTS_VERSION = 6
+# 7: support spectrum scaled by exact powers of two instead of a rounded
+#    sqrt(2**d): even d kept every bit; at odd d, over every dminus1 record at
+#    d = 3..13, var_p moved by at most 6.2e-16 relative, c_l1_phase by 1.5e-15,
+#    c_rel_phase by 8.9e-16 absolute and s_p by 7.9e-15 relative; half_comm
+#    and var_n did not, and phase eigenstates now give var_p = 0 exactly.
+RESULTS_VERSION = 7
 
 # Records per text block of a CSV or JSON render, about 50 kB of text at d = 12.
 # With blocks of 128 records the sweep-d12 benchmark peaked about 1 MiB lower

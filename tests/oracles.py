@@ -6,7 +6,9 @@ amplitudes of hypergraphs batched over their own edges, commutators and
 expectations of dense matrices, the phase-basis overlaps and moments of any
 complex state, the half-spectrum phase moments and coherences by the
 two-pass reduction with explicit mirror weights and normalized
-probabilities (with the support route's spectrum squared in seven passes),
+probabilities (with the support route's spectrum scaled by a rounded
+sqrt(dim) and squared in seven passes), the support route's half_comm from
+each row's own sorted points and a gathered cotangent table,
 <[N, P]> by two FFT applications of the phase operator,
 relabeling equivalence by trying every vertex permutation, and the summary,
 CSV/JSON rendering and reading of sweep records one record (one metrics
@@ -30,8 +32,10 @@ from hyperstate.hypergraph import Hypergraph, canonical_edges, parse_edges, vert
 from hyperstate.operators import (
     SpectralProfile,
     _dft_rows,
+    _im_w,
     _require_power_of_two,
     _support_scale,
+    _support_tables,
     apply_phase_operator,
     phase_angles,
     support_profile,
@@ -139,7 +143,8 @@ def rfft_probabilities(rows: np.ndarray) -> np.ndarray:
 
 
 def support_probabilities(d: int, points, t: np.ndarray) -> np.ndarray:
-    """``support_profile``'s half-spectrum phase probabilities, scaled, shifted and squared in seven passes."""
+    """Half-spectrum phase probabilities of the support states: the integer DFT sums scaled by
+    -2 / sqrt(dim), shifted by sqrt(dim) at m = 0, squared and divided by dim in seven passes."""
     dim = 1 << d
     cos, msin = _dft_rows(d, tuple(points))[:2]
     re, im = t @ cos, t @ msin
@@ -152,6 +157,29 @@ def support_probabilities(d: int, points, t: np.ndarray) -> np.ndarray:
     re += im
     re /= dim
     return re
+
+
+def sorted_half_comm(d: int, points, t: np.ndarray) -> np.ndarray:
+    """``support_profile``'s half_comm from each row's own K: the row's points sorted to
+    the front, the cotangent table gathered at their differences, and the terms
+    (2 / dim) Im w_l, then (4 / dim) k Im P_kl for k in K, summed by ``np.cumsum``
+    over l, then k, ascending in K (the kernel of results version 6)."""
+    dim = 1 << d
+    t = np.asarray(t, dtype=np.float64)
+    count = len(t)
+    width_k = int(t.sum(axis=1).max(initial=0))
+    # Each row's K in ascending order, padded with points outside K (present 0).
+    order = np.argsort(-t, axis=1, kind="stable")[:, :width_k]
+    present = np.take_along_axis(t, order, axis=1)
+    k = np.asarray(points, dtype=np.int64)[order]
+    # terms[r, l] = (2/dim) Im w_l, then (4/dim) k Im P_kl for each k, zero off K.
+    linear = ((2.0 / dim) * np.array([_im_w(d, p) for p in points]))[order]
+    im_p = (-np.pi / dim) * _support_tables(d)[2][(k[:, None, :] - k[:, :, None]) & (dim - 1)]
+    pairs = ((4.0 / dim) * k)[:, None, :] * im_p
+    terms = np.concatenate(
+        ((present * linear)[:, :, None], (present[:, :, None] * present[:, None, :]) * pairs), axis=2
+    ).reshape(count, width_k * (width_k + 1))
+    return np.abs(np.cumsum(terms, axis=1)[:, -1]) if width_k else np.zeros(count)
 
 
 def two_pass_support_profile(d: int, points, t: np.ndarray) -> SpectralProfile:

@@ -30,7 +30,7 @@ from hyperstate.operators import spectral_profile, support_profile
 from hyperstate.state import hypergraph_profile, membership_amplitudes, membership_profile, support_rows
 from hyperstate.sweep import Family, dminus1_family, sweep_family
 
-from oracles import hypergraph_amplitudes
+from oracles import hypergraph_amplitudes, sorted_half_comm
 
 FIELDS = ("mean_p", "var_p", "half_comm", "c_l1_phase", "c_rel_phase")
 TOL = 1e-13
@@ -123,15 +123,23 @@ def test_support_route_ends_where_dminus1_sweeps_end():
         assert support_rows(d, family.edges, family.rows).tolist() == [routed]
 
 
-def test_support_points_of_a_sweep_are_gathered_once():
+def test_support_points_of_a_sweep_are_gathered_once(monkeypatch):
     family = dminus1_family(16)
     points, indicators = state_mod._support_points(16, family.edges)
     assert len(points) == 17
     t = (family.rows[[0, 2, -1]].astype(np.float64) @ indicators) % 2
     operators_mod._dft_rows.cache_clear()
     first = support_profile(16, points, t)
+
+    def built_again(*args):
+        raise AssertionError(f"support tables read after the gather: {args}")
+
+    # The DFT rows and the half_comm pair table are read from the kept gather alone.
+    monkeypatch.setattr(operators_mod, "_support_tables", built_again)
+    monkeypatch.setattr(operators_mod, "_im_w", built_again)
     second = support_profile(16, points, t)
     assert operators_mod._dft_rows.cache_info().misses == 1
+    assert operators_mod._dft_rows(16, tuple(points))[2].shape == (17, 18)
     for name in FIELDS:
         assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
 
@@ -147,6 +155,48 @@ def test_empty_hypergraph_is_the_zero_phase_state():
     profile = hypergraph_profile(Hypergraph(5))
     assert float(profile.half_comm) == 0.0
     assert float(profile.mean_p) == float(profile.var_p) == 0.0
+
+
+@pytest.mark.parametrize(
+    "g, mean",
+    [pytest.param(Hypergraph(d), 0.0, id=f"theta_0-d{d}") for d in range(1, 18)]
+    + [pytest.param(Hypergraph(d, [(d - 1,)]), np.pi, id=f"theta_half-d{d}") for d in range(1, 4)],
+)
+def test_phase_eigenstates_have_exactly_zero_phase_spread_and_coherence(g, mean):
+    # The edgeless state is |theta_0>; one edge on the last vertex flips the odd
+    # amplitudes, which gives |theta_{dim/2}>.  d = 17 takes the rfft route.
+    profile = hypergraph_profile(g)
+    assert float(profile.mean_p) == mean
+    for name in ("var_p", "c_l1_phase", "c_rel_phase"):
+        assert float(getattr(profile, name)) == 0.0, name
+
+
+def test_single_full_edge_at_d1_is_a_phase_eigenstate():
+    (record,), _ = sweep_family(Family("single-full", 1))
+    assert record.metrics == {"s_p": -1.0, "s_n": None, "var_p": 0.0, "var_n": 0.25,
+                              "half_comm": 0.0, "c_l1_phase": 0.0, "c_rel_phase": 0.0}
+
+
+@st.composite
+def support_inputs(draw):
+    """d <= 12, ascending points, and 0/1 rows with at most 2d ones each, one of them all zero."""
+    d = draw(st.integers(1, 12))
+    points = sorted(draw(st.lists(st.integers(0, (1 << d) - 1), max_size=3 * d, unique=True)))
+    chosen = st.lists(st.integers(0, len(points) - 1), max_size=min(len(points), 2 * d), unique=True)
+    t = np.zeros((draw(st.integers(1, 4)), len(points)))
+    for row in t[1:]:
+        row[draw(chosen) if points else []] = 1.0
+    return d, points, t[draw(st.permutations(range(len(t))))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(support_inputs())
+def test_half_comm_from_the_pair_table_equals_the_sorted_gather_bit_for_bit(inputs):
+    d, points, t = inputs
+    assert support_profile(d, points, t).half_comm.tobytes() == sorted_half_comm(d, points, t).tobytes()
+    for r in range(len(t)):
+        alone = support_profile(d, points, t[r : r + 1]).half_comm
+        assert alone.tobytes() == sorted_half_comm(d, points, t[r : r + 1]).tobytes(), r
 
 
 # --- 40-digit oracle -------------------------------------------------------------

@@ -75,8 +75,9 @@ def membership_amplitudes(d: int, edges: Sequence[tuple[int, ...]], rows: np.nda
     fewer than 2**24 distinct edges.
     """
     step = max(1, _INDICATOR_BYTES >> (d + 2))  # edges per block of float32 rows
-    # The int64 index n, per row the float32 counts, int32 parity, its double and
-    # the float64 result, and a block of ``step`` indicator rows (int64, bool, float32).
+    # The int64 index n, per row at most 13 bytes (the float32 counts, then a block's
+    # float32 product or the bool signs and the float64 result; counted as 20), and a
+    # block of ``step`` indicator rows (int64, bool, float32).
     nbytes = dimension(d) * (8 + 20 * len(rows) + 13 * step)
     require_bytes(f"truth tables of {len(rows)} x 2**{d} amplitudes", nbytes)
     membership = np.asarray(rows, dtype=np.float32)
@@ -87,8 +88,9 @@ def membership_amplitudes(d: int, edges: Sequence[tuple[int, ...]], rows: np.nda
         block = masks[start : start + step]
         indicators = ((n & block) == block).astype(np.float32)
         counts += membership[:, start : start + step] @ indicators
-    odd = counts.astype(np.int32) & 1
-    return (1 - 2 * odd) / np.sqrt(float(1 << d))
+    n = indicators = None  # the signs need neither
+    scale = 1 / np.sqrt(float(1 << d))
+    return np.where(np.fmod(counts, 2, out=counts) != 0, -scale, scale)  # f(n) in place, then the sign
 
 
 def hypergraph_state(g: Hypergraph) -> np.ndarray:

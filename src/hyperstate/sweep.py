@@ -16,9 +16,9 @@ from the columns in blocks of ``RENDER_BLOCK`` records.
 
 Every other CSV of the package comes from ``csv_text``, and every file it
 writes (results, cache entries, CLI ``--out`` and plot files) from
-``write_text``.  A cache entry is read back into columns with vectorised
-type and finiteness checks; anything unusual goes to the per-record
-validator, so every malformed entry is a ``SchemaError``.
+``write_text``.  A JSON cache entry is read back into columns with vectorised
+type and finiteness checks; anything unusual, and every CSV file, goes to
+the per-record validator, so every malformed entry is a ``SchemaError``.
 
 Extremal semantics: for the squeezing-degree metrics (s_p, s_n) the
 summary ranges over the configurations that actually exhibit squeezing
@@ -47,6 +47,7 @@ import hashlib
 import io
 import itertools
 import json
+import operator
 import os
 import stat
 import sys
@@ -192,49 +193,30 @@ class SweepResults(Sequence[SweepRecord]):
     ``d`` holds one Python int per record, ``edges`` the joined edge texts and
     ``values`` one (records x 7) float64 matrix in ``METRIC_NAMES`` order, NaN
     where a metric is undefined.  Indexing and iteration give ``SweepRecord``
-    views with Python float or None metrics; ``==`` compares with any sequence
-    of records element by element.
+    views with Python float or None metrics; ``==`` compares two results
+    column by column.
     """
 
     def __init__(self, d: list[int], edges: list[str], values: np.ndarray) -> None:
-        self.d = d
-        self.edges = edges
-        self.values = values
+        self.d, self.edges, self.values = d, edges, values
         self.values.flags.writeable = False  # the text of its values is formed once
         self._cells: list[list[str]] | None = None
-
-    @classmethod
-    def of(cls, records: Iterable[SweepRecord]) -> SweepResults:
-        """``records`` as columns; results already columnar are returned as they are."""
-        if isinstance(records, SweepResults):
-            return records
-        records = list(records)
-        values = np.array(
-            [[np.nan if r.metrics[m] is None else r.metrics[m] for m in METRIC_NAMES] for r in records],
-            dtype=np.float64,
-        ).reshape(len(records), len(METRIC_NAMES))
-        return cls([r.d for r in records], [r.edges for r in records], values)
 
     def __len__(self) -> int:
         return len(self.edges)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return SweepResults(self.d[index], self.edges[index], self.values[index])
+    def __getitem__(self, index: int) -> SweepRecord:
+        index = operator.index(index)  # a slice would give a record of lists
         return _record(self.d[index], self.edges[index], self.values[index].tolist())
 
     def __iter__(self) -> Iterator[SweepRecord]:
         return map(_record, self.d, self.edges, self.values.tolist())
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, SweepResults):
-            return (self.d == other.d and self.edges == other.edges
-                    and np.array_equal(self.values, other.values, equal_nan=True))
-        if isinstance(other, Sequence) and not isinstance(other, str):
-            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-        return NotImplemented
-
-    __hash__ = None  # type: ignore[assignment]
+        if not isinstance(other, SweepResults):
+            return NotImplemented
+        return (self.d == other.d and self.edges == other.edges
+                and np.array_equal(self.values, other.values, equal_nan=True))
 
     def _cell_texts(self) -> list[list[str]]:
         """Per metric, the repr of each defined value and "" for undefined, formed on first use."""
@@ -463,131 +445,114 @@ def _json_blocks(results: SweepResults, depth: int) -> Iterator[str]:
     yield indent + "]"
 
 
-def render_blocks(records: Iterable[SweepRecord], fmt: str, depth: int = 0) -> Iterator[str]:
-    """Records as text blocks: CSV, or the JSON list ``depth`` levels deep in an indented document.
-
-    Their concatenation is a whole CSV or JSON file, newline included, at depth 0.
-    """
+def render_blocks(results: SweepResults, fmt: str, depth: int = 0) -> Iterator[str]:
+    """Results as text blocks of CSV, or of the JSON list ``depth`` levels deep in an indented
+    document; at depth 0 they join to a whole CSV or JSON file, newline included."""
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
-    results = SweepResults.of(records)
     if fmt == "csv":
         return _csv_blocks(results)
     return itertools.chain(_json_blocks(results, depth), ["\n"] if depth == 0 else [])
 
 
-def render_results(records: Iterable[SweepRecord], fmt: str) -> str:
-    """Serialize records to the requested format (csv or json)."""
-    return "".join(render_blocks(records, fmt))
+def render_results(results: SweepResults, fmt: str) -> str:
+    """Serialize results to the requested format (csv or json)."""
+    return "".join(render_blocks(results, fmt))
 
 
-def write_results(records: Iterable[SweepRecord], path: str | os.PathLike, fmt: str | None = None) -> None:
-    """Write records to ``path`` through ``write_text``; format from arg or file extension."""
-    if fmt is None:
-        fmt = Path(path).suffix.lstrip(".").lower()
-    write_text(path, render_blocks(records, fmt))
+def write_results(results: SweepResults, path: str | os.PathLike, fmt: str) -> None:
+    """Write results in format ``fmt`` (csv or json) to ``path`` through ``write_text``."""
+    write_text(path, render_blocks(results, fmt))
 
 
-def _record_from_fields(path: Path, d, edges, values: dict, cells: bool) -> SweepRecord:
-    """A record from CSV ``cells`` or JSON values: an integer d, text edges, metrics None or finite."""
+def _record_from_fields(path: Path, fields: dict | list[str], cells: bool) -> tuple[int, str, list]:
+    """An integer d, text edges and metrics None or finite of a JSON record object or a CSV row."""
     # A CSV cell must be text as ``csv_text`` writes it: d the str of an int, a metric
     # the repr of a float.  A JSON d must be a JSON integer and a JSON metric a number or null.
+    if cells:
+        if len(fields) != len(CSV_HEADER):
+            raise SchemaError(f"{path}: row has {len(fields)} fields, expected {len(CSV_HEADER)}")
+        d, edges, values = fields[0], fields[1], dict(zip(METRIC_NAMES, [cell or None for cell in fields[2:]]))
+    else:
+        if set(fields) != set(CSV_HEADER):
+            raise SchemaError(f"{path}: record keys {sorted(fields)} do not match schema")
+        d, edges, values = fields["d"], fields["edges"], fields
     raw = (str, type(None)) if cells else (int, float, type(None))
     try:
         if isinstance(d, bool) or not isinstance(d, str if cells else int) or cells and str(int(d)) != d:
             raise TypeError(f"d {d!r} is not an integer")
         if not isinstance(edges, str):
             raise TypeError(f"edges {edges!r} is not text")
-        metrics = {name: None if values[name] is None else float(values[name]) for name in METRIC_NAMES}
-        bad = [n for n in METRIC_NAMES if isinstance(values[n], bool) or not isinstance(values[n], raw)
-               or not isfinite(metrics[n] or 0.0)
-               or cells and metrics[n] is not None and repr(metrics[n]) != values[n]]
+        metrics = [None if values[name] is None else float(values[name]) for name in METRIC_NAMES]
+        bad = [n for n, v in zip(METRIC_NAMES, metrics) if isinstance(values[n], bool)
+               or not isinstance(values[n], raw) or not isfinite(v or 0.0)
+               or cells and v is not None and repr(v) != values[n]]
         if bad:
             raise ValueError(f"{bad[0]} {values[bad[0]]!r} is not a finite number")
-        return SweepRecord(d=int(d), edges=edges, metrics=metrics)
+        return int(d), edges, metrics
     except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: malformed record: {exc}") from None
 
 
 def _finite_columns(columns: list[list]) -> np.ndarray | None:
-    """(records x metrics) float64 of float-or-None columns, or None if any float is not finite."""
-    values = np.array(columns, dtype=np.float64).reshape(len(columns), -1).T
+    """(records x metrics) float64 of number-or-None columns, or None if any number is not a finite float."""
+    try:
+        values = np.array(columns, dtype=np.float64).reshape(len(columns), -1).T
+    except OverflowError:  # an integer beyond float64
+        return None
     undefined = sum(column.count(None) for column in columns)
     if np.isinf(values).any() or np.count_nonzero(np.isnan(values)) != undefined:
         return None
     return np.ascontiguousarray(values)
 
 
-def _json_results(path: Path, payload: list[dict]) -> SweepResults:
+def _json_columns(payload: list[dict]) -> SweepResults | None:
+    """The records of a plain cache entry as columns, read in one pass per column, or None."""
     keys = set(CSV_HEADER)
-    if all(entry.keys() == keys for entry in payload):
-        d = [entry["d"] for entry in payload]
-        edges = [entry["edges"] for entry in payload]
-        columns = [[entry[name] for entry in payload] for name in METRIC_NAMES]
-        plain = (set(map(type, d)) <= {int} and set(map(type, edges)) <= {str}
-                 and all(set(map(type, column)) <= {float, type(None)} for column in columns))
-        values = _finite_columns(columns) if plain else None
-        if values is not None:
-            return SweepResults(d, edges, values)
-    records = []  # something unusual: the per-record validator says what
-    for entry in payload:
-        if set(entry) != keys:
-            raise SchemaError(f"{path}: record keys {sorted(entry)} do not match schema")
-        records.append(_record_from_fields(path, entry["d"], entry["edges"], entry, cells=False))
-    return SweepResults.of(records)
-
-
-def _csv_results(path: Path, rows: list[list[str]]) -> SweepResults:
-    if all(len(row) == len(CSV_HEADER) for row in rows):
-        try:
-            d = [int(row[0]) for row in rows]
-            columns = [[float(row[j]) if row[j] else None for row in rows] for j in range(2, len(CSV_HEADER))]
-        except ValueError:
-            pass
-        else:
-            # Only the text csv_text writes: each cell must be the str or repr of the value read.
-            written = (list(map(str, d)) == [row[0] for row in rows]
-                       and all(["" if v is None else repr(v) for v in column] == [row[j] for row in rows]
-                               for j, column in enumerate(columns, 2)))
-            values = _finite_columns(columns) if written else None
-            if values is not None:
-                return SweepResults(d, [row[1] for row in rows], values)
-    records = []  # something unusual: the per-record validator says what
-    for row in rows:
-        if len(row) != len(CSV_HEADER):
-            raise SchemaError(f"{path}: row has {len(row)} fields, expected {len(CSV_HEADER)}")
-        values = {name: (None if cell == "" else cell) for name, cell in zip(METRIC_NAMES, row[2:])}
-        records.append(_record_from_fields(path, row[0], row[1], values, cells=True))
-    return SweepResults.of(records)
+    if not all(entry.keys() == keys for entry in payload):
+        return None
+    d = [entry["d"] for entry in payload]
+    edges = [entry["edges"] for entry in payload]
+    columns = [[entry[name] for entry in payload] for name in METRIC_NAMES]
+    plain = (set(map(type, d)) <= {int} and set(map(type, edges)) <= {str}
+             and all(set(map(type, column)) <= {int, float, type(None)} for column in columns))
+    values = _finite_columns(columns) if plain else None
+    return None if values is None else SweepResults(d, edges, values)
 
 
 def read_results(path: str | os.PathLike) -> SweepResults:
-    """Read records back from a CSV or JSON results file.
+    """Read results back from a CSV or JSON results file, or raise SchemaError if it is malformed.
 
-    Raises SchemaError for anything that is not a well-formed results file.
-    """
+    Plain JSON records are read as columns; anything else is validated one record at a time."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text: {exc}") from None
+    cells = path.suffix.lower() == ".csv"
     if path.suffix.lower() == ".json":
         try:
-            payload = json.loads(text)
+            rows = json.loads(text)
         except (ValueError, RecursionError) as exc:  # also int digit limit and deep nesting
             raise SchemaError(f"{path}: not valid JSON: {exc}") from None
-        if not isinstance(payload, list) or not all(isinstance(e, dict) for e in payload):
+        if not isinstance(rows, list) or not all(isinstance(e, dict) for e in rows):
             raise SchemaError(f"{path}: expected a JSON list of record objects")
-        return _json_results(path, payload)
-    if path.suffix.lower() == ".csv":
+        results = _json_columns(rows)
+        if results is not None:
+            return results
+    elif cells:
         try:
             rows = list(csv.reader(io.StringIO(text)))
         except csv.Error as exc:
             raise SchemaError(f"{path}: not valid CSV: {exc}") from None
         if not rows or tuple(rows[0]) != CSV_HEADER:
             raise SchemaError(f"{path}: header {rows[0] if rows else []} does not match schema")
-        return _csv_results(path, rows[1:])
-    raise SchemaError(f"{path}: unknown results format (expected .csv or .json)")
+        del rows[0]
+    else:
+        raise SchemaError(f"{path}: unknown results format (expected .csv or .json)")
+    records = [_record_from_fields(path, row, cells) for row in rows]
+    values = np.array([r[2] for r in records], dtype=np.float64).reshape(-1, len(METRIC_NAMES))
+    return SweepResults([r[0] for r in records], [r[1] for r in records], values)
 
 
 def cache_key(

@@ -41,7 +41,15 @@ from hyperstate.operators import (
     support_profile,
 )
 from hyperstate.state import membership_amplitudes
-from hyperstate.sweep import CSV_HEADER, METRIC_NAMES, SQUEEZE_METRICS, MetricSummary, SweepRecord, csv_text
+from hyperstate.sweep import (
+    CSV_HEADER,
+    METRIC_NAMES,
+    SQUEEZE_METRICS,
+    MetricSummary,
+    SweepRecord,
+    SweepResults,
+    csv_text,
+)
 
 
 def boolean_function(g: Hypergraph) -> np.ndarray:
@@ -234,6 +242,16 @@ def _summarize(records: Sequence[SweepRecord], metric: str) -> MetricSummary:
         argmin=tuple(sorted(e for v, e in defined if v == lo)),
         argmax=tuple(sorted(e for v, e in defined if v == hi)),
     )
+
+
+def columns(records: Iterable[SweepRecord]) -> SweepResults:
+    """``records`` as one columnar ``SweepResults``, NaN where a metric is None."""
+    records = list(records)
+    values = np.array(
+        [[np.nan if r.metrics[m] is None else r.metrics[m] for m in METRIC_NAMES] for r in records],
+        dtype=np.float64,
+    ).reshape(len(records), len(METRIC_NAMES))
+    return SweepResults([r.d for r in records], [r.edges for r in records], values)
 
 
 def records_payload(records: Iterable[SweepRecord]) -> list[dict]:

@@ -276,8 +276,8 @@ def test_c13_thread_determinism(tmp_path):
     for fmt in ("csv", "json"):
         path_1 = tmp_path / f"t1.{fmt}"
         path_8 = tmp_path / f"t8.{fmt}"
-        write_results(records_1, path_1)
-        write_results(records_8, path_8)
+        write_results(records_1, path_1, fmt)
+        write_results(records_8, path_8, fmt)
         assert path_1.read_bytes() == path_8.read_bytes()
         assert render_results(records_1, fmt) == render_results(records_8, fmt)
     _announce("C13", "1-thread and 8-thread sweeps byte-identical (csv and json)")

@@ -31,7 +31,6 @@ from hyperstate.sweep import (
     METRIC_NAMES,
     Family,
     SweepRecord,
-    SweepResults,
     SweepSummary,
     cache_key,
     cached_sweep,
@@ -146,7 +145,7 @@ def test_sweep_builds_no_per_configuration_objects(monkeypatch):
         monkeypatch.setattr(hypergraph_mod, name, refuse(name))
         monkeypatch.setattr(sweep_mod, name, refuse(name), raising=False)
     records, summary = sweep_family(family)
-    assert records == expected and summary.count == 247  # 255 subsets, 8 single edges
+    assert list(records) == expected and summary.count == 247  # 255 subsets, 8 single edges
 
 
 def test_family_default_filters():
@@ -256,7 +255,7 @@ def test_write_read_round_trip(tmp_path):
     records, _ = sweep_family(dminus1_family(4))
     for fmt in ("csv", "json"):
         path = tmp_path / f"out.{fmt}"
-        write_results(records, path)
+        write_results(records, path, fmt)
         assert read_results(path) == records
 
 
@@ -264,15 +263,15 @@ def test_write_is_byte_stable(tmp_path):
     records, _ = sweep_family(dminus1_family(4))
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
-    write_results(records, first)
-    write_results(records, second)
+    write_results(records, first, "csv")
+    write_results(records, second, "csv")
     assert first.read_bytes() == second.read_bytes()
 
 
 def test_csv_header_schema(tmp_path):
     records, _ = sweep_family(dminus1_family(4))
     path = tmp_path / "out.csv"
-    write_results(records, path)
+    write_results(records, path, "csv")
     header = path.read_text().splitlines()[0]
     assert header == ",".join(CSV_HEADER)
 
@@ -413,11 +412,11 @@ _RECORDS = st.lists(st.builds(
 @given(records=_RECORDS, fmt=st.sampled_from(["csv", "json"]))
 def test_any_records_survive_write_and_read(tmp_path, records, fmt):
     path = tmp_path / f"out.{fmt}"
-    write_results(records, path)
+    write_results(oracles.columns(records), path, fmt)
     text = path.read_text(encoding="utf-8")
-    assert text == render_results(records, fmt)
+    assert text == render_results(oracles.columns(records), fmt)
     back = read_results(path)
-    assert back == records
+    assert list(back) == records
     assert render_results(back, fmt) == text  # also tells -0.0 from 0.0
 
 
@@ -498,7 +497,7 @@ def test_write_results_leaves_no_partial_file(tmp_path):
     records, _ = sweep_family(dminus1_family(4))
     path = tmp_path / "out.json"
     path.write_text("old")
-    write_results(records, path)
+    write_results(records, path, "json")
     assert read_results(path) == records
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
@@ -528,7 +527,7 @@ def test_write_results_error_names_the_target_not_the_temporary(tmp_path):
     records, _ = sweep_family(dminus1_family(4))
     target = tmp_path / "missing" / "out.csv"
     with pytest.raises(FileNotFoundError) as info:
-        write_results(records, target)
+        write_results(records, target, "csv")
     assert info.value.filename == str(target)
     assert ".tmp" not in str(info.value)
     assert not (tmp_path / "missing").exists()
@@ -587,7 +586,7 @@ def test_chunked_records_equal_single_records(monkeypatch):
     monkeypatch.setattr(sweep_mod, "CHUNK_BYTES", 16 * 32 * 4)
     chunked, _ = sweep_family(family)
     single = [evaluate_record(g) for g in family.configurations() if is_connected(g)]
-    assert whole == chunked == single
+    assert whole == chunked and list(chunked) == single
 
 
 def test_complete_k_metrics_invariant_under_relabeling():
@@ -633,8 +632,8 @@ def _oracle_summary(records):
 @settings(max_examples=80, deadline=None)
 @given(records=_RECORDS | _ODD_EDGE_RECORDS)
 def test_columnar_text_equals_the_per_record_oracle(records):
-    results = SweepResults.of(records)
-    assert list(results) == records and results == records
+    results = oracles.columns(records)
+    assert list(results) == records
     assert all(type(r.d) is int for r in results)
     for _ in range(2):  # the second render reuses the text of the first
         for fmt in ("csv", "json"):
@@ -649,7 +648,7 @@ def test_columnar_text_of_no_records_and_of_extreme_values():
     records = [SweepRecord(4, 'a,"b"\n', dict(zip(METRIC_NAMES, values))), SweepRecord(-7, "", dict.fromkeys(METRIC_NAMES))]
     for chosen in ([], records):
         for fmt in ("csv", "json"):
-            assert render_results(chosen, fmt) == oracles.render_results(chosen, fmt)
+            assert render_results(oracles.columns(chosen), fmt) == oracles.render_results(chosen, fmt)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -674,9 +673,27 @@ def test_read_results_equals_the_per_record_oracle(tmp_path, text, suffix):
         assert str(info.value) == str(exc)
         return
     got = read_results(path)
-    assert got == want and all(type(r.d) is int for r in got)
+    assert list(got) == want and all(type(r.d) is int for r in got)
     for fmt in ("csv", "json"):  # also tells -0.0 from 0.0
         assert render_results(got, fmt) == oracles.render_results(want, fmt)
+
+
+def test_json_integer_metrics_read_as_the_oracle_reads_them(tmp_path):
+    path = tmp_path / "entry.json"
+    integers = ["0", "-0", "7", str(10**20 + 1), str(10**300)]
+    path.write_text("[" + ",".join(
+        '{"d": 4, "edges": "0,1", %s}' % ", ".join(f'"{m}": {integers[j % 5]}' for j, m in enumerate(METRIC_NAMES))
+        for _ in range(2)) + "]")
+    want = oracles.read_results(path)
+    assert want[0].metrics["s_p"] == 0.0 and want[0].metrics["half_comm"] == 1e300
+    for fmt in ("csv", "json"):  # also tells -0.0 from 0.0
+        assert render_results(read_results(path), fmt) == oracles.render_results(want, fmt)
+    path.write_text(path.read_text().replace(str(10**300), str(10**400), 1))
+    with pytest.raises(SchemaError) as expected:
+        oracles.read_results(path)
+    with pytest.raises(SchemaError) as info:
+        read_results(path)
+    assert str(info.value) == str(expected.value)
 
 
 _TIED_VALUES = st.sampled_from([None, 0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 5e-324, -5e-324])
@@ -696,7 +713,7 @@ def _same_summary(got, want):
 @settings(max_examples=150, deadline=None)
 @given(records=_TIED_RECORDS)
 def test_columnar_summary_equals_the_oracle(records):
-    summary = sweep_mod._summarize(SweepResults.of(records), METRIC_NAMES)
+    summary = sweep_mod._summarize(oracles.columns(records), METRIC_NAMES)
     for metric in METRIC_NAMES:
         _same_summary(summary[metric], oracles._summarize(records, metric))
 
@@ -711,7 +728,7 @@ def test_columnar_summary_equals_the_oracle(records):
 ], ids=["empty", "all-undefined", "zero-first", "negative-zero-first", "positive-only", "zero-ties"])
 def test_columnar_summary_edge_cases_equal_the_oracle(column):
     records = [SweepRecord(4, f"{i},9", dict.fromkeys(METRIC_NAMES, value)) for i, value in enumerate(column)]
-    summary = sweep_mod._summarize(SweepResults.of(records), METRIC_NAMES)
+    summary = sweep_mod._summarize(oracles.columns(records), METRIC_NAMES)
     for metric in METRIC_NAMES:  # s_p and s_n: the squeezed subpopulation or its fallback
         _same_summary(summary[metric], oracles._summarize(records, metric))
 
@@ -731,7 +748,7 @@ def test_cache_entries_are_compatible_with_the_per_record_writer(tmp_path, monke
     entry = tmp_path / f"{cache_key(family)}.json"
     with monkeypatch.context() as patch:
         patch.setattr(sweep_mod, "render_blocks", lambda records, fmt: oracles.render_results(records, fmt))
-        write_results(list(fresh), entry)
+        write_results(fresh, entry, "json")
     assert entry.read_text(encoding="utf-8") == oracle_text
 
     def boom(*args, **kwargs):

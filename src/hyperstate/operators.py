@@ -11,11 +11,11 @@ sum_m theta_m |theta_m><theta_m|, a Hermitian circulant matrix; its
 commutator with the number operator is skew-Hermitian Toeplitz.
 
 Squeezing and phase-basis coherence of real states are evaluated along two
-routes that share one set of reductions, ``_phase_moments``.  It reads each
-mirror-weighted sum over the half spectrum as twice the plain row sum less
-the unmirrored end bins, takes the relative entropy as log T - (sum p log p)
-/ T with T the total (a bin with p = 0 is logged at the smallest normal
-float and adds exactly 0), and reuses one scratch array for its 9 passes.
+routes that share one set of reductions: ``_phase_sums`` reads each
+mirror-weighted row sum over the half spectrum as twice the plain row sum
+less the unmirrored end bins, in 9 passes over one scratch array, and
+``_phase_moments`` finishes the sums, with the relative entropy as
+log T - (sum p log p) / T for the total T (p = 0 adds exactly 0).
 ``spectral_profile`` (the rfft route) takes the half spectra of psi and n psi
 from one length-dim real FFT, batched over a stack of states and read with
 mirror weights (Parseval turns <[N, P]> into a weighted sum over those
@@ -40,7 +40,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import require_bytes, require_cubic_work
+from .errors import dimension, require_bytes, require_cubic_work
+
+# Rows per tile of a profile call: a tile's rfft stacks the half spectra of psi
+# and n psi, 2 (2**(d-1) + 1) complex128 values per row, about 1 MiB per tile.
+CHUNK_BYTES = 1 << 20
 
 
 def _require_power_of_two(dim: int) -> None:
@@ -130,6 +134,11 @@ class SpectralProfile:
     c_rel_phase: np.ndarray
 
 
+def tile_rows(d: int) -> int:
+    """Rows per tile of a profile call at ``d``: CHUNK_BYTES // (16 * 2**d), at least 1."""
+    return max(1, CHUNK_BYTES // (16 * dimension(d)))
+
+
 def profile_bytes(count: int, dim: int) -> int:
     """Bytes ``spectral_profile`` holds at its peak, the rfft, for ``count`` states of length ``dim``."""
     # The float64 states (8 per amplitude), the stacked psi and n psi (16), their
@@ -162,9 +171,10 @@ def spectral_profile(psi: np.ndarray) -> SpectralProfile:
     and the relative entropy log T - (sum p log p) / T.
 
     F and G come from one ``rfft`` of length dim over the stacked rows of
-    psi and n psi.  ``_phase_moments`` reduces p, reading each mirror-weighted
+    psi and n psi.  ``_phase_sums`` reduces p, reading each mirror-weighted
     sum as twice the row sum less the unmirrored end bins, with the squared
-    imaginary parts' array as its scratch.  Every reduction is a row-wise
+    imaginary parts' array as its scratch, and ``_phase_moments`` finishes
+    the sums.  Every reduction is a row-wise
     ``np.sum``, so a state's values do not depend on which other states share
     its batch.
     """
@@ -185,7 +195,7 @@ def spectral_profile(psi: np.ndarray) -> SpectralProfile:
     prob /= dim
     cross = g.real * f.imag - g.imag * f.real
     half_comm = np.abs(np.sum(cross * _half_spectrum_weights(dim)[0], axis=-1)) / dim
-    mean, var, c_l1, c_rel = _phase_moments(prob, scratch)
+    mean, var, c_l1, c_rel = _phase_moments(*_phase_sums(prob, scratch))
     shape = psi.shape[:-1]
     return SpectralProfile(
         *(value.reshape(shape) for value in (mean, var, half_comm, c_l1, c_rel))
@@ -206,41 +216,39 @@ def _half_spectrum_weights(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return comm, spread
 
 
-def _phase_moments(
-    prob: np.ndarray, scratch: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """mean_p, var_p, c_l1_phase and c_rel_phase of half-spectrum phase probabilities.
+def _phase_sums(prob: np.ndarray, scratch: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per row of half-spectrum phase probabilities, the five sums ``_phase_moments`` finishes:
+    p_0, and the mirror-weighted sums over m >= 1 of p and of the variance terms, and over
+    every bin of sqrt p and of p log p.
 
     ``prob`` holds p_m = |F_m|**2 / dim for m = 0 .. dim/2, one row per state,
-    and is left as it is; ``scratch``, of the same shape, is overwritten.  It
-    holds in turn the variance terms, the square roots and the logs, so no
-    reduction allocates a row: 9 passes over the bins in all.
-
-    A mirror-weighted sum is read as twice the plain row sum minus the bins
-    that have no mirror: 2 sum_{m>=1} - p_{dim/2} over m >= 1, and
-    2 sum_m - (m = 0) - (m = dim/2) over every bin.  The doubling is exact.
-    Sums over m >= 1 are taken directly, not as T - p_0, which would cancel
-    when p_0 is close to 1; the m = 0 bin's variance term is p_0 mean**2.
-    With T the mirror-weighted total (1 up to round-off),
-      c_l1_phase = (sum_m sqrt p_m)**2 / T - 1,
-      c_rel_phase = -sum_m (p_m / T) log(p_m / T) = log T - (sum_m p_m log p_m) / T,
-    with the log taken of max(p_m, tiny), the smallest normal float, so a bin
-    with p_m = 0 adds exactly 0 and no log(0) is taken.  Every reduction is a
-    row-wise ``np.sum``, so a state's values do not depend on its batch.
+    and is left as it is; ``scratch``, of the same shape, holds in turn the
+    variance terms, the square roots and the logs: 9 passes over the bins in
+    all.  A mirror-weighted sum is twice the plain row sum less the bins with
+    no mirror (m = 0 and m = dim/2); the doubling is exact.  Sums over m >= 1
+    are taken directly, not as T - p_0, which would cancel when p_0 is close
+    to 1.  The log is taken of max(p_m, tiny), the smallest normal float, so
+    a bin with p_m = 0 adds exactly 0.  Every reduction is a row-wise
+    ``np.sum``, so a state's sums do not depend on its batch.
     """
     spread_weights = _half_spectrum_weights(2 * (prob.shape[-1] - 1))[1]
-    p0, last = prob[:, 0], prob[:, -1]
-    rest = 2.0 * np.sum(prob[:, 1:], axis=-1) - last
-    total = p0 + rest
-    mean = np.pi * rest
+    rest = 2.0 * np.sum(prob[:, 1:], axis=-1) - prob[:, -1]
     spread = np.sum(np.multiply(prob[:, 1:], spread_weights[1:], out=scratch[:, 1:]), axis=-1)
-    var = spread + (np.pi - mean) ** 2 * rest + p0 * mean**2
     roots = np.sqrt(prob, out=scratch)
-    c_l1 = (2.0 * np.sum(roots, axis=-1) - roots[:, 0] - roots[:, -1]) ** 2 / total - 1.0
+    roots = 2.0 * np.sum(roots, axis=-1) - roots[:, 0] - roots[:, -1]
     logs = np.log(np.maximum(prob, np.finfo(np.float64).tiny, out=scratch), out=scratch)
     logs *= prob
-    c_rel = np.log(total) - (2.0 * np.sum(logs, axis=-1) - logs[:, 0] - logs[:, -1]) / total
-    return mean, var, c_l1, c_rel
+    logs = 2.0 * np.sum(logs, axis=-1) - logs[:, 0] - logs[:, -1]
+    return prob[:, 0].copy(), rest, spread, roots, logs  # p_0 copied: the sums keep no spectrum alive
+
+
+def _phase_moments(p0, rest, spread, roots, logs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """mean_p, var_p (the m = 0 term is p_0 mean**2), c_l1_phase = (sum sqrt p)**2 / T - 1 and c_rel_phase =
+    log T - (sum p log p) / T, elementwise from ``_phase_sums``, with T the mirror-weighted total."""
+    total = p0 + rest
+    mean = np.pi * rest
+    var = spread + (np.pi - mean) ** 2 * rest + p0 * mean**2
+    return mean, var, roots**2 / total - 1.0, np.log(total) - logs / total
 
 
 def _support_scale(d: int) -> int:
@@ -294,7 +302,7 @@ def _dft_rows(d: int, points: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, 
     the half_comm pair table over the points: row l is (2 / dim) Im (P n)_l, then
     (4 / dim) k Im P_kl for each point k.
 
-    One entry is kept, so a sweep whose chunks share their points builds them once.
+    One entry is kept, so the calls of a sweep, which share their points, build them once.
     """
     dim = 1 << d
     cos, msin, cot = _support_tables(d)
@@ -313,6 +321,7 @@ def _dft_rows(d: int, points: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, 
 def support_bytes(count: int, points: int, dim: int) -> int:
     """Bytes ``support_profile`` holds at its peak for ``count`` states over ``points`` support points."""
     half = dim // 2 + 1
+    tile = min(count, tile_rows(dim.bit_length() - 1))
     # The three float64 tables of this d and the kept tables of smaller d
     # (under 48 per index) and, while Im (P n) is summed at one point, its
     # int64 index and two float64 term arrays (24 per index; building the
@@ -320,13 +329,15 @@ def support_bytes(count: int, points: int, dim: int) -> int:
     # DFT rows beside the kept rows of the last gather: the int64 index and
     # two float64 rows of each, 40 per point and bin; the pair table, built
     # beside the kept table of the last gather (16 and 8 per entry, measured
-    # at d = 8, 9 and 10); per state the spectrum's two parts, squared in
-    # place into the probabilities and the reductions' scratch (16 per bin,
-    # measured at d = 10, 12 and 16), kept at 32; and the half_comm terms over
+    # at d = 8, 9 and 10); per state of a tile the spectrum's two parts, squared
+    # in place into the probabilities and the reductions' scratch (16 per bin,
+    # measured at d = 10, 12 and 16), kept at 32, and the half_comm terms over
     # every pair-table entry with their running sums (16 per entry, measured
-    # at d = 10, 12 and 16), kept at 24.
+    # at d = 10, 12 and 16), kept at 24; per state of the call its row of t,
+    # its six sums, kept per tile and then joined, and the finished profile
+    # with the temporaries of finishing it (8 per point and 112).
     pairs = points * (points + 1)
-    return 72 * dim + 40 * points * half + 24 * pairs + count * (32 * half + 24 * pairs)
+    return 72 * dim + 40 * points * half + 24 * pairs + tile * (32 * half + 24 * pairs) + count * (8 * points + 112)
 
 
 def support_profile(d: int, points: Sequence[int], t: np.ndarray) -> SpectralProfile:
@@ -344,7 +355,8 @@ def support_profile(d: int, points: Sequence[int], t: np.ndarray) -> SpectralPro
     (1 - 2 |K| / dim)**2, and every bin as |t @ Q|**2 2**(2 + 2 shift) in
     place, in 4 passes, before p_0 is written back; |theta_0> gets p_0 = 1
     exactly.  The phase moments and coherences are ``spectral_profile``'s
-    reductions of those p, with the imaginary part's array as their scratch.
+    reductions of those p, with the imaginary part's array as the scratch of
+    ``_phase_sums``.
     P theta_0 = 0, so with w = P n
       Im <N psi|P psi> = (2 / dim) sum_{l in K} Im w_l
                          + (4 / dim) sum_{k, l in K} k Im P_kl,
@@ -352,6 +364,9 @@ def support_profile(d: int, points: Sequence[int], t: np.ndarray) -> SpectralPro
     t_l, then t_l t_k, summed by ``np.cumsum`` (sequential, no BLAS) over l,
     then k, ascending over every point.  The terms off K are exact zeros, so
     a state's values are a function of K alone.
+
+    The DFT product, the squaring, ``_phase_sums`` and the half_comm terms run
+    on ``tile_rows(d)`` rows at a time, the finishing once per call.
     """
     t = np.asarray(t, dtype=np.float64)
     count, width = t.shape
@@ -362,19 +377,25 @@ def support_profile(d: int, points: Sequence[int], t: np.ndarray) -> SpectralPro
     require_bytes(f"support profile of {count} states over {width} points at d={d}",
                   support_bytes(count, width, 1 << d))
     cos, msin, pairs = _dft_rows(d, tuple(points))
-    re, im = t @ cos, t @ msin
-    shift = -d - _support_scale(d)
-    first = (1.0 - np.ldexp(re[:, 0], 1 + shift)) ** 2
-    re *= re
-    im *= im
-    re += im
-    re *= np.ldexp(1.0, 2 + 2 * shift)
-    re[:, 0] = first
-    mean, var, c_l1, c_rel = _phase_moments(re, im)
-    # terms[r, l] = t_l (2/dim) Im w_l, then t_l t_k (4/dim) k Im P_kl for each k.
-    terms = t[:, :, None] * pairs
-    terms[:, :, 1:] *= t[:, None, :]
-    half_comm = np.abs(np.cumsum(terms.reshape(count, -1), axis=1)[:, -1]) if width else np.zeros(count)
+    shift, tile = -d - _support_scale(d), tile_rows(d)
+    tiles = []  # per tile its five phase sums and half_comm
+    for start in range(0, count or 1, tile):  # a t of no rows runs once, on no rows
+        part = t[start : start + tile]
+        re, im = part @ cos, part @ msin
+        first = (1.0 - np.ldexp(re[:, 0], 1 + shift)) ** 2
+        re *= re
+        im *= im
+        re += im
+        re *= np.ldexp(1.0, 2 + 2 * shift)
+        re[:, 0] = first
+        # terms[r, l] = t_l (2/dim) Im w_l, then t_l t_k (4/dim) k Im P_kl for each k.
+        terms = part[:, :, None] * pairs
+        terms[:, :, 1:] *= part[:, None, :]
+        half_comm = np.abs(np.cumsum(terms.reshape(len(part), -1), axis=1)[:, -1]) if width else np.zeros(len(part))
+        tiles.append((*_phase_sums(re, im), half_comm))
+    *sums, half_comm = tiles[0] if len(tiles) == 1 else map(np.concatenate, zip(*tiles))
+    tiles = None  # finishing needs only the joined sums
+    mean, var, c_l1, c_rel = _phase_moments(*sums)
     return SpectralProfile(mean, var, half_comm, c_l1, c_rel)
 
 

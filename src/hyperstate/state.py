@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import dimension, require_bytes
 from .hypergraph import Hypergraph, vertex_mask
-from .operators import SpectralProfile, profile_bytes, spectral_profile, support_bytes, support_profile
+from .operators import SpectralProfile, profile_bytes, spectral_profile, support_bytes, support_profile, tile_rows
 
 # Edge indicator rows are built in blocks of at most this many bytes, so a
 # graph with many edges at large d needs no edges-by-2**d matrix at once.
@@ -103,7 +103,7 @@ def hypergraph_state(g: Hypergraph) -> np.ndarray:
 def _edge_weights(d: int, edges: tuple[tuple[int, ...], ...]) -> np.ndarray:
     """Support size 2**(d - |e|) of each edge, capped at 2d + 1 (any more rules a row out).
 
-    One entry is kept, so the chunks of a sweep build it once."""
+    One entry is kept, so the calls of a sweep build it once."""
     cap = 2 * d + 1
     weights = np.array([min(1 << min(d - len(e), 64), cap) for e in edges], dtype=np.int64)
     weights.flags.writeable = False
@@ -125,7 +125,7 @@ def support_rows(d: int, edges: Sequence[tuple[int, ...]], rows: np.ndarray) -> 
 def _support_points(d: int, edges: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], np.ndarray]:
     """Ascending union U of the supports {n : n contains the bits of e} of the edges a support
     row can use (support size <= 2d), and the float64 edge-by-U indicator matrix over all of
-    ``edges``.  One entry is kept, so the chunks of a sweep build them once."""
+    ``edges``.  One entry is kept, so the calls of a sweep build them once."""
     full = (1 << d) - 1
     points = set()
     for edge, weight in zip(edges, _edge_weights(d, edges).tolist()):
@@ -152,10 +152,12 @@ def membership_profile(d: int, edges: Sequence[tuple[int, ...]], rows: np.ndarra
     tables are read only at U, the union of the supports of the edges with at
     most 2d points each, as t = (rows @ indicators[:, U]) mod 2, with no
     length-2**d table or FFT.  The others take ``membership_amplitudes`` and
-    ``spectral_profile`` (the rfft route).  Each route reduces each row on its
-    own, so a row's values do not depend on the other rows, the edge list it
-    is written over, or the thread count.  Both routes are refused before
-    either allocates.
+    ``spectral_profile`` (the rfft route).  The split, t and the byte guards
+    run once per call; the O(2**d) work runs on ``tile_rows(d)`` rows of a
+    route at a time.  Each route reduces each row on its own, so a row's
+    values do not depend on the other rows, the tiles, the edge list it is
+    written over, or the thread count.  Both routes are refused before either
+    allocates.
     """
     rows = np.asarray(rows)
     edges = tuple(edges)
@@ -164,28 +166,32 @@ def membership_profile(d: int, edges: Sequence[tuple[int, ...]], rows: np.ndarra
     count = int(small.sum())
     if count:
         # A support row uses only edges of support size <= 2d.  All such edges give
-        # the points, so that every chunk of a sweep shares them (``_dft_rows``), and
-        # their support sizes add up to at least the number of points.
+        # the points, so that every call over these edges shares them (``_dft_rows``),
+        # and their support sizes add up to at least the number of points.  The rows
+        # are read as float64 to form t.
         weights = _edge_weights(d, edges)
         require_bytes(f"support profile of {count} states at d={d}",
-                      support_bytes(count, int(weights[weights <= 2 * d].sum()), dim))
+                      support_bytes(count, int(weights[weights <= 2 * d].sum()), dim)
+                      + 8 * count * len(edges))
+    tile = tile_rows(d)
     if count < len(rows):
-        require_bytes(f"spectral profile of {len(rows) - count} x 2**{d} amplitudes",
-                      profile_bytes(len(rows) - count, dim))
-    routes = []
+        require_bytes(f"spectral profile of {len(rows) - count} x 2**{d} amplitudes, {tile} at a time",
+                      profile_bytes(min(tile, len(rows) - count), dim))
+    parts = []  # (rows, their profile)
     if count:
         points, indicators = _support_points(d, edges)
         t = (rows[small].astype(np.float64) @ indicators) % 2
-        routes.append((small, support_profile(d, points, t)))
-    if count < len(rows):
-        routes.append((~small, spectral_profile(membership_amplitudes(d, edges, rows[~small]))))
-    if len(routes) == 1:
-        return routes[0][1]
-    merged = SpectralProfile(*(np.empty(len(rows)) for _ in fields(SpectralProfile)))
-    for chosen, profile in routes:
-        for name in (f.name for f in fields(SpectralProfile)):
-            getattr(merged, name)[chosen] = getattr(profile, name)
-    return merged
+        parts.append((small, support_profile(d, points, t)))
+    wide = np.flatnonzero(~small) if count < len(rows) else []
+    for start in range(0, len(wide), tile):
+        chosen = wide[start : start + tile]
+        parts.append((chosen, spectral_profile(membership_amplitudes(d, edges, rows[chosen]))))
+    if len(parts) == 1:
+        return parts[0][1]
+    profile = np.empty((len(fields(SpectralProfile)), len(rows)))
+    for chosen, part in parts:
+        profile[:, chosen] = list(vars(part).values())
+    return SpectralProfile(*profile)
 
 
 def hypergraph_profile(g: Hypergraph) -> SpectralProfile:

@@ -10,15 +10,15 @@ order, with NaN for an undefined value.  Indexing and iteration give
 ``SweepRecord`` views.  Results serialize to CSV/JSON with shortest
 round-trip float formatting, so repeated runs are byte-identical regardless
 of the worker count.  The text of each defined value is formed once per
-results object, on its first render, and every later render (the cache
-entry, then the CSV or JSON output) reuses it.  Both formats are rendered
-from the columns in blocks of ``RENDER_BLOCK`` records.
+results object, on its first render, and every later render (the CSV or
+JSON output) reuses it.  Both formats are rendered from the columns in
+blocks of ``RENDER_BLOCK`` records.
 
-Every other CSV of the package comes from ``csv_text``, and every file it
-writes (results, cache entries, CLI ``--out`` and plot files) from
-``write_text``.  A JSON cache entry is read back into columns with vectorised
-type and finiteness checks; anything unusual, and every CSV file, goes to
-the per-record validator, so every malformed entry is a ``SchemaError``.
+Every file the package writes (results, cache entries, CLI ``--out`` and
+plot files) goes through ``write_text``.  ``read_results`` validates a CSV or
+JSON file one record at a time; a malformed one is a ``SchemaError``.  A
+cache entry is one ``.npy`` array of (0/1 row, seven float64 values) records,
+read back only after ``_read_entry``'s checks.
 
 Extremal semantics: for the squeezing-degree metrics (s_p, s_n) the
 summary ranges over the configurations that actually exhibit squeezing
@@ -28,16 +28,17 @@ fallback when nothing is squeezed) use plain extrema over defined values.
 An extremum is the value at its first index, as Python's ``min`` and ``max``
 give it, and every tied edge set is listed, sorted.
 
-Rows are evaluated in fixed-size chunks, one ``state.membership_profile``
-call per chunk.  A row at d <= 16 whose support bound (sum over its edges
-of 2**(d - |e|)) is at most 2d, which holds for every (d-1)-graph, takes
-the support route: its truth table is read only at the union of its edges'
-supports, and its spectrum comes from exact integer sums, with no
-length-2**d truth table or FFT.  Other rows take the rfft route: one stack
-of real amplitudes (truth tables from one membership-by-indicator product,
-``state.membership_amplitudes``) and one batched ``rfft``.  Chunk boundaries
-depend only on record index, and each route reduces each row on its own,
-so the chunking and the thread count never change a digit.
+Each worker gets one contiguous block of whole tiles and makes one
+``state.membership_profile`` call, which runs the O(2**d) work a tile
+(``operators.tile_rows``) at a time; the columns are formed once per sweep.  A
+row at d <= 16 whose support bound (sum over its edges of 2**(d - |e|)) is
+at most 2d, as for every (d-1)-graph, takes the support route: its truth
+table is read only at the union of its edges' supports, and its spectrum
+comes from exact integer sums, with no length-2**d table or FFT.  Other rows
+take the rfft route: truth tables from one membership-by-indicator product
+(``state.membership_amplitudes``) and one batched ``rfft`` per tile.  No row
+is split across tiles and each route reduces each row on its own, so neither
+the tile size nor the thread count moves a digit.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ import operator
 import os
 import stat
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -58,6 +60,7 @@ from itertools import starmap
 from json.encoder import encode_basestring_ascii
 from math import comb, isfinite
 from pathlib import Path
+from tokenize import TokenError
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -65,7 +68,7 @@ import numpy as np
 from . import __version__
 from .errors import MAX_SWEEP_WORK, SchemaError, dimension, require_bytes, require_sweep_work
 from .hypergraph import Hypergraph, connected_rows
-from .operators import profile_bytes
+from .operators import SpectralProfile, profile_bytes, tile_rows
 from .squeezing import number_stats, squeeze_degrees
 from .state import membership_profile
 
@@ -102,10 +105,6 @@ RESULTS_VERSION = 7
 # With blocks of 128 records the sweep-d12 benchmark peaked about 1 MiB lower
 # in RSS than with blocks of 512, and about 1.5 MiB lower than with 4096.
 RENDER_BLOCK = 1 << 7
-
-# Rows per spectral-profile call: each row stacks the half spectra of psi
-# and n psi, 2 (2**(d-1) + 1) complex128 values, about 1 MiB per chunk.
-CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -194,7 +193,7 @@ class SweepResults(Sequence[SweepRecord]):
     ``values`` one (records x 7) float64 matrix in ``METRIC_NAMES`` order, NaN
     where a metric is undefined.  Indexing and iteration give ``SweepRecord``
     views with Python float or None metrics; ``==`` compares two results
-    column by column.
+    column by column, telling -0.0 from 0.0 as their text does.
     """
 
     def __init__(self, d: list[int], edges: list[str], values: np.ndarray) -> None:
@@ -215,8 +214,9 @@ class SweepResults(Sequence[SweepRecord]):
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SweepResults):
             return NotImplemented
-        return (self.d == other.d and self.edges == other.edges
-                and np.array_equal(self.values, other.values, equal_nan=True))
+        a, b = self.values, other.values
+        return (self.d == other.d and self.edges == other.edges and np.array_equal(a, b, equal_nan=True)
+                and np.array_equal(np.signbit(a) & ~np.isnan(a), np.signbit(b) & ~np.isnan(b)))
 
     def _cell_texts(self) -> list[list[str]]:
         """Per metric, the repr of each defined value and "" for undefined, formed on first use."""
@@ -256,39 +256,40 @@ class SweepSummary:
         }
 
 
-def _evaluate_chunk(
-    d: int, edges: Sequence[tuple[int, ...]], texts: Sequence[str], rows: np.ndarray
-) -> SweepResults:
-    """Results of 0/1 rows over ``edges`` (whose texts are ``texts``), from one profile."""
-    profile = membership_profile(d, edges, rows)
-    var_n = number_stats(d)[1]
-    s_n, s_p = squeeze_degrees(var_n, profile.var_p, profile.half_comm)
-    columns = {
-        "s_p": s_p,
-        "s_n": s_n,
-        "var_p": profile.var_p,
-        "var_n": np.full(len(rows), var_n),
-        "half_comm": profile.half_comm,
-        "c_l1_phase": profile.c_l1_phase,
-        "c_rel_phase": profile.c_rel_phase,
-    }
-    values = np.column_stack([columns[name] for name in METRIC_NAMES])
+def _results(d: int, edges: Sequence[tuple[int, ...]], rows: np.ndarray, values: np.ndarray) -> SweepResults:
+    """Results of 0/1 ``rows`` over ``edges`` with their (rows x 7) ``values``."""
+    texts = [",".join(map(str, e)) for e in edges]
     joined = [";".join(itertools.compress(texts, row)) for row in rows.tolist()]
     return SweepResults([d] * len(joined), joined, values)
 
 
-def _edge_texts(edges: Sequence[tuple[int, ...]]) -> list[str]:
-    return [",".join(map(str, e)) for e in edges]
+def _evaluate(d: int, edges: Sequence[tuple[int, ...]], rows: np.ndarray, workers: int = 1) -> SweepResults:
+    """Results of 0/1 ``rows`` over ``edges``: one ``membership_profile`` call on each of at most
+    ``workers`` contiguous blocks of whole tiles, then every column formed once."""
+    tile = tile_rows(d)
+    block = tile * max(1, -(-len(rows) // (workers * tile)))
+    if block < len(rows):
+        blocks = [rows[i : i + block] for i in range(0, len(rows), block)]
+        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
+            parts = [vars(part).values() for part in pool.map(partial(membership_profile, d, edges), blocks)]
+        profile = SpectralProfile(*map(np.concatenate, zip(*parts)))
+    else:
+        profile = membership_profile(d, edges, rows)
+    var_n = number_stats(d)[1]
+    s_n, s_p = squeeze_degrees(var_n, profile.var_p, profile.half_comm)
+    values = np.column_stack([s_p, s_n, profile.var_p, np.full(len(rows), var_n), profile.half_comm,
+                              profile.c_l1_phase, profile.c_rel_phase])  # in METRIC_NAMES order
+    return _results(d, edges, rows, values)
 
 
 def evaluate_record(g: Hypergraph) -> SweepRecord:
-    """Compute all sweep metrics for one hypergraph (a chunk of one)."""
-    return _evaluate_chunk(g.d, g.edges, _edge_texts(g.edges), np.ones((1, len(g.edges))))[0]
+    """Compute all sweep metrics for one hypergraph (a sweep of one row)."""
+    return _evaluate(g.d, g.edges, np.ones((1, len(g.edges))))[0]
 
 
-def worker_count(threads: int, chunks: int) -> int:
-    """Pool size for ``chunks`` chunks: min(threads, chunks, CPU count)."""
-    return min(threads, chunks, os.cpu_count() or 1)
+def worker_count(threads: int, tiles: int) -> int:
+    """Pool size for a sweep of ``tiles`` tiles: min(threads, tiles, CPU count)."""
+    return min(threads, tiles, os.cpu_count() or 1)
 
 
 def _require_threads(threads: int) -> None:
@@ -332,6 +333,24 @@ def _summary(family: Family, results: SweepResults, metrics: Sequence[str] | Non
     return SweepSummary(family.descriptor, len(results), _summarize(results, _metric_names(metrics)))
 
 
+def _sweep(family: Family, metrics, connectivity_filter, threads: int) -> tuple[np.ndarray, SweepResults]:
+    """The rows ``sweep_family`` evaluates and their results."""
+    _require_threads(threads)
+    _metric_names(metrics)  # reject unknown metrics before any work
+    if connectivity_filter is None:
+        connectivity_filter = family.default_connectivity_filter
+    rows = family.rows
+    if connectivity_filter:
+        rows = rows[connected_rows(family.d, family.edges, rows)]
+    if not len(rows):
+        raise ValueError(f"family {family.descriptor} is empty after filtering")
+    tile = min(tile_rows(family.d), len(rows))
+    workers = worker_count(threads, -(-len(rows) // tile))
+    require_bytes(f"sweep tiles of {tile} x 2**{family.d} amplitudes, {workers} at a time",
+                  workers * profile_bytes(tile, 1 << family.d))
+    return rows, _evaluate(family.d, family.edges, rows, workers)
+
+
 def sweep_family(
     family: Family,
     metrics: Sequence[str] | None = None,
@@ -343,28 +362,7 @@ def sweep_family(
     Record order is row order; the worker pool preserves it, so output is
     independent of ``threads``.
     """
-    _require_threads(threads)
-    _metric_names(metrics)  # reject unknown metrics before any work
-    if connectivity_filter is None:
-        connectivity_filter = family.default_connectivity_filter
-    rows = family.rows
-    if connectivity_filter:
-        rows = rows[connected_rows(family.d, family.edges, rows)]
-    if not len(rows):
-        raise ValueError(f"family {family.descriptor} is empty after filtering")
-    step = max(1, CHUNK_BYTES // (16 * (1 << family.d)))
-    chunks = [rows[i : i + step] for i in range(0, len(rows), step)]
-    evaluate = partial(_evaluate_chunk, family.d, family.edges, _edge_texts(family.edges))
-    workers = worker_count(threads, len(chunks))
-    nbytes = workers * profile_bytes(len(chunks[0]), 1 << family.d)
-    require_bytes(f"sweep chunks of {len(chunks[0])} x 2**{family.d} amplitudes, {workers} at a time", nbytes)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(evaluate, chunks))
-    else:
-        parts = [evaluate(chunk) for chunk in chunks]
-    edges = [text for part in parts for text in part.edges]
-    results = SweepResults([family.d] * len(edges), edges, np.concatenate([part.values for part in parts]))
+    results = _sweep(family, metrics, connectivity_filter, threads)[1]
     return results, _summary(family, results, metrics)
 
 
@@ -381,22 +379,22 @@ def csv_text(fields: Sequence[str], rows: Iterable[Sequence]) -> str:
     return buffer.getvalue()
 
 
-def write_text(path: str | os.PathLike, parts: str | Iterable[str]) -> None:
-    """Write ``parts``, a string or an iterable of strings, to ``path`` as UTF-8.
+def write_text(path: str | os.PathLike, parts: str | bytes | Iterable[str | bytes]) -> None:
+    """Write ``parts``, a string, bytes or an iterable of either, to ``path``, strings as UTF-8.
 
     A new path or a regular file is replaced whole by a temporary file written beside it,
     so no reader sees it half written and a failed write leaves it as it was.  A FIFO,
     device or symbolic link is written through: replacing it would cut off its reader
     or its link.  A replaced file keeps its permissions.  An OSError names ``path``."""
     path = os.fspath(path)  # not a Path, which would drop a trailing "/."
-    parts = [parts] if isinstance(parts, str) else parts
+    parts = [parts] if isinstance(parts, (str, bytes)) else parts
     old = os.lstat(path) if os.path.lexists(path) else None
     replace = old is None or stat.S_ISREG(old.st_mode)
     directory, name = os.path.split(path)
     target = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp") if replace else path
     try:
-        with open(target, "x" if replace else "w", encoding="utf-8") as handle:
-            handle.writelines(parts)
+        with open(target, "xb" if replace else "wb") as handle:
+            handle.writelines(part.encode() if isinstance(part, str) else part for part in parts)
         if replace:
             if old is not None:  # keep the replaced file's permissions
                 os.chmod(target, stat.S_IMODE(old.st_mode))
@@ -494,36 +492,8 @@ def _record_from_fields(path: Path, fields: dict | list[str], cells: bool) -> tu
         raise SchemaError(f"{path}: malformed record: {exc}") from None
 
 
-def _finite_columns(columns: list[list]) -> np.ndarray | None:
-    """(records x metrics) float64 of number-or-None columns, or None if any number is not a finite float."""
-    try:
-        values = np.array(columns, dtype=np.float64).reshape(len(columns), -1).T
-    except OverflowError:  # an integer beyond float64
-        return None
-    undefined = sum(column.count(None) for column in columns)
-    if np.isinf(values).any() or np.count_nonzero(np.isnan(values)) != undefined:
-        return None
-    return np.ascontiguousarray(values)
-
-
-def _json_columns(payload: list[dict]) -> SweepResults | None:
-    """The records of a plain cache entry as columns, read in one pass per column, or None."""
-    keys = set(CSV_HEADER)
-    if not all(entry.keys() == keys for entry in payload):
-        return None
-    d = [entry["d"] for entry in payload]
-    edges = [entry["edges"] for entry in payload]
-    columns = [[entry[name] for entry in payload] for name in METRIC_NAMES]
-    plain = (set(map(type, d)) <= {int} and set(map(type, edges)) <= {str}
-             and all(set(map(type, column)) <= {int, float, type(None)} for column in columns))
-    values = _finite_columns(columns) if plain else None
-    return None if values is None else SweepResults(d, edges, values)
-
-
 def read_results(path: str | os.PathLike) -> SweepResults:
-    """Read results back from a CSV or JSON results file, or raise SchemaError if it is malformed.
-
-    Plain JSON records are read as columns; anything else is validated one record at a time."""
+    """Read a CSV or JSON results file, one record at a time, or raise SchemaError if it is malformed."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -537,9 +507,6 @@ def read_results(path: str | os.PathLike) -> SweepResults:
             raise SchemaError(f"{path}: not valid JSON: {exc}") from None
         if not isinstance(rows, list) or not all(isinstance(e, dict) for e in rows):
             raise SchemaError(f"{path}: expected a JSON list of record objects")
-        results = _json_columns(rows)
-        if results is not None:
-            return results
     elif cells:
         try:
             rows = list(csv.reader(io.StringIO(text)))
@@ -578,13 +545,45 @@ def resolve_cache_dir(cli_value: str | None = None) -> Path | None:
     return Path(env) if env else None
 
 
+def _entry_dtype(family: Family) -> np.dtype:
+    """One cache-entry record of ``family``: its 0/1 row over the edges and its seven values."""
+    return np.dtype([("row", "u1", (len(family.edges),)), ("values", "<f8", (len(METRIC_NAMES),))])
+
+
+def _write_entry(path: Path, family: Family, rows: np.ndarray, results: SweepResults) -> None:
+    """Write the ``results`` of ``family``'s ``rows`` as one .npy array through ``write_text``."""
+    entry = np.empty(len(rows), _entry_dtype(family))
+    entry["row"], entry["values"] = rows, results.values
+    buffer = io.BytesIO()
+    np.lib.format.write_array(buffer, entry, allow_pickle=False)
+    write_text(path, buffer.getvalue())
+
+
 def _read_entry(path: Path, family: Family) -> SweepResults:
-    """The records of a cache entry, or SchemaError when they cannot be ``family``'s."""
-    records = read_results(path)
-    found = set(records.d)
-    if found != {family.d}:
-        raise SchemaError(f"{path}: records on d in {sorted(found)}, expected d={family.d}")
-    return records
+    """The records of a cache entry, or SchemaError when they cannot be ``family``'s: a version 1.0
+    header, checked before any record is read, of 1 .. len(family.rows) records of exactly
+    ``_entry_dtype(family)``, then exactly those records, with 0/1 rows and no infinite value."""
+    dtype = _entry_dtype(family)
+    with open(path, "rb") as handle:
+        try:
+            if np.lib.format.read_magic(handle) != (1, 0):
+                raise ValueError("not a version 1.0 .npy file")
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # numpy warns when it has to repair a header
+                shape, fortran, found = np.lib.format.read_array_header_1_0(handle)
+        except (ValueError, EOFError, MemoryError, RecursionError, TokenError):
+            raise SchemaError(f"{path}: no .npy version 1.0 header that numpy reads") from None
+        if found != dtype or fortran or len(shape) != 1 or not 1 <= shape[0] <= len(family.rows):
+            raise SchemaError(f"{path}: {shape} records of {found} are not an entry of {family.descriptor}")
+        nbytes = shape[0] * dtype.itemsize
+        data = handle.read(nbytes + 1)
+    if len(data) != nbytes:
+        raise SchemaError(f"{path}: the records are not exactly {nbytes} bytes")
+    entry = np.frombuffer(data, dtype)
+    values = np.ascontiguousarray(entry["values"])
+    if np.any(entry["row"] > 1) or np.isinf(values).any():
+        raise SchemaError(f"{path}: a row is not 0/1 or a value is infinite")
+    return _results(family.d, family.edges, entry["row"], values)
 
 
 def cached_sweep(
@@ -594,7 +593,7 @@ def cached_sweep(
     threads: int = 1,
     cache_dir: str | os.PathLike | None = None,
 ) -> tuple[SweepResults, SweepSummary]:
-    """Sweep with a content-addressed cache of the record list.
+    """Sweep with a content-addressed cache of the records, one binary entry per sweep.
 
     An entry that cannot be read or is not this family's is a miss, recomputed and
     replaced; one that cannot be written is skipped.  Each prints one warning to stderr.
@@ -603,7 +602,7 @@ def cached_sweep(
     if cache_dir is None:
         return sweep_family(family, metrics, connectivity_filter, threads)
     cache_dir = Path(cache_dir)
-    cache_file = cache_dir / f"{cache_key(family, metrics, connectivity_filter)}.json"
+    cache_file = cache_dir / f"{cache_key(family, metrics, connectivity_filter)}.npy"
     try:
         records = _read_entry(cache_file, family)
     except (FileNotFoundError, NotADirectoryError):
@@ -612,10 +611,10 @@ def cached_sweep(
         print(f"warning: ignoring cache entry: {exc}", file=sys.stderr)
     else:
         return records, _summary(family, records, metrics)
-    records, summary = sweep_family(family, metrics, connectivity_filter, threads)
+    rows, records = _sweep(family, metrics, connectivity_filter, threads)
     try:
         cache_dir.mkdir(parents=True, exist_ok=True)
-        write_results(records, cache_file, "json")
+        _write_entry(cache_file, family, rows, records)
     except OSError as exc:
         print(f"warning: cache entry not written: {exc}", file=sys.stderr)
-    return records, summary
+    return records, _summary(family, records, metrics)

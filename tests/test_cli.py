@@ -2,11 +2,13 @@
 
 import builtins
 import errno
+import io
 import json
 import os
 import stat
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hyperstate.cli import main
@@ -272,14 +274,14 @@ def test_sweep_cache_dir(capsys, tmp_path):
         code, out, _ = run_cli(capsys, "sweep", "--family", "dminus1", "--d", "4",
                                "--cache-dir", str(tmp_path))
         assert code == 0
-    assert len(list(tmp_path.glob("*.json"))) == 1
+    assert len(list(tmp_path.glob("*.npy"))) == 1
 
 
 def test_sweep_cache_env_var(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("HYPERSTATE_CACHE", str(tmp_path))
     code, _, _ = run_cli(capsys, "sweep", "--family", "dminus1", "--d", "4")
     assert code == 0
-    assert len(list(tmp_path.glob("*.json"))) == 1
+    assert len(list(tmp_path.glob("*.npy"))) == 1
 
 
 def test_unknown_flag_is_user_error(capsys):
@@ -478,30 +480,45 @@ def test_reproduce_cli(capsys, tmp_path):
     assert table1[0].startswith("#") and len(table1) == 11
 
 
-def _entry(**raw):
-    """A one-record cache entry whose fields default to valid values; ``raw`` values are JSON text."""
-    fields = {"d": "4", "edges": '"0,1,2;0,1,3"', **{name: "1.0" for name in METRIC_NAMES}, **raw}
-    return "[{" + ", ".join(f'"{key}": {text}' for key, text in fields.items()) + "}]"
+def _npy(array, allow_pickle=False):
+    buffer = io.BytesIO()
+    np.save(buffer, array, allow_pickle=allow_pickle)
+    return buffer.getvalue()
 
 
+def _entry(count=11, width=4, values="<f8", planted=None):
+    """The bytes of a d = 4 cache entry of ``count`` records, rows 1 and values 1.0, with the
+    ``planted`` (field, index, value) in place."""
+    array = np.ones(count, [("row", "u1", (width,)), ("values", values, (len(METRIC_NAMES),))])
+    if planted:
+        field, index, value = planted
+        array[field][index] = value
+    return _npy(array)
+
+
+# The binary forms of the JSON entries these cases once wrote, in order.
 @pytest.mark.parametrize("content", [
-    "[1, 2]", '[{"d": 4, "edges": "0,1,2;0,1,3", "s_p"', '{}',
-    _entry(s_p="1" + "0" * 400), _entry(var_p="9" * 5000), "[" * 100_000 + "]" * 100_000,
-    _entry(half_comm="NaN"), _entry(d="true"), _entry(d="3.7"), "[]", _entry(d="5"),
-], ids=["list-of-numbers", "truncated", "object", "metric-beyond-float", "integer-over-digit-limit",
-        "deep-nesting", "nan-metric", "boolean-d", "fractional-d", "empty-list", "record-on-other-d"])
+    _npy(np.array([1, 2])), lambda valid: valid[: len(valid) // 2], _npy(np.array([{}], dtype=object), True),
+    _entry(planted=("values", (0, 0), np.inf)), _entry(count=16), b"\x93NUMPY\x01\x00\x10\x00{" + b"[" * 14 + b"\n",
+    _entry(planted=("values", (0, 4), -np.inf)), _entry(planted=("row", (0, 0), 2)), _entry(values="<f4"),
+    _entry(count=0), _entry(width=5),
+], ids=["other-array", "truncated", "object-dtype", "infinite-value", "more-records-than-rows",
+        "deep-nesting-header", "negative-infinity", "row-value-2", "float32-values", "no-records", "other-width"])
 def test_sweep_malformed_cache_entry_is_recomputed(capsys, tmp_path, content):
     from hyperstate.sweep import cache_key, dminus1_family
 
     argv = ("sweep", "--family", "dminus1", "--d", "4", "--format", "csv")
     code, fresh, _ = run_cli(capsys, *argv)
     assert code == 0
-    entry = tmp_path / f"{cache_key(dminus1_family(4))}.json"
-    entry.write_text(content)
+    entry = tmp_path / f"{cache_key(dminus1_family(4))}.npy"
+    code, _, _ = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+    valid = entry.read_bytes()
+    entry.write_bytes(content(valid) if callable(content) else content)
     code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
     assert code == 0
     assert out == fresh
     assert err.startswith("warning:") and err.count("\n") == 1
+    assert entry.read_bytes() == valid
     code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
     assert (code, out, err) == (0, fresh, "")
     assert os.listdir(tmp_path) == [entry.name]
@@ -512,7 +529,7 @@ def test_sweep_cache_entry_that_is_a_directory(capsys, tmp_path):
 
     argv = ("sweep", "--family", "dminus1", "--d", "4", "--format", "csv")
     code, fresh, _ = run_cli(capsys, *argv)
-    entry = tmp_path / f"{cache_key(dminus1_family(4))}.json"
+    entry = tmp_path / f"{cache_key(dminus1_family(4))}.npy"
     entry.mkdir()
     for _ in range(2):
         code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))

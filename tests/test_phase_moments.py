@@ -99,7 +99,7 @@ def test_rfft_route_matches_the_two_pass_kernel(psi):
 def test_reduction_of_unnormalized_probabilities_matches_the_two_pass_kernel(psi, factor):
     # A state's total is 1 up to round-off, so only a scaled input shows the log T term.
     prob = factor * rfft_probabilities(psi)
-    got = operators_mod._phase_moments(prob.copy(), np.empty_like(prob))
+    got = operators_mod._phase_moments(*operators_mod._phase_sums(prob.copy(), np.empty_like(prob)))
     for name, value, want in zip(MOMENTS, got, _phase_moments(prob.copy())):
         assert all(_close(a, b) for a, b in zip(value, want)), name
 
@@ -107,13 +107,13 @@ def test_reduction_of_unnormalized_probabilities_matches_the_two_pass_kernel(psi
 def _reduced_probabilities(monkeypatch):
     """Record a copy of every probability array the routes hand to the reduction."""
     seen = []
-    real = operators_mod._phase_moments
+    real = operators_mod._phase_sums
 
     def recording(prob, scratch):
         seen.append(prob.copy())
         return real(prob, scratch)
 
-    monkeypatch.setattr(operators_mod, "_phase_moments", recording)
+    monkeypatch.setattr(operators_mod, "_phase_sums", recording)
     return seen
 
 

@@ -12,6 +12,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -23,7 +24,6 @@ from hypothesis import strategies as st
 import hyperstate
 import hyperstate.operators as operators_mod
 import hyperstate.state as state_mod
-import hyperstate.sweep as sweep_mod
 from hyperstate.errors import GuardError
 from hyperstate.hypergraph import Hypergraph
 from hyperstate.operators import spectral_profile, support_profile
@@ -144,6 +144,23 @@ def test_support_points_of_a_sweep_are_gathered_once(monkeypatch):
         assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
 
 
+@pytest.mark.parametrize("d", [10, 12])
+def test_support_profile_of_many_tiles_stays_within_its_byte_estimate(d):
+    # 1023 rows are 64 tiles at d = 10 and 1023 of 4095 rows 64 at d = 12: a tile's
+    # spectrum held past its tile would grow the peak with the row count.
+    family = dminus1_family(d)
+    points, indicators = state_mod._support_points(d, family.edges)
+    t = (family.rows[:1023].astype(np.float64) @ indicators) % 2
+    operators_mod._dft_rows.cache_clear()
+    tracemalloc.start()
+    try:
+        support_profile(d, points, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= operators_mod.support_bytes(len(t), len(points), 1 << d)
+
+
 def test_support_profile_rejects_bad_input():
     with pytest.raises(ValueError, match="columns"):
         support_profile(4, [15], np.ones((1, 2)))
@@ -259,8 +276,8 @@ def test_sweep_bytes_identical_under_blas_thread_counts():
 @pytest.mark.parametrize("d", [13, 14])
 def test_every_large_record_matches_the_rfft_oracle(monkeypatch, d):
     records, summary = sweep_family(dminus1_family(d))
-    monkeypatch.setattr(sweep_mod, "membership_profile",
-                        lambda d, edges, rows: spectral_profile(membership_amplitudes(d, edges, rows)))
+    # Every row takes the rfft route, a tile at a time.
+    monkeypatch.setattr(state_mod, "support_rows", lambda d, edges, rows: np.zeros(len(rows), dtype=bool))
     oracle_records, oracle_summary = sweep_family(dminus1_family(d))
     assert [r.edges for r in records] == [r.edges for r in oracle_records]
     for record, oracle in zip(records, oracle_records):

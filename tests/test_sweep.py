@@ -1,9 +1,13 @@
 """Unit tests for family sweeps, persistence, and caching."""
 
 import errno
+import functools
+import io
 import itertools
 import json
 import os
+import pickle
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -13,6 +17,7 @@ from hypothesis import strategies as st
 
 import hyperstate.cli as cli_mod
 import hyperstate.hypergraph as hypergraph_mod
+import hyperstate.operators as operators_mod
 import hyperstate.sweep as sweep_mod
 from hyperstate.errors import GuardError, SchemaError
 from hyperstate.hypergraph import (
@@ -123,8 +128,7 @@ def test_rows_agree_with_decoded_hypergraphs(case):
     d, edges, rows = case
     graphs = [Hypergraph(d, itertools.compress(edges, row)) for row in rows.tolist()]
     assert connected_rows(d, edges, rows).tolist() == [is_connected(g) for g in graphs]
-    texts = [",".join(map(str, e)) for e in edges]
-    records = sweep_mod._evaluate_chunk(d, edges, texts, rows)
+    records = sweep_mod._evaluate(d, edges, rows)
     for record, g in zip(records, graphs):
         assert record.edges == edges_text(g)
         assert record == evaluate_record(g)
@@ -334,11 +338,6 @@ MALFORMED = {
     "fractional-d": lambda records: _with_raw(records, "d", "3.7"),
     "string-d": lambda records: _with_raw(records, "d", '"4"'),
 }
-# Well-formed results files that cannot be the entry of the d = 4 family.
-FOREIGN = {
-    "empty-list": lambda records: "[]",
-    "records-on-other-d": lambda records: _valid_text(sweep_family(dminus1_family(5))[0]),
-}
 
 
 @pytest.mark.parametrize("kind", sorted(MALFORMED))
@@ -448,25 +447,123 @@ def test_any_results_file_gives_records_or_schema_error(tmp_path, text, suffix):
     assert all(isinstance(r, SweepRecord) and type(r.d) is int for r in records)
 
 
-@pytest.mark.parametrize("kind", sorted({**MALFORMED, **FOREIGN}))
-def test_cached_sweep_recomputes_malformed_entry(tmp_path, capsys, kind):
+def _npy(array, allow_pickle=False):
+    buffer = io.BytesIO()
+    np.save(buffer, array, allow_pickle=allow_pickle)
+    return buffer.getvalue()
+
+
+def _header(text):
+    """A version 1.0 .npy header holding ``text``, padded as numpy pads it."""
+    body = text.encode("latin1")
+    body += b" " * (-(len(body) + 11) % 64) + b"\n"
+    return b"\x93NUMPY\x01\x00" + len(body).to_bytes(2, "little") + body
+
+
+def _entry_array(family, count=None, row="u1", values="<f8", width=None):
+    """Records of ``family``'s entry dtype (or with the given field types), rows 1, values 0.5."""
+    width = len(family.edges) if width is None else width
+    array = np.zeros(len(family.rows) if count is None else count,
+                     [("row", row, (width,)), ("values", values, (len(METRIC_NAMES),))])
+    array["row"], array["values"] = 1, 0.5
+    return array
+
+
+def _with(array, field, index, value):
+    array[field][index] = value
+    return array
+
+
+def _entry_header(family, count):
+    return _header("{'descr': %r, 'fortran_order': False, 'shape': (%d,), }"
+                   % (sweep_mod._entry_dtype(family).descr, count))
+
+
+# Cache entries of the d = 4 family (4 candidate edges) that are a miss.  The first
+# fifteen stand, in order, for the JSON entries these cases once wrote: list-of-numbers,
+# truncated, object, metric-beyond-float, integer-over-digit-limit, deep-nesting (twice),
+# nan-metric, infinite-metric, boolean-metric, boolean-d, fractional-d, string-d,
+# empty-list and records-on-other-d.
+MALFORMED_ENTRIES = {
+    "other-array": lambda family, valid: _npy(np.array([1, 2])),
+    "truncated": lambda family, valid: valid[: len(valid) // 2],
+    "object-dtype": lambda family, valid: _npy(np.array([{"d": 4}], dtype=object), allow_pickle=True),
+    "positive-infinity": lambda family, valid: _npy(_with(_entry_array(family), "values", (0, 2), np.inf)),
+    "header-beyond-numpy-limit": lambda family, valid: _header("{" + " " * 20_000 + "}"),
+    "deep-unary-header": lambda family, valid: _header(
+        "{'descr': '<f8', 'fortran_order': False, 'shape': (" + "+" * 9000 + "1,), }"),
+    "deep-nesting-header": lambda family, valid: _header(
+        "{'descr': " + "[" * 5000 + "]" * 4000 + ", 'fortran_order': False, 'shape': (1,), }"),
+    "row-value-2": lambda family, valid: _npy(_with(_entry_array(family), "row", (0, 3), 2)),
+    "negative-infinity": lambda family, valid: _npy(_with(_entry_array(family), "values", (-1, 6), -np.inf)),
+    "float32-values": lambda family, valid: _npy(_entry_array(family, values="<f4")),
+    "bool-rows": lambda family, valid: _npy(_entry_array(family, row="?")),
+    "float-rows": lambda family, valid: _npy(_entry_array(family, row="<f8")),
+    "big-endian-values": lambda family, valid: _npy(_entry_array(family, values=">f8")),
+    "no-records": lambda family, valid: _npy(_entry_array(family, count=0)),
+    "other-family": lambda family, valid: _npy(_entry_array(dminus1_family(5))),
+    "empty-file": lambda family, valid: b"",
+    "truncated-header": lambda family, valid: valid[:20],
+    "not-npy": lambda family, valid: render_results(sweep_family(family)[0], "json").encode(),
+    "wrong-width": lambda family, valid: _npy(_entry_array(family, width=5)),
+    "more-records-than-rows": lambda family, valid: _npy(_entry_array(family, count=len(family.rows) + 1)),
+    "two-dimensional": lambda family, valid: _npy(_entry_array(family)[:, None]),
+    "version-2": lambda family, valid: valid[:6] + b"\x02\x00" + valid[8:10] + b"\x00\x00" + valid[10:],
+    "trailing-bytes": lambda family, valid: valid + b"\x00",
+    "missing-record-bytes": lambda family, valid: valid[:-1],
+    "claims-2**40-records": lambda family, valid: _entry_header(family, 1 << 40) + valid[len(valid) - 128:],
+}
+
+
+def _valid_entry(family, tmp_path):
+    """The bytes of ``family``'s entry as ``cached_sweep`` writes it."""
+    cached_sweep(family, cache_dir=tmp_path / "valid")
+    return (tmp_path / "valid" / f"{cache_key(family)}.npy").read_bytes()
+
+
+@pytest.mark.parametrize("kind", MALFORMED_ENTRIES)
+def test_cached_sweep_recomputes_malformed_entry(tmp_path, capsys, monkeypatch, kind):
     family = dminus1_family(4)
     fresh, fresh_summary = sweep_family(family)
-    entry = tmp_path / f"{cache_key(family)}.json"
-    entry.write_text({**MALFORMED, **FOREIGN}[kind](fresh))
-    records, summary = cached_sweep(family, cache_dir=tmp_path)
+    valid = _valid_entry(family, tmp_path)
+    entry = tmp_path / f"{cache_key(family)}.npy"
+    entry.write_bytes(MALFORMED_ENTRIES[kind](family, valid))
+    capsys.readouterr()
+
+    def unpickled(*args, **kwargs):
+        raise AssertionError("a cache entry was unpickled")
+
+    with monkeypatch.context() as patch:
+        for name in ("load", "loads", "Unpickler"):
+            patch.setattr(pickle, name, unpickled)
+        records, summary = cached_sweep(family, cache_dir=tmp_path)
     assert records == fresh
     assert summary == fresh_summary
-    assert read_results(entry) == fresh
+    assert entry.read_bytes() == valid
     err = capsys.readouterr().err
-    assert err.startswith("warning:") and err.count("\n") == 1
-    assert [p.name for p in tmp_path.iterdir()] == [entry.name]
+    assert err.startswith("warning: ignoring cache entry:") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([entry.name, "valid"])
+
+
+def test_entry_claiming_2_40_records_is_refused_before_any_large_allocation(tmp_path, capsys):
+    family = dminus1_family(12)
+    entry = tmp_path / f"{cache_key(family)}.npy"
+    entry.write_bytes(_entry_header(family, 1 << 40) + bytes(4096))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SchemaError, match="not an entry of dminus1"):
+            sweep_mod._read_entry(entry, family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert capsys.readouterr().err == ""
 
 
 def test_cached_sweep_keeps_a_directory_at_the_entry(tmp_path, capsys):
     family = dminus1_family(4)
     fresh = sweep_family(family)
-    entry = tmp_path / f"{cache_key(family)}.json"
+    entry = tmp_path / f"{cache_key(family)}.npy"
     entry.mkdir()
     (entry / "kept").write_text("user data")
     assert cached_sweep(family, cache_dir=tmp_path) == fresh
@@ -536,21 +633,21 @@ def test_write_results_error_names_the_target_not_the_temporary(tmp_path):
 def test_cached_sweep_round_trip(tmp_path, monkeypatch):
     family = dminus1_family(4)
     records, summary = cached_sweep(family, cache_dir=tmp_path)
-    cache_files = list(tmp_path.glob("*.json"))
+    cache_files = list(tmp_path.glob("*.npy"))
     assert len(cache_files) == 1
 
     def boom(*args, **kwargs):
         raise AssertionError("sweep recomputed despite warm cache")
 
-    monkeypatch.setattr(sweep_mod, "sweep_family", boom)
+    monkeypatch.setattr(sweep_mod, "membership_profile", boom)
     cached_records, cached_summary = cached_sweep(family, cache_dir=tmp_path)
     assert cached_records == records
     assert cached_summary.metrics["s_p"] == summary.metrics["s_p"]
 
 
 def test_thread_count_does_not_change_output(monkeypatch):
-    # Small chunks give the pool several chunks to split at d = 5.
-    monkeypatch.setattr(sweep_mod, "CHUNK_BYTES", 16 * 32 * 3)
+    # Small tiles give the pool several tiles to split at d = 5.
+    monkeypatch.setattr(operators_mod, "CHUNK_BYTES", 16 * 32 * 3)
     family = dminus1_family(5)
     records_1, _ = sweep_family(family, threads=1)
     records_4, _ = sweep_family(family, threads=4)
@@ -583,10 +680,33 @@ def test_worker_count_is_capped(monkeypatch):
 def test_chunked_records_equal_single_records(monkeypatch):
     family = dminus1_family(5)
     whole, _ = sweep_family(family)
-    monkeypatch.setattr(sweep_mod, "CHUNK_BYTES", 16 * 32 * 4)
+    monkeypatch.setattr(operators_mod, "CHUNK_BYTES", 16 * 32 * 4)
     chunked, _ = sweep_family(family)
     single = [evaluate_record(g) for g in family.configurations() if is_connected(g)]
     assert whole == chunked and list(chunked) == single
+
+
+INVARIANCE_FAMILIES = [dminus1_family(d) for d in range(3, 9)] + [Family("k-uniform", 5, 2)]
+
+
+@functools.lru_cache(maxsize=None)
+def _per_row_renders(family):
+    """CSV and JSON of ``family``'s every row, each from its own ``evaluate_record``."""
+    records = oracles.columns([evaluate_record(g) for g in family.configurations()])
+    return {fmt: render_results(records, fmt) for fmt in ("csv", "json")}
+
+
+@pytest.mark.parametrize("family", INVARIANCE_FAMILIES, ids=lambda family: family.descriptor)
+@pytest.mark.parametrize("tile", [1, 3])
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_kernel_invariance_under_tile_and_thread_count(monkeypatch, family, tile, threads):
+    # k-uniform(5, 2): rows of one edge take the support route, the others the rfft route.
+    want = _per_row_renders(family)
+    monkeypatch.setattr(operators_mod, "CHUNK_BYTES", 16 * (1 << family.d) * tile)
+    monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: threads)
+    results, _ = sweep_family(family, connectivity_filter=False, threads=threads)
+    for fmt in ("csv", "json"):
+        assert render_results(results, fmt) == want[fmt]
 
 
 def test_complete_k_metrics_invariant_under_relabeling():
@@ -696,6 +816,16 @@ def test_json_integer_metrics_read_as_the_oracle_reads_them(tmp_path):
     assert str(info.value) == str(expected.value)
 
 
+def test_results_equality_tells_negative_zero_from_zero():
+    zero, negative_zero = (sweep_mod.SweepResults([4], ["a"], sign * np.zeros((1, 7))) for sign in (1.0, -1.0))
+    assert render_results(zero, "csv") != render_results(negative_zero, "csv")
+    assert zero != negative_zero and zero == sweep_mod.SweepResults([4], ["a"], np.zeros((1, 7)))
+    # NaN is an undefined metric, an empty cell whatever its sign.
+    undefined = np.full((1, 7), np.nan)
+    assert sweep_mod.SweepResults([4], ["a"], undefined) == sweep_mod.SweepResults([4], ["a"], -undefined)
+    assert sweep_mod.SweepResults([4], ["a"], undefined) != zero
+
+
 _TIED_VALUES = st.sampled_from([None, 0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 5e-324, -5e-324])
 _TIED_RECORDS = st.lists(st.builds(
     SweepRecord,
@@ -741,22 +871,27 @@ def test_dminus1_summary_equals_the_oracle(d):
         _same_summary(summary.metrics[metric], oracles._summarize(records, metric))
 
 
-def test_cache_entries_are_compatible_with_the_per_record_writer(tmp_path, monkeypatch):
+def test_the_entry_round_trips_every_bit_negative_zero_and_nan_included(tmp_path, monkeypatch):
     family = dminus1_family(6)
-    fresh, fresh_summary = sweep_family(family)
-    oracle_text = oracles.render_results(list(fresh), "json")
-    entry = tmp_path / f"{cache_key(family)}.json"
-    with monkeypatch.context() as patch:
-        patch.setattr(sweep_mod, "render_blocks", lambda records, fmt: oracles.render_results(records, fmt))
-        write_results(fresh, entry, "json")
-    assert entry.read_text(encoding="utf-8") == oracle_text
+    rows = family.rows[connected_rows(6, family.edges, family.rows)]
+    values = np.random.default_rng(7).normal(size=(len(rows), len(METRIC_NAMES)))
+    values[:, 0] = np.nan
+    values.flat[1::5] = -0.0
+    values.flat[2::11] = 0.0
+    values[1, 1:5] = [5e-324, -2.5e-310, 1.7976931348623157e308, -1.7976931348623157e308]
+    values.flat[4::17] = np.nan
+    planted = sweep_mod._results(6, family.edges, rows, values)
+    entry = tmp_path / f"{cache_key(family)}.npy"
+    sweep_mod._write_entry(entry, family, rows, planted)
 
     def boom(*args, **kwargs):
-        raise AssertionError("sweep recomputed despite a per-record cache entry")
+        raise AssertionError("sweep recomputed despite a valid cache entry")
 
-    with monkeypatch.context() as patch:
-        patch.setattr(sweep_mod, "sweep_family", boom)
-        assert cached_sweep(family, cache_dir=tmp_path) == (fresh, fresh_summary)
-    entry.unlink()
-    assert cached_sweep(family, cache_dir=tmp_path) == (fresh, fresh_summary)
-    assert entry.read_bytes() == oracle_text.encode()
+    monkeypatch.setattr(sweep_mod, "membership_profile", boom)
+    got, summary = cached_sweep(family, cache_dir=tmp_path)
+    assert got == planted
+    assert got.values.tobytes() == planted.values.tobytes()
+    assert got.edges == planted.edges
+    for fmt in ("csv", "json"):
+        assert render_results(got, fmt) == render_results(planted, fmt)
+    assert summary == sweep_mod._summary(family, planted, None)

@@ -28,7 +28,7 @@ class GuardError(RuntimeError):
 
 
 class SchemaError(ValueError):
-    """A persisted results file does not match the expected schema."""
+    """A persisted cache entry or results file does not match the expected schema."""
 
 
 def dimension(d: int) -> int:

@@ -3,11 +3,12 @@
 A hypergraph on ``d`` vertices (labelled ``0 .. d-1``) carries a set of
 hyperedges, each a nonempty vertex subset.  Its Boolean function assigns to
 every basis index ``n`` the XOR, over edges, of the AND of the bits of ``n``
-selected by the edge; ``state.membership_amplitudes`` evaluates it.  Bit
-convention is MSB-first: vertex ``j`` reads the bit of weight ``2**(d-1-j)``,
-so vertex 0 is the most significant bit.  A family is one candidate edge
-list plus 0/1 membership rows, one row per hypergraph (``sweep.Family``);
-``connected_rows`` is ``is_connected`` over such rows.
+selected by the edge; ``state.membership_signs`` evaluates it as exact +-1
+signs (-1)**f(n), which only ``state.hypergraph_state`` scales by
+1 / sqrt(2**d).  Bit convention is MSB-first: vertex ``j`` reads the bit of
+weight ``2**(d-1-j)``, so vertex 0 is the most significant bit.  A family is
+one candidate edge list plus 0/1 membership rows, one row per hypergraph
+(``sweep.Family``); ``connected_rows`` is ``is_connected`` over such rows.
 """
 
 from __future__ import annotations

@@ -11,23 +11,26 @@ sum_m theta_m |theta_m><theta_m|, a Hermitian circulant matrix; its
 commutator with the number operator is skew-Hermitian Toeplitz.
 
 Squeezing and phase-basis coherence of real states are evaluated along two
-routes that share one set of reductions: ``_phase_sums`` reads each
-mirror-weighted row sum over the half spectrum as twice the plain row sum
-less the unmirrored end bins, in 9 passes over one scratch array, and
-``_phase_moments`` finishes the sums, with the relative entropy as
-log T - (sum p log p) / T for the total T (p = 0 adds exactly 0).
-``spectral_profile`` (the rfft route) takes the half spectra of psi and n psi
-from one length-dim real FFT, batched over a stack of states and read with
+routes that share one scaling rule and one set of reductions.  Both read
+unnormalised +-1 sign rows x = 1 - 2 1_K (``state.membership_signs``) as the
+states x / sqrt(dim), and scale their sums by exact powers of two: p_m =
+|F_m|**2 / dim**2 and half_comm = |Im <N x|P x>| / dim, with F = fft(x).
+``_phase_sums`` reads each mirror-weighted row sum over the half spectrum as
+twice the plain row sum less the unmirrored end bins, in 9 passes over one
+scratch array, and ``_phase_moments`` finishes the sums, with the relative
+entropy as log T - (sum p log p) / T for the total T (p = 0 adds exactly 0).
+``spectral_profile`` (the rfft route) takes the half spectra of x and n x
+from one length-dim real FFT, batched over a stack of rows and read with
 mirror weights (Parseval turns <[N, P]> into a weighted sum over those
-bins).  ``support_profile`` (the support route) takes states
-psi = |theta_0> - (2 / sqrt(dim)) 1_K with few points in K: their spectra
-are exact integer sums over a DFT table at K, scaled by exact powers of two
-and squared in place, and <[N, P]> is a masked sum over a pair table of
-closed forms of the Pegg–Barnett kernel, built once per set of points; the
-rfft route is its test oracle.  Dense matrices, functions of the dimension
-alone (a caller takes a state's expectation with ``np.vdot``), and
-``apply_phase_operator``, the FFT application of P to any complex state,
-serve the structure and spectral checks and the tests' oracles.
+bins); any other real row is scaled by its own dim |row|**2.
+``support_profile`` (the support route) takes sign rows with few points in
+K: their spectra are exact integer sums over a DFT table at K, and <[N, P]>
+is a masked sum over a pair table of closed forms of the Pegg–Barnett
+kernel, built once per set of points; the rfft route is its test oracle.
+Dense matrices, functions of the dimension alone (a caller takes a state's
+expectation with ``np.vdot``), and ``apply_phase_operator``, the FFT
+application of P to any complex state, serve the structure and spectral
+checks and the tests' oracles.
 """
 
 from __future__ import annotations
@@ -150,8 +153,12 @@ def profile_bytes(count: int, dim: int) -> int:
 def spectral_profile(psi: np.ndarray) -> SpectralProfile:
     """Phase statistics of real states ``psi`` (shape ``(..., dim)``) from one batched rfft.
 
-    With F = fft(psi) and G = fft(n psi), the phase probabilities are
-    p_m = |F_m|**2 / dim.  Real amplitudes make the spectra Hermitian,
+    A row need not be normalised: each is read as psi / |psi|, so with
+    F = fft(psi) and G = fft(n psi) the phase probabilities are
+    p_m = |F_m|**2 / (dim |psi|**2), and half_comm is divided by the same
+    dim |psi|**2.  For the +-1 rows of ``state.membership_signs`` that factor
+    is exactly 2**(2d), so both scales are exact powers of two; a zero row is
+    refused.  Real amplitudes make the spectra Hermitian,
     F_{dim-m} = conj(F_m), so p_{dim-m} = p_m and the half spectrum
     m = 0 .. dim/2 carries everything: each bin counts with its mirror
     weight, 1 at m = 0 and m = dim/2 and 2 elsewhere.  The mirrored angle of
@@ -188,13 +195,16 @@ def spectral_profile(psi: np.ndarray) -> SpectralProfile:
     count = psi.size // dim
     require_bytes(f"spectral profile of {count} x {dim} amplitudes", profile_bytes(count, dim))
     rows = psi.reshape(-1, dim).astype(np.float64, copy=False)
+    scale = dim * np.sum(np.square(rows), axis=-1)  # dim |psi|**2, row by row
+    if not scale.all():
+        raise ValueError("spectral_profile needs nonzero rows")
     spectra = np.fft.rfft(np.concatenate((rows, rows * np.arange(dim))), axis=-1)
     f, g = spectra[:count], spectra[count:]
     prob, scratch = f.real**2, f.imag**2
     prob += scratch
-    prob /= dim
+    prob /= scale[:, None]
     cross = g.real * f.imag - g.imag * f.real
-    half_comm = np.abs(np.sum(cross * _half_spectrum_weights(dim)[0], axis=-1)) / dim
+    half_comm = np.abs(np.sum(cross * _half_spectrum_weights(dim)[0], axis=-1)) / scale
     mean, var, c_l1, c_rel = _phase_moments(*_phase_sums(prob, scratch))
     shape = psi.shape[:-1]
     return SpectralProfile(
@@ -341,11 +351,12 @@ def support_bytes(count: int, points: int, dim: int) -> int:
 
 
 def support_profile(d: int, points: Sequence[int], t: np.ndarray) -> SpectralProfile:
-    """Phase statistics of the states psi_r = (1 - 2 1_K_r) / sqrt(2**d), K_r = {points[j] : t[r, j] = 1}.
+    """Phase statistics of the sign rows x_r = 1 - 2 1_K_r, K_r = {points[j] : t[r, j] = 1}.
 
-    ``points`` ascend and ``t`` is 0/1 with at most 2d ones per row.  Writing
-    psi = |theta_0> - (2 / sqrt(dim)) 1_K,
-      F_m / sqrt(dim) = delta_m0 - 2**(1 + shift) (t @ Q)_m,  shift = -d - s,
+    ``points`` ascend and ``t`` is 0/1 with at most 2d ones per row.  Each
+    row is read as the state x / sqrt(dim) = |theta_0> - (2 / sqrt(dim)) 1_K,
+    with p_m = |F_m|**2 / dim**2 for F = fft(x), as in ``spectral_profile``:
+      F_m / dim = delta_m0 - 2**(1 + shift) (t @ Q)_m,  shift = -d - s,
     where Q holds the integer DFT rows round(2**s exp(-2 pi i m u / dim)) of
     the points.  t @ Q adds at most 2d integers of at most 2**s, so every
     partial sum is an integer below 2**53 and exact in any order: F does not
@@ -358,8 +369,8 @@ def support_profile(d: int, points: Sequence[int], t: np.ndarray) -> SpectralPro
     reductions of those p, with the imaginary part's array as the scratch of
     ``_phase_sums``.
     P theta_0 = 0, so with w = P n
-      Im <N psi|P psi> = (2 / dim) sum_{l in K} Im w_l
-                         + (4 / dim) sum_{k, l in K} k Im P_kl,
+      Im <N x|P x> / dim = (2 / dim) sum_{l in K} Im w_l
+                           + (4 / dim) sum_{k, l in K} k Im P_kl,
     and half_comm is its magnitude: the pair table of ``_dft_rows`` masked by
     t_l, then t_l t_k, summed by ``np.cumsum`` (sequential, no BLAS) over l,
     then k, ascending over every point.  The terms off K are exact zeros, so

@@ -2,8 +2,11 @@
 
 The state of a hypergraph ``G`` lives in the 2**d dimensional Hilbert
 space: amplitude ``n`` equals ``(-1)**f(n) / sqrt(2**d)`` with ``f`` the
-Boolean function of ``G``.  The generating circuit is a layer of Hadamards
-followed by one multi-controlled sign flip per hyperedge.
+Boolean function of ``G``.  One rule scales it: ``membership_signs`` gives
+exact +-1 sign rows, only ``hypergraph_state`` multiplies by 1 / sqrt(2**d),
+and both profile routes read unnormalised signs and scale their sums by exact
+powers of two.  The generating circuit is a layer of Hadamards followed by one
+multi-controlled sign flip per hyperedge.
 """
 
 from __future__ import annotations
@@ -65,8 +68,8 @@ class CircuitDescription:
             raise ValueError("expected exactly one H per qubit")
 
 
-def membership_amplitudes(d: int, edges: Sequence[tuple[int, ...]], rows: np.ndarray) -> np.ndarray:
-    """Real amplitudes (-1)**f(n) / sqrt(2**d), one per 0/1 row over ``edges``.
+def membership_signs(d: int, edges: Sequence[tuple[int, ...]], rows: np.ndarray) -> np.ndarray:
+    """Exact float64 signs (-1)**f(n), unnormalised, one row per 0/1 row over ``edges``.
 
     Row r selects hypergraph r's edges; its Boolean function f(n) counts,
     mod 2, those whose vertex bits are all set in n, so the truth tables are
@@ -89,14 +92,15 @@ def membership_amplitudes(d: int, edges: Sequence[tuple[int, ...]], rows: np.nda
         indicators = ((n & block) == block).astype(np.float32)
         counts += membership[:, start : start + step] @ indicators
     n = indicators = None  # the signs need neither
-    scale = 1 / np.sqrt(float(1 << d))
-    return np.where(np.fmod(counts, 2, out=counts) != 0, -scale, scale)  # f(n) in place, then the sign
+    return np.where(np.fmod(counts, 2, out=counts) != 0, -1.0, 1.0)  # f(n) in place, then the sign
 
 
 def hypergraph_state(g: Hypergraph) -> np.ndarray:
-    """State vector of ``g``: amplitudes (-1)**f(n) / sqrt(2**d)."""
-    # membership_amplitudes' guard covers the float64 and complex128 copies (24 bytes).
-    return membership_amplitudes(g.d, g.edges, np.ones((1, len(g.edges))))[0].astype(np.complex128)
+    """State vector of ``g``: amplitudes (-1)**f(n) / sqrt(2**d), the one place a state is normalised."""
+    # membership_signs' guard covers the float64 and complex128 copies (24 bytes).
+    psi = membership_signs(g.d, g.edges, np.ones((1, len(g.edges))))[0]
+    psi *= 1 / np.sqrt(float(1 << g.d))
+    return psi.astype(np.complex128)
 
 
 @lru_cache(maxsize=1)
@@ -151,7 +155,7 @@ def membership_profile(d: int, edges: Sequence[tuple[int, ...]], rows: np.ndarra
     Rows in ``support_rows`` take ``operators.support_profile``: their truth
     tables are read only at U, the union of the supports of the edges with at
     most 2d points each, as t = (rows @ indicators[:, U]) mod 2, with no
-    length-2**d table or FFT.  The others take ``membership_amplitudes`` and
+    length-2**d table or FFT.  The others take ``membership_signs`` and
     ``spectral_profile`` (the rfft route).  The split, t and the byte guards
     run once per call; the O(2**d) work runs on ``tile_rows(d)`` rows of a
     route at a time.  Each route reduces each row on its own, so a row's
@@ -185,7 +189,7 @@ def membership_profile(d: int, edges: Sequence[tuple[int, ...]], rows: np.ndarra
     wide = np.flatnonzero(~small) if count < len(rows) else []
     for start in range(0, len(wide), tile):
         chosen = wide[start : start + tile]
-        parts.append((chosen, spectral_profile(membership_amplitudes(d, edges, rows[chosen]))))
+        parts.append((chosen, spectral_profile(membership_signs(d, edges, rows[chosen]))))
     if len(parts) == 1:
         return parts[0][1]
     profile = np.empty((len(fields(SpectralProfile)), len(rows)))

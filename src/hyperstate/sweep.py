@@ -15,10 +15,9 @@ JSON output) reuses it.  Both formats are rendered from the columns in
 blocks of ``RENDER_BLOCK`` records.
 
 Every file the package writes (results, cache entries, CLI ``--out`` and
-plot files) goes through ``write_text``.  ``read_results`` validates a CSV or
-JSON file one record at a time; a malformed one is a ``SchemaError``.  A
-cache entry is one ``.npy`` array of (0/1 row, seven float64 values) records,
-read back only after ``_read_entry``'s checks.
+plot files) goes through ``write_text``.  A cache entry is one ``.npy``
+array of (0/1 row, seven float64 values) records, read back only after
+``_read_entry``'s checks; a malformed one is a ``SchemaError``.
 
 Extremal semantics: for the squeezing-degree metrics (s_p, s_n) the
 summary ranges over the configurations that actually exhibit squeezing
@@ -35,8 +34,9 @@ row at d <= 16 whose support bound (sum over its edges of 2**(d - |e|)) is
 at most 2d, as for every (d-1)-graph, takes the support route: its truth
 table is read only at the union of its edges' supports, and its spectrum
 comes from exact integer sums, with no length-2**d table or FFT.  Other rows
-take the rfft route: truth tables from one membership-by-indicator product
-(``state.membership_amplitudes``) and one batched ``rfft`` per tile.  No row
+take the rfft route: exact +-1 sign rows from one membership-by-indicator
+product (``state.membership_signs``) and one batched ``rfft`` per tile.  Both
+routes read the unnormalised signs and scale by exact powers of two.  No row
 is split across tiles and each route reduces each row on its own, so neither
 the tile size nor the thread count moves a digit.
 """
@@ -47,7 +47,6 @@ import csv
 import hashlib
 import io
 import itertools
-import json
 import operator
 import os
 import stat
@@ -58,7 +57,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import starmap
 from json.encoder import encode_basestring_ascii
-from math import comb, isfinite
+from math import comb
 from pathlib import Path
 from tokenize import TokenError
 from typing import Iterable, Iterator, Sequence
@@ -99,7 +98,13 @@ CACHE_ENV_VAR = "HYPERSTATE_CACHE"
 #    d = 3..13, var_p moved by at most 6.2e-16 relative, c_l1_phase by 1.5e-15,
 #    c_rel_phase by 8.9e-16 absolute and s_p by 7.9e-15 relative; half_comm
 #    and var_n did not, and phase eigenstates now give var_p = 0 exactly.
-RESULTS_VERSION = 7
+# 8: the rfft route reads exact +-1 sign rows and divides by dim |row|**2, so
+#    by 2**(2d) exactly: even d kept every bit (k-uniform at d = 2..6 for every
+#    k, complete-k at d <= 16, single-full at d <= 20); at odd d half_comm and
+#    s_n moved by at most 3.3e-13 relative and s_p by 3.2e-12 (k-uniform (5, 2)
+#    and (5, 3)), var_p by 6.8e-16, c_l1_phase by 9.6e-16 and c_rel_phase by
+#    5.2e-16; var_p values of 7.9e-31 now read 0; support rows did not move.
+RESULTS_VERSION = 8
 
 # Records per text block of a CSV or JSON render, about 50 kB of text at d = 12.
 # With blocks of 128 records the sweep-d12 benchmark peaked about 1 MiB lower
@@ -461,65 +466,6 @@ def render_results(results: SweepResults, fmt: str) -> str:
 def write_results(results: SweepResults, path: str | os.PathLike, fmt: str) -> None:
     """Write results in format ``fmt`` (csv or json) to ``path`` through ``write_text``."""
     write_text(path, render_blocks(results, fmt))
-
-
-def _record_from_fields(path: Path, fields: dict | list[str], cells: bool) -> tuple[int, str, list]:
-    """An integer d, text edges and metrics None or finite of a JSON record object or a CSV row."""
-    # A CSV cell must be text as ``csv_text`` writes it: d the str of an int, a metric
-    # the repr of a float.  A JSON d must be a JSON integer and a JSON metric a number or null.
-    if cells:
-        if len(fields) != len(CSV_HEADER):
-            raise SchemaError(f"{path}: row has {len(fields)} fields, expected {len(CSV_HEADER)}")
-        d, edges, values = fields[0], fields[1], dict(zip(METRIC_NAMES, [cell or None for cell in fields[2:]]))
-    else:
-        if set(fields) != set(CSV_HEADER):
-            raise SchemaError(f"{path}: record keys {sorted(fields)} do not match schema")
-        d, edges, values = fields["d"], fields["edges"], fields
-    raw = (str, type(None)) if cells else (int, float, type(None))
-    try:
-        if isinstance(d, bool) or not isinstance(d, str if cells else int) or cells and str(int(d)) != d:
-            raise TypeError(f"d {d!r} is not an integer")
-        if not isinstance(edges, str):
-            raise TypeError(f"edges {edges!r} is not text")
-        metrics = [None if values[name] is None else float(values[name]) for name in METRIC_NAMES]
-        bad = [n for n, v in zip(METRIC_NAMES, metrics) if isinstance(values[n], bool)
-               or not isinstance(values[n], raw) or not isfinite(v or 0.0)
-               or cells and v is not None and repr(v) != values[n]]
-        if bad:
-            raise ValueError(f"{bad[0]} {values[bad[0]]!r} is not a finite number")
-        return int(d), edges, metrics
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"{path}: malformed record: {exc}") from None
-
-
-def read_results(path: str | os.PathLike) -> SweepResults:
-    """Read a CSV or JSON results file, one record at a time, or raise SchemaError if it is malformed."""
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"{path}: not UTF-8 text: {exc}") from None
-    cells = path.suffix.lower() == ".csv"
-    if path.suffix.lower() == ".json":
-        try:
-            rows = json.loads(text)
-        except (ValueError, RecursionError) as exc:  # also int digit limit and deep nesting
-            raise SchemaError(f"{path}: not valid JSON: {exc}") from None
-        if not isinstance(rows, list) or not all(isinstance(e, dict) for e in rows):
-            raise SchemaError(f"{path}: expected a JSON list of record objects")
-    elif cells:
-        try:
-            rows = list(csv.reader(io.StringIO(text)))
-        except csv.Error as exc:
-            raise SchemaError(f"{path}: not valid CSV: {exc}") from None
-        if not rows or tuple(rows[0]) != CSV_HEADER:
-            raise SchemaError(f"{path}: header {rows[0] if rows else []} does not match schema")
-        del rows[0]
-    else:
-        raise SchemaError(f"{path}: unknown results format (expected .csv or .json)")
-    records = [_record_from_fields(path, row, cells) for row in rows]
-    values = np.array([r[2] for r in records], dtype=np.float64).reshape(-1, len(METRIC_NAMES))
-    return SweepResults([r[0] for r in records], [r[1] for r in records], values)
 
 
 def cache_key(

@@ -2,7 +2,7 @@
 
 Each one computes a quantity by a route independent of the package's own:
 the truth table edge by edge, every k-uniform hypergraph by a mask loop,
-amplitudes of hypergraphs batched over their own edges, commutators and
+the +-1 sign rows of hypergraphs batched over their own edges, commutators and
 expectations of dense matrices, the phase-basis overlaps and moments of any
 complex state, the half-spectrum phase moments and coherences by the
 two-pass reduction with explicit mirror weights and normalized
@@ -40,7 +40,7 @@ from hyperstate.operators import (
     phase_angles,
     support_profile,
 )
-from hyperstate.state import membership_amplitudes
+from hyperstate.state import membership_signs
 from hyperstate.sweep import (
     CSV_HEADER,
     METRIC_NAMES,
@@ -72,11 +72,11 @@ def k_uniform_hypergraphs(d: int, k: int) -> Iterator[Hypergraph]:
         yield Hypergraph(d, [subsets[i] for i in range(len(subsets)) if mask >> i & 1])
 
 
-def hypergraph_amplitudes(graphs: Sequence[Hypergraph]) -> np.ndarray:
-    """``membership_amplitudes`` of hypergraphs on one d, each row over its own edges."""
+def hypergraph_signs(graphs: Sequence[Hypergraph]) -> np.ndarray:
+    """``membership_signs`` of hypergraphs on one d, each row over its own edges."""
     edges = [e for g in graphs for e in g.edges]
     rows = np.repeat(np.eye(len(graphs)), [len(g.edges) for g in graphs], axis=1)
-    return membership_amplitudes(graphs[0].d, edges, rows)
+    return membership_signs(graphs[0].d, edges, rows)
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -32,7 +32,7 @@ from hyperstate.state import (
     emit_circuit,
     hypergraph_profile,
     hypergraph_state,
-    membership_amplitudes,
+    membership_signs,
     simulate_circuit,
 )
 from hyperstate.sweep import Family, sweep_family
@@ -46,14 +46,14 @@ def _operators(d: int, check_all: bool = False) -> int:
 
 # Each route as a function of d, with the largest d the default budget admits.
 ROUTES = {
-    "membership_amplitudes": (lambda d: membership_amplitudes(d, [(0, 1)], ONE_ROW), 24),
+    "membership_signs": (lambda d: membership_signs(d, [(0, 1)], ONE_ROW), 24),
     "hypergraph_state": (lambda d: hypergraph_state(Hypergraph(d, [(0, 1)])), 24),
     "hypergraph_profile": (lambda d: hypergraph_profile(Hypergraph(d, [(0, 1)])), 23),
     # The support route's own guard, on the edgeless state; hypergraph_profile
     # sends no state past d = 16 to it.
     "support_profile": (lambda d: support_profile(d, [], ONE_ROW[:, :0]), 23),
     # A read-only zero-stride view: no 2**d bytes exist before the route runs.
-    "spectral_profile": (lambda d: spectral_profile(np.broadcast_to(0.0, (1 << d,))), 23),
+    "spectral_profile": (lambda d: spectral_profile(np.broadcast_to(1.0, (1 << d,))), 23),
     "simulate_circuit": (lambda d: simulate_circuit(emit_circuit(Hypergraph(d, [(0, 1)]))), 23),
     "phase_operator_dense": (lambda d: phase_operator_dense(1 << d), 12),
     "number_phase_commutator_dense": (lambda d: number_phase_commutator_dense(1 << d), 12),

@@ -321,6 +321,13 @@ def test_squeeze_edgeless_d12_has_undefined_number_squeezing(capsys):
     assert fields["s_p"] == ["-1"]
 
 
+def test_squeeze_odd_d_phase_eigenstate_prints_exact_moments(capsys):
+    # One edge on the last vertex gives |theta_{dim/2}>; at d = 5 it takes the rfft route.
+    code, out, _ = run_cli(capsys, "squeeze", "--d", "5", "--edges", "4", "--format", "json")
+    assert code == 0
+    assert '"mean_p": 3.141592653589793' in out and '"var_p": 0.0' in out
+
+
 def test_agarwal_tara_beyond_work_budget_is_guarded(capsys):
     code, out, err = run_cli(capsys, "agarwal-tara", "--d", "20", "--n", "64")
     assert code == 2

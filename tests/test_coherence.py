@@ -102,7 +102,7 @@ def test_report_number_basis_builds_no_state(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("the number basis needs no state")
 
-    monkeypatch.setattr(state_mod, "membership_amplitudes", boom)
+    monkeypatch.setattr(state_mod, "membership_signs", boom)
     report = coherence_report(Hypergraph(40, [(0, 39)]), "number")
     assert report.c_l1 == float(2**40 - 1)
     assert report.c_rel_ent == 40 * math.log(2.0)

@@ -6,7 +6,9 @@ the phase-basis overlaps; a stacked batch must equal per-row calls bit for
 bit.  Tolerances follow from float64 sums of at most 256 terms of size
 <= (2 pi)**2 (means, variances) or <= 2**8 (l1 coherence).  Fixed
 hypergraphs at d = 10, 12 check it against the FFT-applied commutator and
-``phase_stats``.
+``phase_stats``.  Each row is read over its own norm, so scaling a row by a
+power of two changes no bit, and at even d the +-1 sign rows read exactly as
+the normalised states.
 """
 
 import numpy as np
@@ -17,9 +19,10 @@ from hypothesis import strategies as st
 from hyperstate.coherence import l1_coherence, rel_entropy_coherence
 from hyperstate.hypergraph import Hypergraph, single_full_edge
 from hyperstate.operators import number_phase_commutator_dense, spectral_profile
-from hyperstate.state import hypergraph_state
+from hyperstate.state import hypergraph_state, membership_signs
+from hyperstate.sweep import Family
 
-from oracles import hypergraph_amplitudes, number_phase_commutator_expectation, phase_overlaps, phase_stats
+from oracles import hypergraph_signs, number_phase_commutator_expectation, phase_overlaps, phase_stats
 
 FIELDS = ("mean_p", "var_p", "half_comm", "c_l1_phase", "c_rel_phase")
 TOL = 1e-10
@@ -41,7 +44,7 @@ hypergraphs = st.integers(1, 8).flatmap(
 @PROPERTY_SETTINGS
 @given(hypergraphs)
 def test_phase_moments_match_phase_stats(g):
-    profile = spectral_profile(hypergraph_amplitudes([g])[0])
+    profile = spectral_profile(hypergraph_signs([g])[0])
     mean, var = phase_stats(hypergraph_state(g))
     assert float(profile.mean_p) == pytest.approx(mean, abs=TOL)
     assert float(profile.var_p) == pytest.approx(var, abs=TOL)
@@ -58,7 +61,7 @@ def test_half_comm_matches_dense_commutator(g):
 @PROPERTY_SETTINGS
 @given(hypergraphs)
 def test_phase_coherence_matches_overlaps(g):
-    profile = spectral_profile(hypergraph_amplitudes([g])[0])
+    profile = spectral_profile(hypergraph_signs([g])[0])
     overlaps = phase_overlaps(hypergraph_state(g))
     assert float(profile.c_l1_phase) == pytest.approx(l1_coherence(overlaps), rel=TOL, abs=TOL)
     assert float(profile.c_rel_phase) == pytest.approx(rel_entropy_coherence(overlaps), abs=TOL)
@@ -68,9 +71,9 @@ def test_phase_coherence_matches_overlaps(g):
 @given(st.integers(1, 8).flatmap(lambda d: st.lists(edge_sets(d), min_size=1, max_size=5).map(
     lambda sets: [Hypergraph(d, edges) for edges in sets])))
 def test_batch_equals_rows_bit_for_bit(graphs):
-    batch = spectral_profile(hypergraph_amplitudes(graphs))
+    batch = spectral_profile(hypergraph_signs(graphs))
     for i, g in enumerate(graphs):
-        row = spectral_profile(hypergraph_amplitudes([g])[0])
+        row = spectral_profile(hypergraph_signs([g])[0])
         for name in FIELDS:
             assert getattr(batch, name).shape == (len(graphs),)
             assert getattr(row, name).shape == ()
@@ -87,7 +90,7 @@ def test_profile_matches_fft_oracles_beyond_dense_sizes(d):
         Hypergraph(d, [tuple(range(d - 1)), tuple(range(1, d)), (0,)]),
         Hypergraph(d, [tuple(range(1, d))]),
     ]
-    profile = spectral_profile(hypergraph_amplitudes(graphs))
+    profile = spectral_profile(hypergraph_signs(graphs))
     for i, g in enumerate(graphs):
         psi = hypergraph_state(g)
         oracle = abs(number_phase_commutator_expectation(psi)) / 2
@@ -114,3 +117,37 @@ def test_profile_rejects_bad_input():
         spectral_profile(np.ones(6) / 6**0.5)
     with pytest.raises(ValueError):
         spectral_profile(np.ones(1))
+    with pytest.raises(ValueError, match="nonzero rows"):
+        spectral_profile(np.zeros(4))
+    with pytest.raises(ValueError, match="nonzero rows"):
+        spectral_profile(np.stack((np.ones(8), np.zeros(8))))
+
+
+def test_each_row_is_read_over_its_own_norm():
+    rows = np.random.default_rng(9).normal(size=(3, 32))
+    unit = spectral_profile(rows / np.linalg.norm(rows, axis=1, keepdims=True))
+    scaled = spectral_profile(rows * [[1.0], [1e-3], [7.0]])
+    for name in FIELDS:
+        assert np.allclose(getattr(scaled, name), getattr(unit, name), rtol=1e-13, atol=1e-13), name
+
+
+@pytest.mark.parametrize("power", [-60, -9, -1, 1, 4, 60])
+def test_a_power_of_two_scale_changes_no_bit(power):
+    rows = np.random.default_rng(11).normal(size=(4, 64))
+    unit, scaled = spectral_profile(rows), spectral_profile(rows * 2.0**power)
+    for name in FIELDS:
+        assert np.array_equal(getattr(scaled, name), getattr(unit, name)), name
+
+
+@pytest.mark.parametrize("kind, d, k", [
+    ("k-uniform", 2, 1), ("k-uniform", 4, 2), ("k-uniform", 6, 1), ("k-uniform", 6, 5),
+    ("k-uniform", 8, 7), ("complete-k", 6, 3), ("complete-k", 8, 3), ("complete-k", 12, 5),
+    ("single-full", 16, None), ("single-full", 20, None),
+])
+def test_even_d_sign_rows_read_as_the_normalised_states_bit_for_bit(kind, d, k):
+    # 2**(-d/2) is a power of two at even d, so hypergraph_state's scaling is exact.
+    family = Family(kind, d, k)
+    signs = spectral_profile(membership_signs(d, family.edges, family.rows))
+    states = spectral_profile(np.stack([hypergraph_state(g).real for g in family.configurations()]))
+    for name in FIELDS:
+        assert np.array_equal(getattr(signs, name), getattr(states, name)), name

@@ -1,5 +1,7 @@
 """Unit tests for hypergraph state construction and circuit emission."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,12 +15,12 @@ from hyperstate.state import (
     CircuitDescription,
     emit_circuit,
     hypergraph_state,
-    membership_amplitudes,
+    membership_signs,
     simulate_circuit,
 )
 
 from conftest import EXAMPLE_EDGES, random_hypergraph
-from oracles import boolean_function, hypergraph_amplitudes, k_uniform_hypergraphs
+from oracles import boolean_function, hypergraph_signs, k_uniform_hypergraphs
 
 EXAMPLE_SIGNS = (1, 1, 1, 1, 1, 1, 1, -1, 1, -1, 1, 1, 1, -1, 1, -1)
 
@@ -58,12 +60,15 @@ def _edge_rows(draw):
 
 @settings(max_examples=120, deadline=None)
 @given(_edge_rows())
-def test_membership_amplitudes_rows_have_unit_norm(case):
+def test_membership_signs_are_exact_and_the_state_has_unit_norm(case):
     d, edges, rows = case
-    amplitudes = membership_amplitudes(d, edges, rows)
-    assert amplitudes.shape == (len(rows), 1 << d)
-    assert np.all(np.abs(amplitudes) == 1.0 / np.sqrt(float(1 << d)))
-    assert np.all(np.abs(np.linalg.norm(amplitudes, axis=1) - 1.0) < 1e-12)
+    signs = membership_signs(d, edges, rows)
+    assert signs.shape == (len(rows), 1 << d)
+    assert signs.dtype == np.float64
+    assert np.all(np.abs(signs) == 1.0)
+    for row in rows:
+        psi = hypergraph_state(Hypergraph(d, itertools.compress(edges, row)))
+        assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
 
 
 def test_state_guard():
@@ -140,20 +145,20 @@ def _batches():
 
 @settings(max_examples=60, deadline=None)
 @given(_batches())
-def test_batched_amplitudes_match_boolean_functions_and_circuits(graphs):
-    amplitudes = hypergraph_amplitudes(graphs)
-    scale = np.sqrt(float(graphs[0].dim))
-    for row, g in zip(amplitudes, graphs):
+def test_batched_signs_match_boolean_functions_and_circuits(graphs):
+    signs = hypergraph_signs(graphs)
+    scale = 2.0 ** (-graphs[0].d / 2)
+    for row, g in zip(signs, graphs):
         table = boolean_function(g)
-        assert row.tobytes() == ((1.0 - 2.0 * table) / scale).tobytes()
+        assert row.tobytes() == (1.0 - 2.0 * table).tobytes()
         simulated = simulate_circuit(emit_circuit(g))
-        assert np.array_equal(np.sign(simulated.real), np.sign(row))
+        assert np.max(np.abs(simulated - scale * row)) < 1e-12
 
 
 @pytest.mark.parametrize("edges_per_block", [1, 3])
-def test_amplitudes_do_not_depend_on_indicator_block_size(monkeypatch, edges_per_block):
+def test_signs_do_not_depend_on_indicator_block_size(monkeypatch, edges_per_block):
     rng = np.random.default_rng(3)
     graphs = [random_hypergraph(rng, 6) for _ in range(8)] + [complete_k_graph(6, 3)]
-    whole = hypergraph_amplitudes(graphs)
+    whole = hypergraph_signs(graphs)
     monkeypatch.setattr(state_mod, "_INDICATOR_BYTES", edges_per_block * 4 << 6)
-    assert hypergraph_amplitudes(graphs).tobytes() == whole.tobytes()
+    assert hypergraph_signs(graphs).tobytes() == whole.tobytes()

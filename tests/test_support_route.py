@@ -25,12 +25,12 @@ import hyperstate
 import hyperstate.operators as operators_mod
 import hyperstate.state as state_mod
 from hyperstate.errors import GuardError
-from hyperstate.hypergraph import Hypergraph
+from hyperstate.hypergraph import Hypergraph, connected_rows
 from hyperstate.operators import spectral_profile, support_profile
-from hyperstate.state import hypergraph_profile, membership_amplitudes, membership_profile, support_rows
+from hyperstate.state import hypergraph_profile, membership_signs, membership_profile, support_rows
 from hyperstate.sweep import Family, dminus1_family, sweep_family
 
-from oracles import hypergraph_amplitudes, sorted_half_comm
+from oracles import hypergraph_signs, sorted_half_comm
 
 FIELDS = ("mean_p", "var_p", "half_comm", "c_l1_phase", "c_rel_phase")
 TOL = 1e-13
@@ -63,7 +63,7 @@ def test_support_route_matches_the_rfft_oracle(g):
     assume(_support_bound(g) <= 2 * g.d)
     rows = np.ones((1, len(g.edges)))
     assert support_rows(g.d, g.edges, rows).all()
-    oracle = spectral_profile(hypergraph_amplitudes([g])[0])
+    oracle = spectral_profile(hypergraph_signs([g])[0])
     _assert_close(hypergraph_profile(g), oracle)
 
 
@@ -81,13 +81,26 @@ def test_family_row_own_edges_and_chunk_of_one_share_bits(d):
             assert getattr(alone, name)[0].tobytes() == bits, (name, i)
 
 
+@pytest.mark.parametrize("d", range(3, 13))
+def test_every_connected_dminus1_row_agrees_on_both_routes(d):
+    family = Family("dminus1", d)
+    rows = family.rows[connected_rows(d, family.edges, family.rows)]
+    assert support_rows(d, family.edges, rows).all()
+    support = membership_profile(d, family.edges, rows)
+    rfft = [spectral_profile(membership_signs(d, family.edges, rows[i : i + 512])) for i in range(0, len(rows), 512)]
+    for name in FIELDS:
+        want = np.concatenate([getattr(part, name) for part in rfft])
+        error = np.abs(getattr(support, name) - want) / np.maximum(np.abs(want), 1.0)
+        assert error.max() <= TOL, (name, int(error.argmax()), error.max())
+
+
 def test_mixed_chunk_routes_each_row_on_its_own():
     d = 6
     edges = [tuple(range(d)), (0, 1), tuple(range(1, d))]
     rows = np.array([[1, 0, 0], [1, 1, 0], [0, 0, 1], [1, 1, 1]], dtype=np.uint8)
     assert support_rows(d, edges, rows).tolist() == [True, False, True, False]
     merged = membership_profile(d, edges, rows)
-    oracle = spectral_profile(membership_amplitudes(d, edges, rows))
+    oracle = spectral_profile(membership_signs(d, edges, rows))
     for i in range(len(rows)):
         alone = membership_profile(d, edges, rows[i : i + 1])
         for name in FIELDS:
@@ -177,15 +190,27 @@ def test_empty_hypergraph_is_the_zero_phase_state():
 @pytest.mark.parametrize(
     "g, mean",
     [pytest.param(Hypergraph(d), 0.0, id=f"theta_0-d{d}") for d in range(1, 18)]
-    + [pytest.param(Hypergraph(d, [(d - 1,)]), np.pi, id=f"theta_half-d{d}") for d in range(1, 4)],
+    + [pytest.param(Hypergraph(d, [(d - 1,)]), np.pi, id=f"theta_half-d{d}") for d in range(1, 12)],
 )
 def test_phase_eigenstates_have_exactly_zero_phase_spread_and_coherence(g, mean):
     # The edgeless state is |theta_0>; one edge on the last vertex flips the odd
-    # amplitudes, which gives |theta_{dim/2}>.  d = 17 takes the rfft route.
+    # amplitudes, which gives |theta_{dim/2}>.  d = 17 and theta_half at d >= 5
+    # take the rfft route.
     profile = hypergraph_profile(g)
     assert float(profile.mean_p) == mean
     for name in ("var_p", "c_l1_phase", "c_rel_phase"):
         assert float(getattr(profile, name)) == 0.0, name
+    if g != Hypergraph(2, [(1,)]):  # there the support route's half_comm is 1.1e-16 of round-off
+        assert float(profile.half_comm) == 0.0
+
+
+@pytest.mark.parametrize("d", range(2, 12))
+def test_rfft_route_reads_theta_half_exactly(d):
+    # Sign rows scaled by exact powers of two: no rounded 1/sqrt(2**d) at odd d.
+    profile = spectral_profile(membership_signs(d, [(d - 1,)], [[1]]))
+    assert float(profile.mean_p[0]) == np.pi
+    for name in ("var_p", "half_comm", "c_l1_phase", "c_rel_phase"):
+        assert float(getattr(profile, name)[0]) == 0.0, name
 
 
 def test_single_full_edge_at_d1_is_a_phase_eigenstate():
@@ -243,7 +268,7 @@ def test_support_route_matches_a_40_digit_oracle():
     family = dminus1_family(d)
     picks = [2, 100, 255 - 1]  # two edges, a mixed set, all eight edges
     profile = membership_profile(d, family.edges, family.rows[picks])
-    signs = np.sign(membership_amplitudes(d, family.edges, family.rows[picks])).astype(int)
+    signs = np.sign(membership_signs(d, family.edges, family.rows[picks])).astype(int)
     for i, row_signs in enumerate(signs):
         exact = _mp_profile(row_signs.tolist())
         for name in FIELDS:

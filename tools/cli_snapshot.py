@@ -75,6 +75,8 @@ CASES.update({
     "squeeze-single-full-d6-json": ("squeeze", "--d", "6", "--edges", "0,1,2,3,4,5", "--format", "json"),
     "coherence-phase-single-full-d6-json": ("coherence", "--d", "6", "--edges", "0,1,2,3,4,5",
                                             "--basis", "phase", "--format", "json"),
+    # |theta_{dim/2}> at odd d on the rfft route: exact mean_p = pi and var_p = 0.
+    "squeeze-theta-half-d5-json": ("squeeze", "--d", "5", "--edges", "4", "--format", "json"),
     # Sweep output of 500+ records on stdout.
     "sweep-d9-json": ("sweep", "--family", "dminus1", "--d", "9", "--format", "json"),
     "sweep-d9-csv": ("sweep", "--family", "dminus1", "--d", "9", "--format", "csv"),

@@ -93,13 +93,17 @@ def is_connected(g: Hypergraph) -> bool:
 
 
 def connected_rows(d: int, edges: Sequence[tuple[int, ...]], rows: np.ndarray) -> np.ndarray:
-    """``is_connected`` of each 0/1 row over ``edges``: d rounds of growth from vertex 0."""
+    """``is_connected`` of each 0/1 row over ``edges``: rounds of growth from vertex 0, until
+    no row's reach grows (at most d rounds)."""
     masks = np.array([vertex_mask(d, e) for e in edges], dtype=np.int64)
     chosen = np.asarray(rows, dtype=bool)
     reached = np.full(len(chosen), 1 << (d - 1), dtype=np.int64)
     for _ in range(d):
         meets = chosen & ((masks & reached[:, None]) != 0)
-        reached |= np.bitwise_or.reduce(np.where(meets, masks, 0), axis=1)
+        grown = reached | np.bitwise_or.reduce(np.where(meets, masks, 0), axis=1)
+        if np.array_equal(grown, reached):
+            break
+        reached = grown
     return reached == (1 << d) - 1
 
 

@@ -17,16 +17,19 @@ states x / sqrt(dim), and scale their sums by exact powers of two: p_m =
 |F_m|**2 / dim**2 and half_comm = |Im <N x|P x>| / dim, with F = fft(x).
 ``_phase_sums`` reads each mirror-weighted row sum over the half spectrum as
 twice the plain row sum less the unmirrored end bins, in 9 passes over one
-scratch array, and ``_phase_moments`` finishes the sums, with the relative
-entropy as log T - (sum p log p) / T for the total T (p = 0 adds exactly 0).
+scratch array, each over whole rows, and ``_phase_moments`` finishes the
+sums, with the relative entropy as log T - (sum p log p) / T for the total
+T (p = 0 adds exactly 0).
 ``spectral_profile`` (the rfft route) takes the half spectra of x and n x
 from one length-dim real FFT, batched over a stack of rows and read with
 mirror weights (Parseval turns <[N, P]> into a weighted sum over those
 bins); any other real row is scaled by its own dim |row|**2.
 ``support_profile`` (the support route) takes sign rows with few points in
-K: their spectra are exact integer sums over a DFT table at K, and <[N, P]>
-is a masked sum over a pair table of closed forms of the Pegg–Barnett
-kernel, built once per set of points; the rfft route is its test oracle.
+K: their spectra are exact sums over the rows of an integer DFT table at K,
+pre-scaled by a power of two, and <[N, P]> is a masked sum over a pair
+table of closed forms of the Pegg–Barnett kernel, both built once per set
+of points; the pair terms of a block of rows are added by one running sum
+along the pair axis.  The rfft route is its test oracle.
 Dense matrices, functions of the dimension alone (a caller takes a state's
 expectation with ``np.vdot``), and ``apply_phase_operator``, the FFT
 application of P to any complex state, serve the structure and spectral
@@ -234,16 +237,18 @@ def _phase_sums(prob: np.ndarray, scratch: np.ndarray) -> tuple[np.ndarray, ...]
     ``prob`` holds p_m = |F_m|**2 / dim for m = 0 .. dim/2, one row per state,
     and is left as it is; ``scratch``, of the same shape, holds in turn the
     variance terms, the square roots and the logs: 9 passes over the bins in
-    all.  A mirror-weighted sum is twice the plain row sum less the bins with
-    no mirror (m = 0 and m = dim/2); the doubling is exact.  Sums over m >= 1
-    are taken directly, not as T - p_0, which would cancel when p_0 is close
-    to 1.  The log is taken of max(p_m, tiny), the smallest normal float, so
+    all, each over whole rows (at d = 12 the product over the rows less their
+    first bin measured 1.6 times as slow), so the variance terms include an
+    unread one at m = 0.  A mirror-weighted sum is twice the plain row sum
+    less the bins with no mirror (m = 0 and m = dim/2); the doubling is
+    exact.  Sums over m >= 1 are taken directly, not as T - p_0, which would
+    cancel when p_0 is close to 1.  The log is taken of max(p_m, tiny), the smallest normal float, so
     a bin with p_m = 0 adds exactly 0.  Every reduction is a row-wise
     ``np.sum``, so a state's sums do not depend on its batch.
     """
     spread_weights = _half_spectrum_weights(2 * (prob.shape[-1] - 1))[1]
     rest = 2.0 * np.sum(prob[:, 1:], axis=-1) - prob[:, -1]
-    spread = np.sum(np.multiply(prob[:, 1:], spread_weights[1:], out=scratch[:, 1:]), axis=-1)
+    spread = np.sum(np.multiply(prob, spread_weights, out=scratch)[:, 1:], axis=-1)
     roots = np.sqrt(prob, out=scratch)
     roots = 2.0 * np.sum(roots, axis=-1) - roots[:, 0] - roots[:, -1]
     logs = np.log(np.maximum(prob, np.finfo(np.float64).tiny, out=scratch), out=scratch)
@@ -308,9 +313,9 @@ def _im_w(d: int, point: int) -> float:
 
 @lru_cache(maxsize=1)
 def _dft_rows(d: int, points: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The integer DFT table's cos and -sin rows at ``points``, over m = 0 .. dim/2, and
-    the half_comm pair table over the points: row l is (2 / dim) Im (P n)_l, then
-    (4 / dim) k Im P_kl for each point k.
+    """The integer DFT table's cos and -sin rows at ``points``, over m = 0 .. dim/2, times
+    2**(1 + shift) (see ``support_profile``), and the half_comm pair table over the points:
+    row l is (2 / dim) Im (P n)_l, then (4 / dim) k Im P_kl for each point k.
 
     One entry is kept, so the calls of a sweep, which share their points, build them once.
     """
@@ -323,15 +328,25 @@ def _dft_rows(d: int, points: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, 
     linear = (2.0 / dim) * np.array([_im_w(d, p) for p in points]).reshape(-1, 1)
     pairs = np.concatenate((linear, ((4.0 / dim) * k) * im_p), axis=1)
     rows = np.take(cos, index), np.take(msin, index), pairs
+    for row in rows[:2]:
+        row *= np.ldexp(1.0, 1 - d - _support_scale(d))  # exact: integers times a power of two
     for row in rows:
         row.flags.writeable = False
     return rows
 
 
+def _half_comm_rows(entries: int) -> int:
+    """Rows per block of ``_half_comm`` over a pair table of ``entries`` entries:
+    CHUNK_BYTES // (16 * entries), at least 1 (about 360 rows at d = 12)."""
+    return max(1, CHUNK_BYTES // (16 * max(entries, 1)))
+
+
 def support_bytes(count: int, points: int, dim: int) -> int:
     """Bytes ``support_profile`` holds at its peak for ``count`` states over ``points`` support points."""
     half = dim // 2 + 1
+    pairs = points * (points + 1)
     tile = min(count, tile_rows(dim.bit_length() - 1))
+    block = min(count, _half_comm_rows(pairs))
     # The three float64 tables of this d and the kept tables of smaller d
     # (under 48 per index) and, while Im (P n) is summed at one point, its
     # int64 index and two float64 term arrays (24 per index; building the
@@ -339,15 +354,40 @@ def support_bytes(count: int, points: int, dim: int) -> int:
     # DFT rows beside the kept rows of the last gather: the int64 index and
     # two float64 rows of each, 40 per point and bin; the pair table, built
     # beside the kept table of the last gather (16 and 8 per entry, measured
-    # at d = 8, 9 and 10); per state of a tile the spectrum's two parts, squared
-    # in place into the probabilities and the reductions' scratch (16 per bin,
-    # measured at d = 10, 12 and 16), kept at 32, and the half_comm terms over
-    # every pair-table entry with their running sums (16 per entry, measured
-    # at d = 10, 12 and 16), kept at 24; per state of the call its row of t,
-    # its six sums, kept per tile and then joined, and the finished profile
-    # with the temporaries of finishing it (8 per point and 112).
-    pairs = points * (points + 1)
-    return 72 * dim + 40 * points * half + 24 * pairs + tile * (32 * half + 24 * pairs) + count * (8 * points + 112)
+    # at d = 8, 9 and 10).  Then the larger of two phases: per state of a
+    # half_comm block its terms over every pair-table entry and their running
+    # sums (16 per entry, measured at d = 10, 12, 14 and 16), or, after it,
+    # per state of a tile the spectrum's two parts, squared in place into the
+    # probabilities and the reductions' scratch (16 per bin, measured at
+    # d = 10, 12 and 16), kept at 32.  Per state of the call its row of t, its
+    # half_comm and five sums, kept per tile and then joined, and the finished
+    # profile with the temporaries of finishing it (8 per point and 112).
+    return (72 * dim + 40 * points * half + 24 * pairs + max(block * 16 * pairs, tile * 32 * half)
+            + count * (8 * points + 112))
+
+
+def _half_comm(pairs: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """half_comm of each row of ``support_profile``'s t from the pair table ``pairs`` of
+    ``_dft_rows``, a running sum along the pair axis for a block of rows at a time.
+
+    A block's terms stand as (pair entries x rows): entry (l, j) is the table's, masked by
+    t_l and, for j = 1 + k, by t_k.  ``np.cumsum`` along the entry axis adds them in the
+    same order for every row, over l, then k, ascending over every point.  ``np.add.reduce``
+    would not: along a short axis, or over one row, it can sum pairwise.
+    """
+    count, width = t.shape
+    half_comm = np.zeros(count)
+    if not width:
+        return half_comm
+    block = _half_comm_rows(pairs.size)
+    for start in range(0, count, block):
+        part = t[start : start + block].T
+        terms = np.empty((width, width + 1, part.shape[1]))
+        terms[:, 0] = part
+        np.multiply(part[:, None], part, out=terms[:, 1:])
+        terms *= pairs[:, :, None]
+        np.abs(np.cumsum(terms.reshape(pairs.size, -1), axis=0)[-1], out=half_comm[start : start + block])
+    return half_comm
 
 
 def support_profile(d: int, points: Sequence[int], t: np.ndarray) -> SpectralProfile:
@@ -356,28 +396,29 @@ def support_profile(d: int, points: Sequence[int], t: np.ndarray) -> SpectralPro
     ``points`` ascend and ``t`` is 0/1 with at most 2d ones per row.  Each
     row is read as the state x / sqrt(dim) = |theta_0> - (2 / sqrt(dim)) 1_K,
     with p_m = |F_m|**2 / dim**2 for F = fft(x), as in ``spectral_profile``:
-      F_m / dim = delta_m0 - 2**(1 + shift) (t @ Q)_m,  shift = -d - s,
+      F_m / dim = delta_m0 - (t @ Q)_m,
     where Q holds the integer DFT rows round(2**s exp(-2 pi i m u / dim)) of
-    the points.  t @ Q adds at most 2d integers of at most 2**s, so every
-    partial sum is an integer below 2**53 and exact in any order: F does not
-    depend on BLAS, its threads, or the other rows and points.  Every scale
-    is an exact power of two: the real bin m = 0, whose sum is |K| 2**s, is
-    formed on its own as p_0 = (1 - 2**(1 + shift) (t @ Q)_0)**2 =
-    (1 - 2 |K| / dim)**2, and every bin as |t @ Q|**2 2**(2 + 2 shift) in
-    place, in 4 passes, before p_0 is written back; |theta_0> gets p_0 = 1
-    exactly.  The phase moments and coherences are ``spectral_profile``'s
-    reductions of those p, with the imaginary part's array as the scratch of
-    ``_phase_sums``.
+    the points, pre-scaled by ``_dft_rows`` by 2**(1 + shift), shift = -d - s.
+    t @ Q adds at most 2d integers of at most 2**s times that power of two,
+    so every partial sum is exact in any order: F does not depend on BLAS,
+    its threads, or the other rows and points.  The real bin m = 0, where
+    t @ Q is 2 |K| / dim, is formed on its own as p_0 = (1 - (t @ Q)_0)**2,
+    and every bin as |t @ Q|**2 in place, in 3 passes, before p_0 is written
+    back; |theta_0> gets p_0 = 1 exactly.  The phase
+    moments and coherences are ``spectral_profile``'s reductions of those p,
+    with the imaginary part's array as the scratch of ``_phase_sums``.
     P theta_0 = 0, so with w = P n
       Im <N x|P x> / dim = (2 / dim) sum_{l in K} Im w_l
                            + (4 / dim) sum_{k, l in K} k Im P_kl,
     and half_comm is its magnitude: the pair table of ``_dft_rows`` masked by
-    t_l, then t_l t_k, summed by ``np.cumsum`` (sequential, no BLAS) over l,
-    then k, ascending over every point.  The terms off K are exact zeros, so
-    a state's values are a function of K alone.
+    t_l, then t_l t_k, and summed by ``_half_comm`` as a running sum along
+    the pair axis (sequential, no BLAS) over l, then k, ascending over every
+    point.  The terms off K are exact zeros, so a state's values are a
+    function of K alone.
 
-    The DFT product, the squaring, ``_phase_sums`` and the half_comm terms run
-    on ``tile_rows(d)`` rows at a time, the finishing once per call.
+    half_comm runs on ``_half_comm_rows`` rows at a time, then the DFT
+    product, the squaring and ``_phase_sums`` on ``tile_rows(d)`` rows at a
+    time, and the finishing once per call.
     """
     t = np.asarray(t, dtype=np.float64)
     count, width = t.shape
@@ -388,23 +429,18 @@ def support_profile(d: int, points: Sequence[int], t: np.ndarray) -> SpectralPro
     require_bytes(f"support profile of {count} states over {width} points at d={d}",
                   support_bytes(count, width, 1 << d))
     cos, msin, pairs = _dft_rows(d, tuple(points))
-    shift, tile = -d - _support_scale(d), tile_rows(d)
-    tiles = []  # per tile its five phase sums and half_comm
+    half_comm = _half_comm(pairs, t)
+    tile, tiles = tile_rows(d), []  # per tile its five phase sums
     for start in range(0, count or 1, tile):  # a t of no rows runs once, on no rows
         part = t[start : start + tile]
         re, im = part @ cos, part @ msin
-        first = (1.0 - np.ldexp(re[:, 0], 1 + shift)) ** 2
+        first = (1.0 - re[:, 0]) ** 2
         re *= re
         im *= im
         re += im
-        re *= np.ldexp(1.0, 2 + 2 * shift)
         re[:, 0] = first
-        # terms[r, l] = t_l (2/dim) Im w_l, then t_l t_k (4/dim) k Im P_kl for each k.
-        terms = part[:, :, None] * pairs
-        terms[:, :, 1:] *= part[:, None, :]
-        half_comm = np.abs(np.cumsum(terms.reshape(len(part), -1), axis=1)[:, -1]) if width else np.zeros(len(part))
-        tiles.append((*_phase_sums(re, im), half_comm))
-    *sums, half_comm = tiles[0] if len(tiles) == 1 else map(np.concatenate, zip(*tiles))
+        tiles.append(_phase_sums(re, im))
+    sums = tiles[0] if len(tiles) == 1 else map(np.concatenate, zip(*tiles))
     tiles = None  # finishing needs only the joined sums
     mean, var, c_l1, c_rel = _phase_moments(*sums)
     return SpectralProfile(mean, var, half_comm, c_l1, c_rel)

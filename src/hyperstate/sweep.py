@@ -226,8 +226,20 @@ class SweepResults(Sequence[SweepRecord]):
     def _cell_texts(self) -> list[list[str]]:
         """Per metric, the repr of each defined value and "" for undefined, formed on first use."""
         if self._cells is None:
-            self._cells = [["" if v != v else repr(v) for v in column] for column in self.values.T.tolist()]
+            self._cells = [_column_texts(column) for column in self.values.T]
         return self._cells
+
+
+def _column_texts(column: np.ndarray) -> list[str]:
+    """The repr of each value of ``column`` and "" for NaN; one repr for a column of equal bits
+    (as var_n is over a sweep), which keeps -0.0 apart from 0.0."""
+    bits = column.view(np.int64)
+    if len(column) and (bits == bits[0]).all():
+        return ["" if np.isnan(column[0]) else repr(column[0].item())] * len(column)
+    texts = list(map(repr, column.tolist()))
+    for i in np.flatnonzero(np.isnan(column)).tolist():
+        texts[i] = ""
+    return texts
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,10 @@ the +-1 sign rows of hypergraphs batched over their own edges, commutators and
 expectations of dense matrices, the phase-basis overlaps and moments of any
 complex state, the half-spectrum phase moments and coherences by the
 two-pass reduction with explicit mirror weights and normalized
-probabilities (with the support route's spectrum scaled by a rounded
-sqrt(dim) and squared in seven passes), the support route's half_comm from
-each row's own sorted points and a gathered cotangent table,
+probabilities (with the support route's spectrum gathered from the
+integer DFT table on its own, scaled by a rounded sqrt(dim) and squared in
+seven passes), the support route's half_comm from each row's own sorted
+points and a gathered cotangent table,
 <[N, P]> by two FFT applications of the phase operator,
 relabeling equivalence by trying every vertex permutation, and the summary,
 CSV/JSON rendering and reading of sweep records one record (one metrics
@@ -31,7 +32,6 @@ from hyperstate.errors import SchemaError
 from hyperstate.hypergraph import Hypergraph, canonical_edges, parse_edges, vertex_mask
 from hyperstate.operators import (
     SpectralProfile,
-    _dft_rows,
     _im_w,
     _require_power_of_two,
     _support_scale,
@@ -151,11 +151,13 @@ def rfft_probabilities(rows: np.ndarray) -> np.ndarray:
 
 
 def support_probabilities(d: int, points, t: np.ndarray) -> np.ndarray:
-    """Half-spectrum phase probabilities of the support states: the integer DFT sums scaled by
-    -2 / sqrt(dim), shifted by sqrt(dim) at m = 0, squared and divided by dim in seven passes."""
+    """Half-spectrum phase probabilities of the support states: the integer DFT sums, from this
+    function's own gather of the integer DFT table at the points, scaled by -2 / sqrt(dim),
+    shifted by sqrt(dim) at m = 0, squared and divided by dim in seven passes."""
     dim = 1 << d
-    cos, msin = _dft_rows(d, tuple(points))[:2]
-    re, im = t @ cos, t @ msin
+    cos, msin = _support_tables(d)[:2]
+    index = np.multiply.outer(np.asarray(points, dtype=np.int64), np.arange(dim // 2 + 1)) % dim
+    re, im = t @ cos[index], t @ msin[index]
     scale = -np.ldexp(2.0 / np.sqrt(dim), -_support_scale(d))
     re *= scale
     im *= scale

@@ -154,6 +154,18 @@ def test_connected_rows_match_is_connected_on_every_k_uniform_subset(d, k):
     assert connected_rows(d, edges, rows).tolist() == expected
 
 
+@pytest.mark.parametrize("d", range(2, 11))
+def test_connected_rows_grow_a_chain_for_d_minus_1_rounds(d):
+    # From vertex 0 the chain 0-1, 1-2, ..., (d-2)-(d-1) reaches one more vertex a round,
+    # while a row without the edge 0-1 stops growing at once: no round count short of
+    # d - 1, and no stop at the first row that stopped growing, gets every row right.
+    edges = tuple((v, v + 1) for v in range(d - 1))
+    rows = (np.arange(1, 1 << len(edges))[:, None] >> np.arange(len(edges))) & 1
+    expected = [is_connected(Hypergraph(d, itertools.compress(edges, row))) for row in rows.tolist()]
+    assert expected[-1]  # the whole chain
+    assert connected_rows(d, edges, rows).tolist() == expected
+
+
 # generators
 
 

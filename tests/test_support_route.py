@@ -241,6 +241,28 @@ def test_half_comm_from_the_pair_table_equals_the_sorted_gather_bit_for_bit(inpu
         assert alone.tobytes() == sorted_half_comm(d, points, t[r : r + 1]).tobytes(), r
 
 
+def _assert_half_comm_bits(d, points, t):
+    got = support_profile(d, points, t).half_comm
+    assert got.tobytes() == sorted_half_comm(d, points, t).tobytes()
+    return got
+
+
+@pytest.mark.parametrize("d", [10, 12])
+def test_half_comm_across_tile_blocks_equals_the_sorted_gather_bit_for_bit(d):
+    family = dminus1_family(d)
+    points, indicators = state_mod._support_points(d, family.edges)
+    rows = family.rows[connected_rows(d, family.edges, family.rows)]
+    t = (rows.astype(np.float64) @ indicators) % 2
+    whole = _assert_half_comm_bits(d, points, t)
+    block = operators_mod._half_comm_rows(len(points) * (len(points) + 1))
+    assert len(t) > 2 * block + 1  # the family spans more than two blocks
+    for count in (block - 1, block, block + 1):
+        assert _assert_half_comm_bits(d, points, t[-count:]).tobytes() == whole[-count:].tobytes()
+    for r in range(0, len(t), 97):
+        assert _assert_half_comm_bits(d, points, t[r : r + 1])[0].tobytes() == whole[r].tobytes()
+    assert not _assert_half_comm_bits(d, [], t[: block + 1, :0]).any()  # no points
+
+
 # --- 40-digit oracle -------------------------------------------------------------
 
 

@@ -642,6 +642,17 @@ def test_columnar_text_of_no_records_and_of_extreme_values():
             assert render_results(oracles.columns(chosen), fmt) == oracles.render_results(chosen, fmt)
 
 
+def test_columnar_text_of_constant_undefined_and_signed_zero_columns():
+    # Columns in METRIC_NAMES order: constant, all undefined, 0.0 and -0.0 mixed, constant
+    # -0.0, constant 0.0, constant but for one undefined value, and one of distinct values.
+    columns = ([2.5] * 4, [None] * 4, [0.0, -0.0, -0.0, 0.0], [-0.0] * 4, [0.0] * 4,
+               [1e-300, 1e-300, None, 1e-300], [0.1, 0.2, 0.30000000000000004, -7.0])
+    records = [SweepRecord(5, f"e{i}", dict(zip(METRIC_NAMES, row))) for i, row in enumerate(zip(*columns))]
+    for count in (1, 4):
+        for fmt in ("csv", "json"):
+            assert render_results(oracles.columns(records[:count]), fmt) == oracles.render_results(records[:count], fmt)
+
+
 def test_results_equality_tells_negative_zero_from_zero():
     zero, negative_zero = (sweep_mod.SweepResults([4], ["a"], sign * np.zeros((1, 7))) for sign in (1.0, -1.0))
     assert render_results(zero, "csv") != render_results(negative_zero, "csv")

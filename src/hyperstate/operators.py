@@ -27,9 +27,13 @@ bins); any other real row is scaled by its own dim |row|**2.
 ``support_profile`` (the support route) takes sign rows with few points in
 K: their spectra are exact sums over the rows of an integer DFT table at K,
 pre-scaled by a power of two, and <[N, P]> is a masked sum over a pair
-table of closed forms of the Pegg–Barnett kernel, both built once per set
-of points; the pair terms of a block of rows are added by one running sum
-along the pair axis.  The rfft route is its test oracle.
+table of closed forms of the Pegg–Barnett kernel, both built once per call;
+the pair terms of a block of rows are added by one running sum along the
+pair axis.  The rfft route is its test oracle.
+Only values that depend on d (and a point index) alone are cached:
+``_support_tables``, ``_im_w`` and ``_half_spectrum_weights``.  Anything
+built from a family's edges or points is built once per call and dropped
+when the call returns, so no call's bits depend on the calls before it.
 Dense matrices, functions of the dimension alone (a caller takes a state's
 expectation with ``np.vdot``), and ``apply_phase_operator``, the FFT
 application of P to any complex state, serve the structure and spectral
@@ -254,7 +258,7 @@ def _phase_sums(prob: np.ndarray, scratch: np.ndarray) -> tuple[np.ndarray, ...]
     logs = np.log(np.maximum(prob, np.finfo(np.float64).tiny, out=scratch), out=scratch)
     logs *= prob
     logs = 2.0 * np.sum(logs, axis=-1) - logs[:, 0] - logs[:, -1]
-    return prob[:, 0].copy(), rest, spread, roots, logs  # p_0 copied: the sums keep no spectrum alive
+    return prob[:, 0], rest, spread, roots, logs
 
 
 def _phase_moments(p0, rest, spread, roots, logs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -311,14 +315,10 @@ def _im_w(d: int, point: int) -> float:
     return math.fsum(itertools.chain(g[:point], g[: dim - 1 - point]))
 
 
-@lru_cache(maxsize=1)
-def _dft_rows(d: int, points: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _dft_rows(d: int, points: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The integer DFT table's cos and -sin rows at ``points``, over m = 0 .. dim/2, times
     2**(1 + shift) (see ``support_profile``), and the half_comm pair table over the points:
-    row l is (2 / dim) Im (P n)_l, then (4 / dim) k Im P_kl for each point k.
-
-    One entry is kept, so the calls of a sweep, which share their points, build them once.
-    """
+    row l is (2 / dim) Im (P n)_l, then (4 / dim) k Im P_kl for each point k."""
     dim = 1 << d
     cos, msin, cot = _support_tables(d)
     k = np.array(points, dtype=np.int64)
@@ -327,12 +327,10 @@ def _dft_rows(d: int, points: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, 
     im_p = (-np.pi / dim) * cot[(k[None, :] - k[:, None]) & (dim - 1)]
     linear = (2.0 / dim) * np.array([_im_w(d, p) for p in points]).reshape(-1, 1)
     pairs = np.concatenate((linear, ((4.0 / dim) * k) * im_p), axis=1)
-    rows = np.take(cos, index), np.take(msin, index), pairs
-    for row in rows[:2]:
-        row *= np.ldexp(1.0, 1 - d - _support_scale(d))  # exact: integers times a power of two
+    rows = np.take(cos, index), np.take(msin, index)
     for row in rows:
-        row.flags.writeable = False
-    return rows
+        row *= np.ldexp(1.0, 1 - d - _support_scale(d))  # exact: integers times a power of two
+    return rows[0], rows[1], pairs
 
 
 def _half_comm_rows(entries: int) -> int:
@@ -350,20 +348,20 @@ def support_bytes(count: int, points: int, dim: int) -> int:
     # The three float64 tables of this d and the kept tables of smaller d
     # (under 48 per index) and, while Im (P n) is summed at one point, its
     # int64 index and two float64 term arrays (24 per index; building the
-    # tables peaks at 40, measured with tracemalloc at d = 16); gathering the
-    # DFT rows beside the kept rows of the last gather: the int64 index and
-    # two float64 rows of each, 40 per point and bin; the pair table, built
-    # beside the kept table of the last gather (16 and 8 per entry, measured
-    # at d = 8, 9 and 10).  Then the larger of two phases: per state of a
-    # half_comm block its terms over every pair-table entry and their running
-    # sums (16 per entry, measured at d = 10, 12, 14 and 16), or, after it,
-    # per state of a tile the spectrum's two parts, squared in place into the
-    # probabilities and the reductions' scratch (16 per bin, measured at
-    # d = 10, 12 and 16), kept at 32.  Per state of the call its row of t, its
-    # half_comm and five sums, kept per tile and then joined, and the finished
-    # profile with the temporaries of finishing it (8 per point and 112).
-    return (72 * dim + 40 * points * half + 24 * pairs + max(block * 16 * pairs, tile * 32 * half)
-            + count * (8 * points + 112))
+    # tables peaks at 40, measured with tracemalloc at d = 16).  Building the
+    # DFT rows: the int64 index and the two float64 rows, 24 per point and
+    # bin, and the pair table with its temporaries, 24 per entry.  Then the
+    # larger of two phases: per state of a half_comm block its terms over
+    # every pair-table entry and their running sums (16 per entry), or, after
+    # it, per state of a tile the spectrum's two parts, squared in place into
+    # the probabilities and the reductions' scratch (16 per bin), kept at 32.
+    # Per state of the call its row of t, and its half_comm, five phase sums
+    # and finished profile with the temporaries of finishing it (8 per point
+    # and 104; 94 to 99 measured at d = 4 and 8).  Measured peaks at d = 8 .. 16,
+    # for 1 row, 1023 rows and the whole connected dminus1 family, with the
+    # tables built in the call or before it, are 0.43 to 0.91 of this sum.
+    return (72 * dim + 24 * points * half + 24 * pairs + max(block * 16 * pairs, tile * 32 * half)
+            + count * (8 * points + 104))
 
 
 def _half_comm(pairs: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -428,10 +426,10 @@ def support_profile(d: int, points: Sequence[int], t: np.ndarray) -> SpectralPro
         raise ValueError(f"a support state has more than 2d = {2 * d} points")
     require_bytes(f"support profile of {count} states over {width} points at d={d}",
                   support_bytes(count, width, 1 << d))
-    cos, msin, pairs = _dft_rows(d, tuple(points))
+    cos, msin, pairs = _dft_rows(d, points)
     half_comm = _half_comm(pairs, t)
-    tile, tiles = tile_rows(d), []  # per tile its five phase sums
-    for start in range(0, count or 1, tile):  # a t of no rows runs once, on no rows
+    tile, sums = tile_rows(d), np.empty((5, count))  # the five phase sums of every row
+    for start in range(0, count, tile):
         part = t[start : start + tile]
         re, im = part @ cos, part @ msin
         first = (1.0 - re[:, 0]) ** 2
@@ -439,9 +437,7 @@ def support_profile(d: int, points: Sequence[int], t: np.ndarray) -> SpectralPro
         im *= im
         re += im
         re[:, 0] = first
-        tiles.append(_phase_sums(re, im))
-    sums = tiles[0] if len(tiles) == 1 else map(np.concatenate, zip(*tiles))
-    tiles = None  # finishing needs only the joined sums
+        sums[:, start : start + tile] = _phase_sums(re, im)
     mean, var, c_l1, c_rel = _phase_moments(*sums)
     return SpectralProfile(mean, var, half_comm, c_l1, c_rel)
 

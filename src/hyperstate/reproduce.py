@@ -371,7 +371,7 @@ class Reproducer:
             if float(np.max(np.abs(np.diag(comm)))) > 0.0:
                 failures.append(f"dim={dim}: [N,P] diagonal not exactly zero")
             bound = self.spectral_bound(dim, comm)
-            if bound.spectral_radius > bound.row_sum_bound * (1.0 + 1e-12):
+            if not bound.within_row_sum:
                 failures.append(f"dim={dim}: eigenvalue beyond the row-sum Gershgorin bound")
             if bound.spectral_radius > np.pi * (dim - 1) ** 2 / 2 + 1e-12:
                 failures.append(f"dim={dim}: eigenvalue beyond pi(dim-1)^2/2")

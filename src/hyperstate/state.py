@@ -5,14 +5,15 @@ space: amplitude ``n`` equals ``(-1)**f(n) / sqrt(2**d)`` with ``f`` the
 Boolean function of ``G``.  One rule scales it: ``membership_signs`` gives
 exact +-1 sign rows, only ``hypergraph_state`` multiplies by 1 / sqrt(2**d),
 and both profile routes read unnormalised signs and scale their sums by exact
-powers of two.  The generating circuit is a layer of Hadamards followed by one
-multi-controlled sign flip per hyperedge.
+powers of two.  ``membership_profile`` builds what it reads from its edges
+(their support sizes, the support points and indicators) on each call and
+keeps none of it.  The generating circuit is a layer of Hadamards followed
+by one multi-controlled sign flip per hyperedge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -103,15 +104,10 @@ def hypergraph_state(g: Hypergraph) -> np.ndarray:
     return psi.astype(np.complex128)
 
 
-@lru_cache(maxsize=1)
-def _edge_weights(d: int, edges: tuple[tuple[int, ...], ...]) -> np.ndarray:
-    """Support size 2**(d - |e|) of each edge, capped at 2d + 1 (any more rules a row out).
-
-    One entry is kept, so the calls of a sweep build it once."""
+def _edge_weights(d: int, edges: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """Support size 2**(d - |e|) of each edge, capped at 2d + 1 (any more rules a row out)."""
     cap = 2 * d + 1
-    weights = np.array([min(1 << min(d - len(e), 64), cap) for e in edges], dtype=np.int64)
-    weights.flags.writeable = False
-    return weights
+    return np.array([min(1 << min(d - len(e), 64), cap) for e in edges], dtype=np.int64)
 
 
 def support_rows(d: int, edges: Sequence[tuple[int, ...]], rows: np.ndarray) -> np.ndarray:
@@ -122,14 +118,13 @@ def support_rows(d: int, edges: Sequence[tuple[int, ...]], rows: np.ndarray) -> 
     on the sizes of the row's edges: every (d-1)-graph, the single full edge
     and the complete k-graphs with k >= d - 1 are in, most other states out.
     """
-    return (np.asarray(rows) @ _edge_weights(d, tuple(edges)) <= 2 * d) & (d <= SUPPORT_MAX_D)
+    return (np.asarray(rows) @ _edge_weights(d, edges) <= 2 * d) & (d <= SUPPORT_MAX_D)
 
 
-@lru_cache(maxsize=1)
-def _support_points(d: int, edges: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], np.ndarray]:
+def _support_points(d: int, edges: Sequence[tuple[int, ...]]) -> tuple[list[int], np.ndarray]:
     """Ascending union U of the supports {n : n contains the bits of e} of the edges a support
     row can use (support size <= 2d), and the float64 edge-by-U indicator matrix over all of
-    ``edges``.  One entry is kept, so the calls of a sweep build them once."""
+    ``edges``."""
     full = (1 << d) - 1
     points = set()
     for edge, weight in zip(edges, _edge_weights(d, edges).tolist()):
@@ -142,11 +137,9 @@ def _support_points(d: int, edges: tuple[tuple[int, ...], ...]) -> tuple[tuple[i
             if not sub:
                 break
             sub = (sub - 1) & free
-    points = tuple(sorted(points))
+    points = sorted(points)
     masks = np.array([vertex_mask(d, e) for e in edges], dtype=np.int64).reshape(-1, 1)
-    indicators = ((np.array(points, dtype=np.int64) & masks) == masks).astype(np.float64)
-    indicators.flags.writeable = False
-    return points, indicators
+    return points, ((np.array(points, dtype=np.int64) & masks) == masks).astype(np.float64)
 
 
 def membership_profile(d: int, edges: Sequence[tuple[int, ...]], rows: np.ndarray) -> SpectralProfile:
@@ -164,15 +157,13 @@ def membership_profile(d: int, edges: Sequence[tuple[int, ...]], rows: np.ndarra
     allocates.
     """
     rows = np.asarray(rows)
-    edges = tuple(edges)
     dim = dimension(d)
     small = support_rows(d, edges, rows)
     count = int(small.sum())
     if count:
         # A support row uses only edges of support size <= 2d.  All such edges give
-        # the points, so that every call over these edges shares them (``_dft_rows``),
-        # and their support sizes add up to at least the number of points.  The rows
-        # are read as float64 to form t.
+        # the points, so their support sizes add up to at least the number of points.
+        # The rows are read as float64 to form t.
         weights = _edge_weights(d, edges)
         require_bytes(f"support profile of {count} states at d={d}",
                       support_bytes(count, int(weights[weights <= 2 * d].sum()), dim)

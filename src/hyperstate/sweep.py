@@ -9,10 +9,9 @@ joined edge texts and one (records x 7) float64 matrix in ``METRIC_NAMES``
 order, with NaN for an undefined value.  Indexing and iteration give
 ``SweepRecord`` views.  Results serialize to CSV/JSON with shortest
 round-trip float formatting, so repeated runs are byte-identical regardless
-of the worker count.  The text of each defined value is formed once per
-results object, on its first render, and every later render (the CSV or
-JSON output) reuses it.  Both formats are rendered from the columns in
-blocks of ``RENDER_BLOCK`` records.
+of the worker count.  Each render forms the text of the values anew, and
+both formats are rendered from the columns in blocks of ``RENDER_BLOCK``
+records.
 
 Every file the package writes (results, cache entries, CLI ``--out`` and
 plot files) goes through ``write_text``.  A cache entry is one ``.npy``
@@ -28,10 +27,11 @@ An extremum is the value at its first index, as Python's ``min`` and ``max``
 give it, and every tied edge set is listed, sorted.
 
 Each worker gets one contiguous block of whole tiles and makes one
-``state.membership_profile`` call, which runs the O(2**d) work a tile
-(``operators.tile_rows``) at a time; the columns are formed once per sweep.  A
-row at d <= 16 whose support bound (sum over its edges of 2**(d - |e|)) is
-at most 2d, as for every (d-1)-graph, takes the support route: its truth
+``state.membership_profile`` call, which builds the family's support tables
+for itself and runs the O(2**d) work a tile (``operators.tile_rows``) at a
+time; the columns are formed once per sweep.  A row at d <= 16 whose
+support bound (sum over its edges of 2**(d - |e|)) is at most 2d, as for
+every (d-1)-graph, takes the support route: its truth
 table is read only at the union of its edges' supports, and its spectrum
 comes from exact integer sums, with no length-2**d table or FFT.  Other rows
 take the rfft route: exact +-1 sign rows from one membership-by-indicator
@@ -203,8 +203,6 @@ class SweepResults(Sequence[SweepRecord]):
 
     def __init__(self, d: list[int], edges: list[str], values: np.ndarray) -> None:
         self.d, self.edges, self.values = d, edges, values
-        self.values.flags.writeable = False  # the text of its values is formed once
-        self._cells: list[list[str]] | None = None
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -224,10 +222,8 @@ class SweepResults(Sequence[SweepRecord]):
                 and np.array_equal(np.signbit(a) & ~np.isnan(a), np.signbit(b) & ~np.isnan(b)))
 
     def _cell_texts(self) -> list[list[str]]:
-        """Per metric, the repr of each defined value and "" for undefined, formed on first use."""
-        if self._cells is None:
-            self._cells = [_column_texts(column) for column in self.values.T]
-        return self._cells
+        """Per metric, the repr of each defined value and "" for undefined."""
+        return [_column_texts(column) for column in self.values.T]
 
 
 def _column_texts(column: np.ndarray) -> list[str]:

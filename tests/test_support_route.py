@@ -136,35 +136,61 @@ def test_support_route_ends_where_dminus1_sweeps_end():
         assert support_rows(d, family.edges, family.rows).tolist() == [routed]
 
 
-def test_support_points_of_a_sweep_are_gathered_once(monkeypatch):
-    family = dminus1_family(16)
-    points, indicators = state_mod._support_points(16, family.edges)
-    assert len(points) == 17
-    t = (family.rows[[0, 2, -1]].astype(np.float64) @ indicators) % 2
-    operators_mod._dft_rows.cache_clear()
-    first = support_profile(16, points, t)
-
-    def built_again(*args):
-        raise AssertionError(f"support tables read after the gather: {args}")
-
-    # The DFT rows and the half_comm pair table are read from the kept gather alone.
-    monkeypatch.setattr(operators_mod, "_support_tables", built_again)
-    monkeypatch.setattr(operators_mod, "_im_w", built_again)
-    second = support_profile(16, points, t)
-    assert operators_mod._dft_rows.cache_info().misses == 1
-    assert operators_mod._dft_rows(16, tuple(points))[2].shape == (17, 18)
-    for name in FIELDS:
-        assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_sweep_builds_its_dft_rows_once_per_support_profile_call(monkeypatch, threads):
+    calls, builds = [], []
+    profile, dft_rows = state_mod.support_profile, operators_mod._dft_rows
+    monkeypatch.setattr(state_mod, "support_profile", lambda *args: calls.append(1) or profile(*args))
+    monkeypatch.setattr(operators_mod, "_dft_rows", lambda *args: builds.append(1) or dft_rows(*args))
+    sweep_family(dminus1_family(12), threads=threads)
+    assert len(builds) == len(calls) >= 1
+    if threads == 1:
+        assert len(calls) == 1
 
 
-@pytest.mark.parametrize("d", [10, 12])
-def test_support_profile_of_many_tiles_stays_within_its_byte_estimate(d):
+ORDER_A = (("k-uniform", 4, 2), ("dminus1", 10, None))
+ORDER_B = (("k-uniform", 4, 1), ("single-full", 10, None), ("complete-k", 10, 8), ("dminus1", 9, None))
+
+
+def _profile_bits(specs) -> list[bytes]:
+    """Every field of the profile of every row of each family (kind, d, k), as bytes."""
+    out = []
+    for kind, d, k in specs:
+        family = Family(kind, d, k)
+        profile = membership_profile(d, family.edges, family.rows)
+        out.extend(getattr(profile, name).tobytes() for name in FIELDS)
+    return out
+
+
+def test_profile_call_order_invariance():
+    # k-uniform(4, 2) has rows on both routes; B shares d with A over other edges and points.
+    family = Family("k-uniform", 4, 2)
+    routed = support_rows(4, family.edges, family.rows)
+    assert routed.any() and not routed.all()
+    first = _profile_bits(ORDER_A)
+    _profile_bits(ORDER_B)
+    assert _profile_bits(ORDER_A) == first
+    # A alone, in a process that profiled nothing before it.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, str(Path(__file__).parent)]))
+    script = "import sys, test_support_route as t; sys.stdout.write(b''.join(t._profile_bits(t.ORDER_A)).hex())"
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == b"".join(first).hex()
+
+
+@pytest.mark.parametrize(
+    "d, rows",
+    [pytest.param(d, 1023, id=str(d)) for d in (10, 12)]
+    + [pytest.param(d, None, marks=pytest.mark.extended, id=f"{d}-whole") for d in (15, 16)],
+)
+def test_support_profile_of_many_tiles_stays_within_its_byte_estimate(d, rows):
     # 1023 rows are 64 tiles at d = 10 and 1023 of 4095 rows 64 at d = 12: a tile's
-    # spectrum held past its tile would grow the peak with the row count.
+    # spectrum held past its tile would grow the peak with the row count.  The whole
+    # connected family is tiles of two rows at d = 15 and of one at d = 16, so what a
+    # tile leaves behind is multiplied by about 2**d.
     family = dminus1_family(d)
     points, indicators = state_mod._support_points(d, family.edges)
-    t = (family.rows[:1023].astype(np.float64) @ indicators) % 2
-    operators_mod._dft_rows.cache_clear()
+    chosen = family.rows[:rows] if rows else family.rows[connected_rows(d, family.edges, family.rows)]
+    t = (chosen.astype(np.float64) @ indicators) % 2
     tracemalloc.start()
     try:
         support_profile(d, points, t)

@@ -13,9 +13,11 @@ of the worker count.  Each render forms the text of the values anew, and
 both formats are rendered from the columns in blocks of ``RENDER_BLOCK``
 records.
 
-Every file the package writes (results, cache entries, CLI ``--out`` and
-plot files) goes through ``write_text``.  A cache entry is one ``.npy``
-array of (0/1 row, seven float64 values) records, read back only after
+A sweep has one index, its rows: the family's rows, filtered when asked
+(``_sweep_rows``).  The workers split them and a cache entry is read against
+them.  Every file the package writes (results, cache entries, CLI ``--out``
+and plot files) goes through ``write_text``.  A cache entry is one ``.npy``
+(rows x 7) ``<f8`` matrix of the values alone, read back only after
 ``_read_entry``'s checks; a malformed one is a ``SchemaError``.
 
 Extremal semantics: for the squeezing-degree metrics (s_p, s_n) the
@@ -26,8 +28,8 @@ fallback when nothing is squeezed) use plain extrema over defined values.
 An extremum is the value at its first index, as Python's ``min`` and ``max``
 give it, and every tied edge set is listed, sorted.
 
-Each worker gets one contiguous block of whole tiles and makes one
-``state.membership_profile`` call, which builds the family's support tables
+Each worker gets one contiguous block of rows (``np.array_split``) and makes
+one ``state.membership_profile`` call, which builds the family's support tables
 for itself and runs the O(2**d) work a tile (``operators.tile_rows``) at a
 time; the columns are formed once per sweep.  A row at d <= 16 whose
 support bound (sum over its edges of 2**(d - |e|)) is at most 2d, as for
@@ -36,9 +38,9 @@ table is read only at the union of its edges' supports, and its spectrum
 comes from exact integer sums, with no length-2**d table or FFT.  Other rows
 take the rfft route: exact +-1 sign rows from one membership-by-indicator
 product (``state.membership_signs``) and one batched ``rfft`` per tile.  Both
-routes read the unnormalised signs and scale by exact powers of two.  No row
-is split across tiles and each route reduces each row on its own, so neither
-the tile size nor the thread count moves a digit.
+routes read the unnormalised signs and scale by exact powers of two.  Each
+route reduces each row on its own, so neither the tile size nor the thread
+count moves a digit.
 """
 
 from __future__ import annotations
@@ -277,15 +279,12 @@ def _results(d: int, edges: Sequence[tuple[int, ...]], rows: np.ndarray, values:
 
 
 def _evaluate(d: int, edges: Sequence[tuple[int, ...]], rows: np.ndarray, workers: int = 1) -> SweepResults:
-    """Results of 0/1 ``rows`` over ``edges``: one ``membership_profile`` call on each of at most
-    ``workers`` contiguous blocks of whole tiles, then every column formed once."""
-    tile = tile_rows(d)
-    block = tile * max(1, -(-len(rows) // (workers * tile)))
-    if block < len(rows):
-        blocks = [rows[i : i + block] for i in range(0, len(rows), block)]
-        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-            parts = [vars(part).values() for part in pool.map(partial(membership_profile, d, edges), blocks)]
-        profile = SpectralProfile(*map(np.concatenate, zip(*parts)))
+    """Results of 0/1 ``rows`` over ``edges``: one ``membership_profile`` call on each of
+    ``workers`` contiguous blocks of rows, then every column formed once."""
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = pool.map(partial(membership_profile, d, edges), np.array_split(rows, workers))
+            profile = SpectralProfile(*map(np.concatenate, zip(*(vars(part).values() for part in parts))))
     else:
         profile = membership_profile(d, edges, rows)
     var_n = number_stats(d)[1]
@@ -300,9 +299,9 @@ def evaluate_record(g: Hypergraph) -> SweepRecord:
     return _evaluate(g.d, g.edges, np.ones((1, len(g.edges))))[0]
 
 
-def worker_count(threads: int, tiles: int) -> int:
-    """Pool size for a sweep of ``tiles`` tiles: min(threads, tiles, CPU count)."""
-    return min(threads, tiles, os.cpu_count() or 1)
+def worker_count(threads: int, rows: int) -> int:
+    """Pool size for a sweep of ``rows`` rows: min(threads, rows, CPU count)."""
+    return min(threads, rows, os.cpu_count() or 1)
 
 
 def _require_threads(threads: int) -> None:
@@ -346,10 +345,8 @@ def _summary(family: Family, results: SweepResults, metrics: Sequence[str] | Non
     return SweepSummary(family.descriptor, len(results), _summarize(results, _metric_names(metrics)))
 
 
-def _sweep(family: Family, metrics, connectivity_filter, threads: int) -> tuple[np.ndarray, SweepResults]:
-    """The rows ``sweep_family`` evaluates and their results."""
-    _require_threads(threads)
-    _metric_names(metrics)  # reject unknown metrics before any work
+def _sweep_rows(family: Family, connectivity_filter: bool | None) -> np.ndarray:
+    """The rows a sweep of ``family`` evaluates: all of them, or the connected ones when filtered."""
     if connectivity_filter is None:
         connectivity_filter = family.default_connectivity_filter
     rows = family.rows
@@ -357,11 +354,16 @@ def _sweep(family: Family, metrics, connectivity_filter, threads: int) -> tuple[
         rows = rows[connected_rows(family.d, family.edges, rows)]
     if not len(rows):
         raise ValueError(f"family {family.descriptor} is empty after filtering")
-    tile = min(tile_rows(family.d), len(rows))
-    workers = worker_count(threads, -(-len(rows) // tile))
+    return rows
+
+
+def _sweep(family: Family, rows: np.ndarray, threads: int) -> SweepResults:
+    """The results of ``family``'s ``rows``, split between at most ``threads`` workers."""
+    workers = worker_count(threads, len(rows))
+    tile = min(tile_rows(family.d), -(-len(rows) // workers))
     require_bytes(f"sweep tiles of {tile} x 2**{family.d} amplitudes, {workers} at a time",
                   workers * profile_bytes(tile, 1 << family.d))
-    return rows, _evaluate(family.d, family.edges, rows, workers)
+    return _evaluate(family.d, family.edges, rows, workers)
 
 
 def sweep_family(
@@ -375,7 +377,9 @@ def sweep_family(
     Record order is row order; the worker pool preserves it, so output is
     independent of ``threads``.
     """
-    results = _sweep(family, metrics, connectivity_filter, threads)[1]
+    _require_threads(threads)
+    _metric_names(metrics)  # reject unknown metrics before any work
+    results = _sweep(family, _sweep_rows(family, connectivity_filter), threads)
     return results, _summary(family, results, metrics)
 
 
@@ -481,12 +485,12 @@ def cache_key(
     metrics: Sequence[str] | None = None,
     connectivity_filter: bool | None = None,
 ) -> str:
-    """Stable content hash of family + metrics + filter + package and results versions."""
+    """Stable content hash of family + metrics + filter + package and results versions + entry layout."""
     if connectivity_filter is None:
         connectivity_filter = family.default_connectivity_filter
     blob = (
         f"{family.descriptor}|filter={connectivity_filter}|metrics={','.join(_metric_names(metrics))}"
-        f"|v{__version__}|results={RESULTS_VERSION}"
+        f"|v{__version__}|results={RESULTS_VERSION}|entry=values<f8"
     )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -499,25 +503,18 @@ def resolve_cache_dir(cli_value: str | None = None) -> Path | None:
     return Path(env) if env else None
 
 
-def _entry_dtype(family: Family) -> np.dtype:
-    """One cache-entry record of ``family``: its 0/1 row over the edges and its seven values."""
-    return np.dtype([("row", "u1", (len(family.edges),)), ("values", "<f8", (len(METRIC_NAMES),))])
-
-
-def _write_entry(path: Path, family: Family, rows: np.ndarray, results: SweepResults) -> None:
-    """Write the ``results`` of ``family``'s ``rows`` as one .npy array through ``write_text``."""
-    entry = np.empty(len(rows), _entry_dtype(family))
-    entry["row"], entry["values"] = rows, results.values
+def _write_entry(path: Path, values: np.ndarray) -> None:
+    """Write a sweep's (rows x 7) ``values`` as one C-order ``<f8`` .npy array through ``write_text``."""
     buffer = io.BytesIO()
-    np.lib.format.write_array(buffer, entry, allow_pickle=False)
+    np.lib.format.write_array(buffer, np.ascontiguousarray(values, "<f8"), allow_pickle=False)
     write_text(path, buffer.getvalue())
 
 
-def _read_entry(path: Path, family: Family) -> SweepResults:
-    """The records of a cache entry, or SchemaError when they cannot be ``family``'s: a version 1.0
-    header, checked before any record is read, of 1 .. len(family.rows) records of exactly
-    ``_entry_dtype(family)``, then exactly those records, with 0/1 rows and no infinite value."""
-    dtype = _entry_dtype(family)
+def _read_entry(path: Path, count: int) -> np.ndarray:
+    """The (count x 7) values of a cache entry, or SchemaError when they cannot be a sweep's of
+    ``count`` rows: a version 1.0 header, checked before any value is read, of exactly a C-order
+    (count, 7) ``<f8`` array, then exactly those values, none of them infinite."""
+    values = np.empty((count, len(METRIC_NAMES)), "<f8")
     with open(path, "rb") as handle:
         try:
             if np.lib.format.read_magic(handle) != (1, 0):
@@ -527,17 +524,13 @@ def _read_entry(path: Path, family: Family) -> SweepResults:
                 shape, fortran, found = np.lib.format.read_array_header_1_0(handle)
         except (ValueError, EOFError, MemoryError, RecursionError, TokenError):
             raise SchemaError(f"{path}: no .npy version 1.0 header that numpy reads") from None
-        if found != dtype or fortran or len(shape) != 1 or not 1 <= shape[0] <= len(family.rows):
-            raise SchemaError(f"{path}: {shape} records of {found} are not an entry of {family.descriptor}")
-        nbytes = shape[0] * dtype.itemsize
-        data = handle.read(nbytes + 1)
-    if len(data) != nbytes:
-        raise SchemaError(f"{path}: the records are not exactly {nbytes} bytes")
-    entry = np.frombuffer(data, dtype)
-    values = np.ascontiguousarray(entry["values"])
-    if np.any(entry["row"] > 1) or np.isinf(values).any():
-        raise SchemaError(f"{path}: a row is not 0/1 or a value is infinite")
-    return _results(family.d, family.edges, entry["row"], values)
+        if found != values.dtype or fortran or shape != values.shape:
+            raise SchemaError(f"{path}: {shape} {found}, fortran_order={fortran}, is not a sweep's {values.shape} <f8")
+        if handle.readinto(values) != values.nbytes or handle.read(1):
+            raise SchemaError(f"{path}: the values are not exactly {values.nbytes} bytes")
+    if np.isinf(values).any():
+        raise SchemaError(f"{path}: a value is infinite")
+    return values
 
 
 def cached_sweep(
@@ -547,28 +540,31 @@ def cached_sweep(
     threads: int = 1,
     cache_dir: str | os.PathLike | None = None,
 ) -> tuple[SweepResults, SweepSummary]:
-    """Sweep with a content-addressed cache of the records, one binary entry per sweep.
+    """Sweep with a content-addressed cache of the values, one binary entry per sweep.
 
-    An entry that cannot be read or is not this family's is a miss, recomputed and
-    replaced; one that cannot be written is skipped.  Each prints one warning to stderr.
+    A hit pairs the entry's values with the sweep's rows, rebuilt from the family and the
+    filter.  An entry that cannot be read or is not a matrix of one value row per sweep row
+    is a miss, recomputed and replaced; one that cannot be written is skipped.  Each prints
+    one warning to stderr.
     """
     _require_threads(threads)
     if cache_dir is None:
         return sweep_family(family, metrics, connectivity_filter, threads)
     cache_dir = Path(cache_dir)
     cache_file = cache_dir / f"{cache_key(family, metrics, connectivity_filter)}.npy"
+    rows = _sweep_rows(family, connectivity_filter)
     try:
-        records = _read_entry(cache_file, family)
+        records = _results(family.d, family.edges, rows, _read_entry(cache_file, len(rows)))
     except (FileNotFoundError, NotADirectoryError):
         pass  # no entry yet
     except (SchemaError, OSError) as exc:
         print(f"warning: ignoring cache entry: {exc}", file=sys.stderr)
     else:
         return records, _summary(family, records, metrics)
-    rows, records = _sweep(family, metrics, connectivity_filter, threads)
+    records = _sweep(family, rows, threads)
     try:
         cache_dir.mkdir(parents=True, exist_ok=True)
-        _write_entry(cache_file, family, rows, records)
+        _write_entry(cache_file, records.values)
     except OSError as exc:
         print(f"warning: cache entry not written: {exc}", file=sys.stderr)
     return records, _summary(family, records, metrics)

@@ -7,6 +7,7 @@ import pytest
 
 import hyperstate.reference_tables as ref
 import hyperstate.reproduce as reproduce
+import hyperstate.sweep as sweep
 from hyperstate.hypergraph import complete_k_graph, edges_text, parse_edges, single_full_edge
 from hyperstate.reproduce import Reproducer
 from hyperstate.squeezing import squeeze_report
@@ -42,6 +43,21 @@ def test_report_sweeps_each_family_once(monkeypatch):
     assert memo and max(memo.values()) == 1
     others = [(caller, family) for caller, family in sweeps if caller != "sweep"]
     assert others == [("check_determinism", "dminus1(d=6)")] * 2
+
+
+def test_c13_splits_its_8_thread_sweep_between_workers(monkeypatch):
+    # The 57 connected rows at d = 6 fit one tile, so a split by tiles gave one worker.
+    blocks = []
+    real = sweep.membership_profile
+
+    def counted(d, edges, rows):
+        blocks.append(len(rows))
+        return real(d, edges, rows)
+
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sweep, "membership_profile", counted)
+    assert Reproducer().check_determinism().status == "PASS"
+    assert sorted(blocks) == [28, 29, 57]  # one call at 1 thread, then two workers
 
 
 def test_witnesses_are_evaluated_once_across_c6_to_c8(monkeypatch):

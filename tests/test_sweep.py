@@ -331,8 +331,14 @@ def _header(text):
     return b"\x93NUMPY\x01\x00" + len(body).to_bytes(2, "little") + body
 
 
+def _values(count=11, dtype="<f8", width=len(METRIC_NAMES)):
+    """A (count x width) value matrix, every value 0.5: an entry of the 11-row d = 4 family by default."""
+    return np.full((count, width), 0.5, dtype)
+
+
 def _entry_array(family, count=None, row="u1", values="<f8", width=None):
-    """Records of ``family``'s entry dtype (or with the given field types), rows 1, values 0.5."""
+    """Records of the earlier entry layout, a 0/1 row and seven values (or the given field
+    types), rows 1, values 0.5: every such entry is now a miss."""
     width = len(family.edges) if width is None else width
     array = np.zeros(len(family.rows) if count is None else count,
                      [("row", row, (width,)), ("values", values, (len(METRIC_NAMES),))])
@@ -340,49 +346,64 @@ def _entry_array(family, count=None, row="u1", values="<f8", width=None):
     return array
 
 
-def _with(array, field, index, value):
-    array[field][index] = value
+def _with(array, index, value, field=None):
+    (array if field is None else array[field])[index] = value
     return array
 
 
-def _entry_header(family, count):
-    return _header("{'descr': %r, 'fortran_order': False, 'shape': (%d,), }"
-                   % (sweep_mod._entry_dtype(family).descr, count))
+def _entry_header(shape):
+    return _header("{'descr': '<f8', 'fortran_order': False, 'shape': %r, }" % (shape,))
 
 
-# Cache entries of the d = 4 family (4 candidate edges) that are a miss.  The first
+# Cache entries of the d = 4 family (11 connected rows) that are a miss.  The first
 # fifteen stand, in order, for the JSON entries these cases once wrote: list-of-numbers,
 # truncated, object, metric-beyond-float, integer-over-digit-limit, deep-nesting (twice),
 # nan-metric, infinite-metric, boolean-metric, boolean-d, fractional-d, string-d,
-# empty-list and records-on-other-d.
+# empty-list and records-on-other-d.  A "structured-" case is the earlier layout of
+# its plain-matrix namesake, as are row-value-2, bool-rows, float-rows and two-dimensional.
 MALFORMED_ENTRIES = {
     "other-array": lambda family, valid: _npy(np.array([1, 2])),
     "truncated": lambda family, valid: valid[: len(valid) // 2],
     "object-dtype": lambda family, valid: _npy(np.array([{"d": 4}], dtype=object), allow_pickle=True),
-    "positive-infinity": lambda family, valid: _npy(_with(_entry_array(family), "values", (0, 2), np.inf)),
+    "positive-infinity": lambda family, valid: _npy(_with(_values(), (0, 2), np.inf)),
     "header-beyond-numpy-limit": lambda family, valid: _header("{" + " " * 20_000 + "}"),
     "deep-unary-header": lambda family, valid: _header(
         "{'descr': '<f8', 'fortran_order': False, 'shape': (" + "+" * 9000 + "1,), }"),
     "deep-nesting-header": lambda family, valid: _header(
         "{'descr': " + "[" * 5000 + "]" * 4000 + ", 'fortran_order': False, 'shape': (1,), }"),
-    "row-value-2": lambda family, valid: _npy(_with(_entry_array(family), "row", (0, 3), 2)),
-    "negative-infinity": lambda family, valid: _npy(_with(_entry_array(family), "values", (-1, 6), -np.inf)),
-    "float32-values": lambda family, valid: _npy(_entry_array(family, values="<f4")),
+    "row-value-2": lambda family, valid: _npy(_with(_entry_array(family), (0, 3), 2, "row")),
+    "negative-infinity": lambda family, valid: _npy(_with(_values(), (-1, 6), -np.inf)),
+    "float32-values": lambda family, valid: _npy(_values(dtype="<f4")),
     "bool-rows": lambda family, valid: _npy(_entry_array(family, row="?")),
     "float-rows": lambda family, valid: _npy(_entry_array(family, row="<f8")),
-    "big-endian-values": lambda family, valid: _npy(_entry_array(family, values=">f8")),
-    "no-records": lambda family, valid: _npy(_entry_array(family, count=0)),
-    "other-family": lambda family, valid: _npy(_entry_array(dminus1_family(5))),
+    "big-endian-values": lambda family, valid: _npy(_values(dtype=">f8")),
+    "no-records": lambda family, valid: _npy(_values(count=0)),
+    "other-family": lambda family, valid: _npy(_values(count=26)),  # the d = 5 family's rows
     "empty-file": lambda family, valid: b"",
     "truncated-header": lambda family, valid: valid[:20],
     "not-npy": lambda family, valid: render_results(sweep_family(family)[0], "json").encode(),
-    "wrong-width": lambda family, valid: _npy(_entry_array(family, width=5)),
-    "more-records-than-rows": lambda family, valid: _npy(_entry_array(family, count=len(family.rows) + 1)),
+    "wrong-width": lambda family, valid: _npy(_values(width=6)),
+    "more-records-than-rows": lambda family, valid: _npy(_values(count=12)),
+    "fewer-records-than-rows": lambda family, valid: _npy(_values(count=5)),
+    "one-dimensional": lambda family, valid: _npy(_values().ravel()),
     "two-dimensional": lambda family, valid: _npy(_entry_array(family)[:, None]),
+    "three-dimensional": lambda family, valid: _npy(_values()[:, :, None]),
+    "fortran-order": lambda family, valid: _npy(np.asfortranarray(_values())),
     "version-2": lambda family, valid: valid[:6] + b"\x02\x00" + valid[8:10] + b"\x00\x00" + valid[10:],
     "trailing-bytes": lambda family, valid: valid + b"\x00",
     "missing-record-bytes": lambda family, valid: valid[:-1],
-    "claims-2**40-records": lambda family, valid: _entry_header(family, 1 << 40) + valid[len(valid) - 128:],
+    "claims-2**40-records": lambda family, valid: _entry_header((1 << 40, 7)) + valid[len(valid) - 128:],
+    "structured-positive-infinity": lambda family, valid: _npy(_with(_entry_array(family), (0, 2), np.inf, "values")),
+    "structured-negative-infinity": lambda family, valid: _npy(
+        _with(_entry_array(family), (-1, 6), -np.inf, "values")),
+    "structured-float32-values": lambda family, valid: _npy(_entry_array(family, values="<f4")),
+    "structured-big-endian-values": lambda family, valid: _npy(_entry_array(family, values=">f8")),
+    "structured-no-records": lambda family, valid: _npy(_entry_array(family, count=0)),
+    "structured-other-family": lambda family, valid: _npy(_entry_array(dminus1_family(5))),
+    "structured-wrong-width": lambda family, valid: _npy(_entry_array(family, width=5)),
+    "structured-more-records-than-rows": lambda family, valid: _npy(_entry_array(family, count=len(family.rows) + 1)),
+    # The earlier reader served this as 5 configurations, record 0 with the edges 0,1,2;0,1,3;0,2,3;1,2,3.
+    "structured-fewer-records-than-rows": lambda family, valid: _npy(_entry_array(family, count=5)),
 }
 
 
@@ -418,12 +439,13 @@ def test_cached_sweep_recomputes_malformed_entry(tmp_path, capsys, monkeypatch, 
 
 def test_entry_claiming_2_40_records_is_refused_before_any_large_allocation(tmp_path, capsys):
     family = dminus1_family(12)
+    count = len(sweep_mod._sweep_rows(family, None))
     entry = tmp_path / f"{cache_key(family)}.npy"
-    entry.write_bytes(_entry_header(family, 1 << 40) + bytes(4096))
+    entry.write_bytes(_entry_header((1 << 40, 7)) + bytes(4096))
     tracemalloc.start()
     try:
-        with pytest.raises(SchemaError, match="not an entry of dminus1"):
-            sweep_mod._read_entry(entry, family)
+        with pytest.raises(SchemaError, match=rf"is not a sweep's \({count}, 7\) <f8"):
+            sweep_mod._read_entry(entry, count)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -517,8 +539,8 @@ def test_cached_sweep_round_trip(tmp_path, monkeypatch):
 
 
 def test_thread_count_does_not_change_output(monkeypatch):
-    # Small tiles give the pool several tiles to split at d = 5.
-    monkeypatch.setattr(operators_mod, "CHUNK_BYTES", 16 * 32 * 3)
+    # Four workers split the 26 connected rows at d = 5, whatever the host's core count.
+    monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: 4)
     family = dminus1_family(5)
     records_1, _ = sweep_family(family, threads=1)
     records_4, _ = sweep_family(family, threads=4)
@@ -719,7 +741,7 @@ def test_the_entry_round_trips_every_bit_negative_zero_and_nan_included(tmp_path
     values.flat[4::17] = np.nan
     planted = sweep_mod._results(6, family.edges, rows, values)
     entry = tmp_path / f"{cache_key(family)}.npy"
-    sweep_mod._write_entry(entry, family, rows, planted)
+    sweep_mod._write_entry(entry, values)
 
     def boom(*args, **kwargs):
         raise AssertionError("sweep recomputed despite a valid cache entry")
@@ -728,6 +750,7 @@ def test_the_entry_round_trips_every_bit_negative_zero_and_nan_included(tmp_path
     got, summary = cached_sweep(family, cache_dir=tmp_path)
     assert got == planted
     assert got.values.tobytes() == planted.values.tobytes()
+    assert got.values.flags.writeable and got.values.flags.c_contiguous
     assert got.edges == planted.edges
     for fmt in ("csv", "json"):
         assert render_results(got, fmt) == render_results(planted, fmt)

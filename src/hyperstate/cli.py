@@ -7,7 +7,8 @@ from ``sweep.csv_text`` and every file (--out, --plot-dir series) from
 ``sweep.write_text``: a regular file is replaced whole, never left partly
 written; a FIFO, device or symbolic link is written through.  Exit codes:
 0 success, 1 user error, 2 computation guard violation (and a failed
-reproduction).  Errors print one line to stderr.
+reproduction).  Errors print one line to stderr; so does each check of
+``reproduce --timings``, with its wall seconds, before a total line.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -127,6 +129,8 @@ def _build_parser() -> _Parser:
     p_rep.add_argument("--plot-dir", help="also write metric-vs-d series files here")
     p_rep.add_argument("--format", choices=("table", "json"), default="table")
     p_rep.add_argument("--out")
+    p_rep.add_argument("--timings", action="store_true",
+                       help="write each check's wall seconds, then the total, to stderr")
 
     return parser
 
@@ -364,7 +368,11 @@ def _cmd_coherence(args: argparse.Namespace) -> int:
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
     runner = reproduce_mod.Reproducer(extended=args.extended, threads=args.threads)
+    start = time.perf_counter()
     results = runner.run()
+    if args.timings:
+        lines = [*runner.timings.items(), ("total", time.perf_counter() - start)]
+        sys.stderr.writelines(f"{key} {seconds:.6f}\n" for key, seconds in lines)
     if args.plot_dir:
         plot_dir = Path(args.plot_dir)
         plot_dir.mkdir(parents=True, exist_ok=True)

@@ -35,6 +35,7 @@ import math
 from dataclasses import dataclass
 from decimal import MAX_EMAX, Decimal, localcontext
 from fractions import Fraction
+from itertools import repeat
 from typing import Sequence
 
 from .errors import require_witness_bits
@@ -81,20 +82,16 @@ def m_moment_oracle(d: int, k: int) -> Fraction:
     """Independent route: mean falling factorial over n = 0 .. 2**d - 1.
 
     m_k = 2**-d sum_n n (n-1) ... (n-k+1), exact; must equal the m_k of
-    ``moment_sequences``.
+    ``moment_sequences``.  Each term is ``math.perm(n, k)``, which is 0 for
+    n < k, and the sum runs over every n: the summation itself, not the
+    closed form (dim - 1) ... (dim - k) / (k + 1).
     """
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
     dim = 1 << d
-    total = 0
-    for n in range(dim):
-        term = 1
-        for j in range(k):
-            term *= n - j
-        total += term
-    return Fraction(total, dim)
+    return Fraction(sum(map(math.perm, range(dim), repeat(k))), dim)
 
 
 def stirling_coefficients(max_k: int) -> tuple[tuple[int, ...], ...]:
@@ -135,13 +132,13 @@ def moment_sequences(d: int, top: int) -> tuple[tuple[Fraction, ...], tuple[Frac
 
 
 def mu_moment_oracle(d: int, k: int) -> Fraction:
-    """Independent route: mu_k = 2**-d sum_n n**k, exact power-sum mean."""
+    """Independent route: mu_k = 2**-d sum_n n**k, exact power-sum mean (0**0 = 1), summed over every n."""
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
     dim = 1 << d
-    return Fraction(sum(n**k for n in range(dim)), dim)
+    return Fraction(sum(map(pow, range(dim), repeat(k))), dim)
 
 
 def determinant(matrix: Sequence[Sequence[Fraction]]) -> Fraction:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,8 +48,9 @@ from .operators import (
     verify_structure,
 )
 from .squeezing import squeeze_report
-from .state import hypergraph_state
+from .state import hypergraph_state, membership_signs
 from .sweep import (
+    METRIC_NAMES,
     Family,
     SweepResults,
     SweepSummary,
@@ -60,6 +62,27 @@ from .sweep import (
 
 VALUE_TOL = 1e-3
 EXACT_TOL = 1e-9
+# Column of each metric in ``SweepResults.values``.
+_COLUMN = {name: i for i, name in enumerate(METRIC_NAMES)}
+
+
+# The check methods of ``Reproducer``, in report order.
+CHECKS = (
+    "check_example_state",
+    "check_single_full_table",
+    "check_example_statistics",
+    "check_dminus1_extrema",
+    "check_complete_k_table",
+    "check_witness_small",
+    "check_moment_identities",
+    "check_a4_crosscheck",
+    "check_coherence",
+    "check_structure_suite",
+    "check_stated_eigenvalue_bound",
+    "check_quadrature_claims",
+    "check_no_number_squeezing",
+    "check_determinism",
+)
 
 
 @dataclass(frozen=True)
@@ -116,6 +139,7 @@ class Reproducer:
     _sweeps: dict[tuple, tuple[SweepResults, SweepSummary]] = field(default_factory=dict)
     _bounds: dict[int, SpectralBoundReport] = field(default_factory=dict)
     _witnesses: dict[tuple[int, int], AgarwalTaraResult] = field(default_factory=dict)
+    timings: dict[str, float] = field(default_factory=dict, init=False)
 
     def __post_init__(self) -> None:
         _require_threads(self.threads)
@@ -377,16 +401,14 @@ class Reproducer:
                 failures.append(f"dim={dim}: eigenvalue beyond pi(dim-1)^2/2")
             if fft_error > 1e-10:
                 failures.append(f"dim={dim}: FFT application differs from dense")
-        # Robertson bound on every swept record.
+        # Robertson bound on every swept record; an undefined (NaN) value violates it.
         checked = 0
         for d in (4, 5, 6, 7, 8):
-            for record in self.sweep("dminus1", d)[0]:
-                var_n, var_p, half = (
-                    record.metrics["var_n"], record.metrics["var_p"], record.metrics["half_comm"],
-                )
-                checked += 1
-                if var_n * var_p < half * half * (1.0 - 1e-9):
-                    failures.append(f"Robertson violation at d={d}, edges {record.edges}")
+            results = self.sweep("dminus1", d)[0]
+            var_n, var_p, half = (results.values[:, _COLUMN[m]] for m in ("var_n", "var_p", "half_comm"))
+            checked += len(results)
+            for i in np.flatnonzero(~(var_n * var_p >= half * half * (1.0 - 1e-9))).tolist():
+                failures.append(f"Robertson violation at d={d}, edges {results.edges[i]}")
         return _result("C10", "phase-operator structure suite", failures,
                        f"structure, spectra, FFT agreement, Robertson on {checked} states", [])
 
@@ -413,40 +435,39 @@ class Reproducer:
     def check_quadrature_claims(self) -> CheckResult:
         failures = []
         notes = []
-        states: list[Hypergraph] = []
-        for d in (2, 3, 4):
-            for k in range(1, d + 1):
-                states.extend(Family("k-uniform", d, k).configurations())
-        for d in (5, 6):
-            states.append(single_full_edge(d))
-            states.extend(itertools.islice(Family("dminus1", d).configurations(), 5))
         commutators: dict[tuple[int, int], np.ndarray] = {}
 
-        def expectation(psi: np.ndarray, k: int) -> complex:
-            key = (len(psi), k)
-            if key not in commutators:
-                commutators[key] = quadrature_commutator(*key)
-            return complex(np.vdot(psi, commutators[key] @ psi))
+        def commutator(dim: int, k: int) -> np.ndarray:
+            if (dim, k) not in commutators:
+                commutators[dim, k] = quadrature_commutator(dim, k)
+            return commutators[dim, k]
 
-        for g in states:
-            psi = hypergraph_state(g)
-            for k in (1, 2):
-                value = expectation(psi, k)
-                if abs(value) > 1e-10:
-                    failures.append(
-                        f"<[X^{k},P^{k}]> = {value} on d={g.d}, edges {edges_text(g)}"
-                    )
+        # Every k-uniform hypergraph at d = 2..4, and at d = 5, 6 the single full
+        # edge and the first five (d-1)-graphs, a family's states at once: with x
+        # its sign rows, <psi|C|psi> = x.C x / dim for psi = x / sqrt(dim).
+        families = [(Family("k-uniform", d, k), None) for d in (2, 3, 4) for k in range(1, d + 1)]
+        families += [(Family(kind, d), 5) for d in (5, 6) for kind in ("single-full", "dminus1")]
+        count = 0
+        for family, top in families:
+            d, rows = family.d, family.rows[:top]
+            signs = membership_signs(d, family.edges, rows)
+            values = [np.sum(signs * (signs @ commutator(1 << d, k).T), axis=1) / (1 << d) for k in (1, 2)]
+            count += len(rows)
+            for i in np.flatnonzero(~np.all(np.abs(values) <= 1e-10, axis=0)).tolist():
+                text = edges_text(Hypergraph(d, itertools.compress(family.edges, rows[i])))
+                failures.extend(f"<[X^{k},P^{k}]> = {complex(value[i])} on d={d}, edges {text}"
+                                for k, value in zip((1, 2), values) if not abs(value[i]) <= 1e-10)
         for g in (single_full_edge(3), Hypergraph(4, ref.EXAMPLE_STATE_EDGES), complete_k_graph(4, 3)):
             psi = hypergraph_state(g)
             for k in (3, 4):
-                value = expectation(psi, k)
+                value = complex(np.vdot(psi, commutator(g.dim, k) @ psi))
                 notes.append(
                     f"claim verification: <[X^{k},P^{k}]> on d={g.d} edges {edges_text(g)} "
                     f"= {value.real:.6g}{value.imag:+.6g}j"
                     + ("" if abs(value) <= 1e-10 else " (nonzero; the all-k claim fails here)")
                 )
         return _result("C11", "quadrature commutator nullity (k=1,2)", failures,
-                       f"zero within 1e-10 on {len(states)} hypergraph states", notes)
+                       f"zero within 1e-10 on {count} hypergraph states", notes)
 
     def check_no_number_squeezing(self) -> CheckResult:
         failures = []
@@ -456,13 +477,14 @@ class Reproducer:
         for d in range(2, 9):
             swept.append(self.sweep("single-full", d)[0])
             swept.extend(self.sweep("complete-k", d, k)[0] for k in range(2, d + 1))
-        for edges, s_n, d in ((r.edges, r.metrics["s_n"], r.d) for records in swept for r in records):
-            if s_n is None:
-                notes.append(f"s_n undefined at d={d}, edges {edges}")
-                continue
-            count += 1
-            if s_n < 0:
-                failures.append(f"S_N = {s_n} < 0 at d={d}, edges {edges}")
+        for results in swept:
+            s_n = results.values[:, _COLUMN["s_n"]]
+            undefined = np.isnan(s_n)
+            count += len(results) - int(np.count_nonzero(undefined))
+            for i in np.flatnonzero(undefined).tolist():
+                notes.append(f"s_n undefined at d={results.d[i]}, edges {results.edges[i]}")
+            for i in np.flatnonzero(s_n < 0).tolist():
+                failures.append(f"S_N = {s_n[i].item()} < 0 at d={results.d[i]}, edges {results.edges[i]}")
         return _result("C12", "no number squeezing over swept families (d<=8)", failures,
                        f"S_N >= 0 on all {count} swept configurations", notes)
 
@@ -480,22 +502,14 @@ class Reproducer:
     # --- driver -------------------------------------------------------------
 
     def run(self) -> list[CheckResult]:
-        return [
-            self.check_example_state(),
-            self.check_single_full_table(),
-            self.check_example_statistics(),
-            self.check_dminus1_extrema(),
-            self.check_complete_k_table(),
-            self.check_witness_small(),
-            self.check_moment_identities(),
-            self.check_a4_crosscheck(),
-            self.check_coherence(),
-            self.check_structure_suite(),
-            self.check_stated_eigenvalue_bound(),
-            self.check_quadrature_claims(),
-            self.check_no_number_squeezing(),
-            self.check_determinism(),
-        ]
+        """Every check in report order; ``timings`` then maps each key to its wall seconds."""
+        results = []
+        self.timings = {}
+        for name in CHECKS:
+            start = time.perf_counter()
+            results.append(getattr(self, name)())  # through the instance, so a wrapped method runs
+            self.timings[results[-1].key] = time.perf_counter() - start
+        return results
 
     # --- plot series ----------------------------------------------------------
 

@@ -3,8 +3,9 @@
 Each one computes a quantity by a route independent of the package's own:
 the truth table edge by edge, every k-uniform hypergraph by a mask loop,
 the +-1 sign rows of hypergraphs batched over their own edges, commutators and
-expectations of dense matrices, the phase-basis overlaps and moments of any
-complex state, the half-spectrum phase moments and coherences by the
+expectations of dense matrices, the dense phase operator and the Toeplitz
+and circulant structure checks gathered through (k - l) index arrays, the
+phase-basis overlaps and moments of any complex state, the half-spectrum phase moments and coherences by the
 two-pass reduction with explicit mirror weights and normalized
 probabilities (with the support route's spectrum gathered from the
 integer DFT table on its own, scaled by a rounded sqrt(dim) and squared in
@@ -91,6 +92,33 @@ def expectation(op: np.ndarray, psi: np.ndarray) -> complex:
     if op.shape != (len(psi), len(psi)):
         raise ValueError(f"operator shape {op.shape} does not match state length {len(psi)}")
     return complex(np.vdot(psi, op @ psi))
+
+
+def gathered_phase_operator(dim: int) -> np.ndarray:
+    """The dense phase operator gathered entry by entry: column[(k - l) mod dim], with
+    column[s] = (2 pi / dim**2) sum_r r exp(i theta_r s) from one FFT of the ramp."""
+    column = (2.0 * np.pi / dim**2) * np.conj(np.fft.fft(np.arange(dim, dtype=np.float64)))
+    k = np.arange(dim)
+    return column[(k[:, None] - k[None, :]) % dim]
+
+
+def gathered_structure(op: np.ndarray) -> dict:
+    """``verify_structure(op).to_dict()`` with the Toeplitz and circulant matrices gathered
+    through the index arrays (k - l) + dim - 1 and (k - l) mod dim."""
+    dim = op.shape[0]
+    tol = 1e-10 * dim
+    adjoint = op.conj().T
+    k = np.arange(dim)
+    diff = k[:, None] - k[None, :]
+    first = np.concatenate((op[0, :0:-1], op[:, 0]))  # first row reversed, then first column
+    devs = {
+        "hermitian": float(np.max(np.abs(op - adjoint))),
+        "skew_hermitian": float(np.max(np.abs(op + adjoint))),
+        "toeplitz": float(np.max(np.abs(op - first[diff + dim - 1]))) if dim > 1 else 0.0,
+        "circulant": float(np.max(np.abs(op - op[:, 0][diff % dim]))) if dim > 1 else 0.0,
+    }
+    return {"dim": dim, "tolerance": tol,
+            **{name: {"holds": bool(dev <= tol), "max_deviation": dev} for name, dev in devs.items()}}
 
 
 def phase_overlaps(psi: np.ndarray) -> np.ndarray:

@@ -487,6 +487,28 @@ def test_reproduce_cli(capsys, tmp_path):
     assert table1[0].startswith("#") and len(table1) == 11
 
 
+def test_reproduce_timings_go_to_stderr_alone(capsys, monkeypatch):
+    from hyperstate import reproduce
+
+    code, out, err = run_cli(capsys, "reproduce")
+    assert err == ""
+    seen = []
+    real = reproduce.Reproducer.check_example_state
+
+    def wrapped(self):  # the report reaches each check through the instance
+        seen.append(self)
+        return real(self)
+
+    monkeypatch.setattr(reproduce.Reproducer, "check_example_state", wrapped)
+    timed = run_cli(capsys, "reproduce", "--timings")
+    assert timed[:2] == (code, out) and len(seen) == 1
+    lines = [line.split(" ") for line in timed[2].splitlines()]
+    keys = [line.split()[1] for line in out.splitlines() if line.startswith(("PASS", "FAIL"))]
+    assert [key for key, _ in lines] == [*keys, "total"] and len(keys) == 14
+    seconds = [float(value) for _, value in lines]
+    assert all(s >= 0 for s in seconds) and seconds[-1] >= sum(seconds[:-1]) - 1e-5
+
+
 def _npy(array, allow_pickle=False):
     buffer = io.BytesIO()
     np.save(buffer, array, allow_pickle=allow_pickle)

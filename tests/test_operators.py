@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hyperstate import errors
 from hyperstate.errors import GuardError
 from hyperstate.hypergraph import Hypergraph, single_full_edge
 from hyperstate.operators import (
@@ -14,6 +15,7 @@ from hyperstate.operators import (
     number_operator,
     number_phase_commutator_dense,
     phase_angles,
+    phase_operator_agreement,
     phase_operator_dense,
     phase_state,
     position,
@@ -28,6 +30,8 @@ from conftest import EXAMPLE_EDGES
 from oracles import (
     commutator,
     expectation,
+    gathered_phase_operator,
+    gathered_structure,
     k_uniform_hypergraphs,
     number_phase_commutator_expectation,
     phase_overlaps,
@@ -209,6 +213,47 @@ def test_phase_operator_dense_equals_spectral_sum():
             for m, theta in enumerate(phase_angles(dim))
         )
         assert np.max(np.abs(phase_operator_dense(dim) - spectral)) < 1e-10
+
+
+def test_phase_operator_dense_is_the_gather_bit_for_bit():
+    for dim in (1 << j for j in range(11)):  # dim 1 .. 1024
+        built, gathered = phase_operator_dense(dim), gathered_phase_operator(dim)
+        assert built.tobytes() == gathered.tobytes(), dim  # every bit, the sign of zero included
+        assert built.flags.c_contiguous and built.flags.writeable, dim
+        built[0, 0] = 0.0  # its own memory, no view of a shared vector
+        assert built[-1, -1] == gathered[-1, -1]
+
+
+def _structured_matrices(rng, dim):
+    """A random complex, the identity, a random Toeplitz and a random circulant matrix."""
+    column, row = (rng.normal(size=(2, dim)) + 1j * rng.normal(size=(2, dim)))
+    k = np.arange(dim)
+    diff = k[:, None] - k[None, :]
+    return {
+        "random": rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)),
+        "identity": np.eye(dim, dtype=complex),
+        "toeplitz": np.where(diff >= 0, column[np.abs(diff)], row[np.abs(diff)]),
+        "circulant": column[diff % dim],
+    }
+
+
+def test_verify_structure_matches_the_gathered_oracle():
+    rng = np.random.default_rng(25)
+    for dim in range(1, 66):  # powers of two and all the sizes between them
+        for name, op in _structured_matrices(rng, dim).items():
+            assert verify_structure(op).to_dict() == gathered_structure(op), (name, dim)
+    report = verify_structure(_structured_matrices(rng, 12)["toeplitz"])
+    assert report.toeplitz.holds and report.toeplitz.max_deviation == 0.0
+
+
+def test_phase_operator_agreement_spectral_error_is_at_round_off(monkeypatch):
+    monkeypatch.setattr(errors, "MAX_CUBIC_WORK", 1 << 30)  # up to dim 1024
+    rng = np.random.default_rng(7)
+    for dim in (1 << j for j in range(11)):
+        state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        spectral_error, fft_error = phase_operator_agreement(phase_operator_dense(dim), [state / np.linalg.norm(state)])
+        assert spectral_error < 4e-15, dim
+        assert fft_error < 1e-12, dim
 
 
 def test_phase_operator_dense_guard():

@@ -1,8 +1,11 @@
 """The reproduction report computes each number once, on the same route as its oracle."""
 
 import inspect
+import itertools
+import re
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import hyperstate.reference_tables as ref
@@ -11,7 +14,7 @@ import hyperstate.sweep as sweep
 from hyperstate.hypergraph import complete_k_graph, edges_text, parse_edges, single_full_edge
 from hyperstate.reproduce import Reproducer
 from hyperstate.squeezing import squeeze_report
-from hyperstate.sweep import Family
+from hyperstate.sweep import METRIC_NAMES, Family, SweepResults
 
 from oracles import matches_by_permutation
 
@@ -209,3 +212,53 @@ def test_dminus1_uniform_sets_match_exactly_when_their_edge_counts_agree():
                 agree = reproduce._matches_up_to_relabeling(expected, (candidate,), d)
                 assert agree == matches_by_permutation(expected, (candidate,), d)
                 assert agree == (expected.count(";") == candidate.count(";"))
+
+
+def test_c11_counts_its_states_and_fails_on_a_planted_expectation(monkeypatch):
+    assert Reproducer().check_quadrature_claims().detail == "zero within 1e-10 on 125 hypergraph states"
+    real = reproduce.quadrature_commutator
+
+    def planted(dim, k):  # <psi|C|psi> = 1e-9 on every state of d = 5 for k = 2
+        return real(dim, k) + (1e-9 * np.eye(dim) if (dim, k) == (32, 2) else 0.0)
+
+    monkeypatch.setattr(reproduce, "quadrature_commutator", planted)
+    result = reproduce.Reproducer().check_quadrature_claims()
+    assert result.status == "FAIL"
+    named = [re.fullmatch(r"<\[X\^(\d),P\^\d\]> = (\S+) on d=(\d+), edges (\S+)", entry).groups()
+             for entry in result.detail.removesuffix("; ...").split("; ")]
+    dminus1 = [edges_text(g) for g in itertools.islice(Family("dminus1", 5).configurations(), 3)]
+    assert [(k, d, edges) for k, _, d, edges in named] == [("2", "5", text) for text in ["0,1,2,3,4", *dminus1]]
+    assert all(abs(complex(value) - 1e-9) < 1e-12 for _, value, _, _ in named)
+    assert result.detail.endswith("; ...")  # six states of d = 5 fail, the first four are named
+
+
+def _planted(runner, kind, d, metric, plants):
+    """Put ``runner``'s sweep of ``Family(kind, d)`` back with ``metric`` set to value at each row."""
+    results, summary = runner.sweep(kind, d)
+    values = results.values.copy()
+    for row, value in plants.items():
+        values[row, METRIC_NAMES.index(metric)] = value
+    runner._sweeps[kind, d, None] = SweepResults(results.d, results.edges, values), summary
+    return [results.edges[row] for row in plants]
+
+
+def test_c10_fails_on_a_planted_robertson_violation():
+    runner = Reproducer()
+    violated = _planted(runner, "dminus1", 6, "var_p", {3: 0.0, 40: float("nan")})
+    violated += _planted(runner, "dminus1", 7, "half_comm", {7: float("nan"), 8: 1e3})
+    result = runner.check_structure_suite()
+    assert result.status == "FAIL"
+    assert result.detail == "; ".join(
+        [f"Robertson violation at d=6, edges {e}" for e in violated[:2]]
+        + [f"Robertson violation at d=7, edges {e}" for e in violated[2:]])
+    assert Reproducer().check_structure_suite().detail.endswith("Robertson on 461 states")
+
+
+def test_c12_fails_on_a_planted_negative_s_n_and_notes_an_undefined_one():
+    runner = Reproducer()
+    negative, undefined = _planted(runner, "dminus1", 5, "s_n", {2: -0.5, 9: float("nan")})
+    result = runner.check_no_number_squeezing()
+    assert (result.status, result.detail) == ("FAIL", f"S_N = -0.5 < 0 at d=5, edges {negative}")
+    assert f"s_n undefined at d=5, edges {undefined}" in result.notes
+    clean = Reproducer().check_no_number_squeezing()
+    assert clean.status == "PASS" and len(result.notes) == len(clean.notes) + 1

@@ -14,7 +14,7 @@ MAX_BYTES = 1 << 30
 # sweeps pass up to d = 16 (1.4e11) and fail from d = 17 (5.8e11).
 MAX_SWEEP_WORK = 1 << 38
 # Estimated bit length n**2 d of det m in one witness (13906 at (d, n) = (16, 32)).
-# The dearest pairs in budget, (7, 64) and (8, 64), take 0.5-0.7 s on 2 vCPUs.
+# The dearest pairs in budget, (7, 64) and (8, 64), take 0.13-0.16 s on 2 vCPUs.
 MAX_WITNESS_BITS = 1 << 15
 # dim**3 steps of one dense eigensolve, matrix power or matrix product: dim <= 256.
 MAX_CUBIC_WORK = 1 << 24

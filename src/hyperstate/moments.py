@@ -21,12 +21,19 @@ of the squared norms of the monic discrete Chebyshev (Gram) polynomials,
 ``mu_hankel_determinant``; Bareiss on the mu Hankel is its test oracle.
 det m has no such product, but its Hankel minors obey the Desnanot-Jacobi
 (Dodgson condensation) identity and every row carries a falling factorial;
-``m_hankel_determinant`` runs that condensation on integers in about n**2
-steps, with Bareiss as its test oracle and zero-divisor fallback.  Results
-are exact ``fractions.Fraction`` values because the determinants cancel
-catastrophically in floats; floats appear only at the presentation edge,
-and ``presentable`` renders values beyond float range as exact decimal
-scientific text instead.
+``m_hankel_determinant`` takes those factors out and condenses the minors
+scaled by P(s, k) / S(k)**3, where P(s, k) = prod_{i,j<k} (s + i + j + 1)
+is the denominator of the Cauchy determinant det [1 / (s + i + j + 1)] and
+S(k) = prod_{t<k} t!.  The ratios of these scales across the identity give
+its three small coefficients, (N - s - k)(s + k + 1)**2,
+(N - s)(s + 1)(s + 2k + 1) and k**3, so the recurrence runs on integers in
+about n**2 steps.  Each step divides with ``divmod``; a zero divisor or a
+nonzero remainder hands the Hankel to Bareiss, which is also the test
+oracle, so det m is exact even where the scaled minors fail to be integers.
+Results are exact ``fractions.Fraction`` values because the determinants
+cancel catastrophically in floats; floats appear only at the presentation
+edge, and ``presentable`` renders values beyond float range as exact
+decimal scientific text instead.
 """
 
 from __future__ import annotations
@@ -203,37 +210,57 @@ def mu_hankel_determinant(d: int, n: int) -> Fraction:
     return Fraction(num, den)
 
 
+def _m_hankel_bareiss(big_n: int, n: int) -> Fraction:
+    """Bareiss on the n x n Hankel of m_j = (N)_j / (j + 1): the condensation's fallback."""
+    m_seq = _m_sequence(big_n + 1, 2 * n - 2)
+    return determinant([m_seq[i : i + n] for i in range(n)])
+
+
 def _m_hankel_determinant(big_n: int, n: int) -> Fraction:
     """det [m_{i+j}] for m_j = (N)_j / (j + 1), 0 <= i, j < n, any N >= 2n - 2.
 
     Row i of the shifted Hankel [m_{s+i+j}] carries the falling factorial
-    (N)_{s+i}; with L = lcm(1 .. 2n - 1) the rest is the integer minor
-    G(s, k) = det [L (N - s - i)_j / (s + i + j + 1)] over 0 <= i, j < k.
-    Desnanot-Jacobi condensation of the Hankel minors, with those row
-    factors taken out, gives the exact integer recurrence
-    G(s, k + 1) G(s + 2, k - 1) = (N - s - k) G(s, k) G(s + 2, k)
-    - (N - s) G(s + 1, k)**2, from G(s, 0) = 1 and G(s, 1) = L / (s + 1).
-    Then det m = G(0, n) prod_{i<n} (N)_i / L**n.  A zero divisor voids
-    the identity; Bareiss on the Hankel takes over.
+    (N)_{s+i}; the rest is the minor g(s, k) = det [(N - s - i)_j /
+    (s + i + j + 1)] over 0 <= i, j < k, which obeys the Desnanot-Jacobi
+    identity g(s, k + 1) g(s + 2, k - 1) = (N - s - k) g(s, k) g(s + 2, k)
+    - (N - s) g(s + 1, k)**2.  The condensed minors are Cauchy-normalised,
+    G(s, k) = g(s, k) P(s, k) / S(k)**3 with P(s, k) = prod_{i,j<k}
+    (s + i + j + 1), the denominator of the Cauchy determinant
+    det [1 / (s + i + j + 1)], and S(k) = prod_{t<k} t!.  The exponents of
+    P form triangles with generating function (1 - z**k)**2 / (1 - z)**2, so
+    P(s, k + 1) P(s + 2, k - 1) / (P(s, k) P(s + 2, k)) = (s + k + 1)**2 and
+    P(s, k + 1) P(s + 2, k - 1) / P(s + 1, k)**2 = (s + 1)(s + 2k + 1), and
+    S(k + 1) S(k - 1) / S(k)**2 = k; the identity becomes
+    k**3 G(s, k + 1) G(s + 2, k - 1) = (N - s - k)(s + k + 1)**2 G(s, k)
+    G(s + 2, k) - (N - s)(s + 1)(s + 2k + 1) G(s + 1, k)**2, from
+    G(s, 0) = G(s, 1) = 1.  Then det m = G(0, n) prod_{i<n} (N)_i S(n)**3
+    / P(0, n), with P(0, n) = prod_{i<n} (i + n)! / i!.  That G is an
+    integer is checked, not proven: each step divides with ``divmod``, and
+    a zero divisor or a nonzero remainder hands the Hankel to Bareiss, so
+    the result is exact either way.
     """
     top = 2 * n - 2
-    scale = math.lcm(*range(1, top + 2))
     prev = [1] * (top + 3)
-    cur = [scale // (s + 1) for s in range(top + 1)]
+    cur = [1] * (top + 1)
     for k in range(1, n):
+        cube = k**3
         nxt = []
         for s in range(top + 1 - 2 * k):
-            divisor = prev[s + 2]
+            divisor = cube * prev[s + 2]
             if divisor == 0:
-                m_seq = _m_sequence(big_n + 1, top)
-                return determinant([m_seq[i : i + n] for i in range(n)])
-            nxt.append(((big_n - s - k) * cur[s] * cur[s + 2] - (big_n - s) * cur[s + 1] ** 2) // divisor)
+                return _m_hankel_bareiss(big_n, n)
+            quotient, remainder = divmod(
+                (big_n - s - k) * (s + k + 1) ** 2 * cur[s] * cur[s + 2]
+                - (big_n - s) * (s + 1) * (s + 2 * k + 1) * cur[s + 1] ** 2,
+                divisor,
+            )
+            if remainder:
+                return _m_hankel_bareiss(big_n, n)
+            nxt.append(quotient)
         prev, cur = cur, nxt
-    rows = falling = 1
-    for i in range(n):
-        rows *= falling
-        falling *= big_n - i
-    return Fraction(cur[0] * rows, scale**n)
+    rows = math.prod(math.perm(big_n, i) for i in range(n))
+    cubes = math.prod(map(math.factorial, range(n))) ** 3
+    return Fraction(cur[0] * rows * cubes, math.prod(math.perm(n + i, n) for i in range(n)))
 
 
 def m_hankel_determinant(d: int, n: int) -> Fraction:

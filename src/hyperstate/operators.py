@@ -70,13 +70,6 @@ def annihilation(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, dim)), k=1).astype(np.complex128)
 
 
-def creation(dim: int) -> np.ndarray:
-    """Raising operator: a-dagger|i> = sqrt(i+1)|i+1>, top state killed."""
-    if dim < 2:
-        raise ValueError(f"need dim >= 2, got {dim}")
-    return np.diag(np.sqrt(np.arange(1, dim)), k=-1).astype(np.complex128)
-
-
 def number_operator(dim: int) -> np.ndarray:
     """Diagonal number operator diag(0, 1, ..., dim-1)."""
     if dim < 1:
@@ -110,15 +103,6 @@ def phase_angles(dim: int) -> np.ndarray:
     """Angle grid theta_m = 2 pi m / dim for m = 0 .. dim-1."""
     _require_power_of_two(dim)
     return 2.0 * np.pi * np.arange(dim) / dim
-
-
-def phase_state(dim: int, m: int) -> np.ndarray:
-    """Phase basis vector |theta_m>, amplitudes exp(i theta_m n)/sqrt(dim)."""
-    _require_power_of_two(dim)
-    if not 0 <= m < dim:
-        raise ValueError(f"phase index m={m} out of range for dim={dim}")
-    n = np.arange(dim)
-    return np.exp(2j * np.pi * m * n / dim) / np.sqrt(float(dim))
 
 
 def apply_phase_operator(psi: np.ndarray) -> np.ndarray:

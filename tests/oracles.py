@@ -12,9 +12,10 @@ integer DFT table on its own, scaled by a rounded sqrt(dim) and squared in
 seven passes), the support route's half_comm from each row's own sorted
 points and a gathered cotangent table,
 <[N, P]> by two FFT applications of the phase operator,
-relabeling equivalence by trying every vertex permutation, and the summary,
+relabeling equivalence by trying every vertex permutation, the summary,
 CSV/JSON rendering and reading of sweep records one record (one metrics
-dict) at a time.
+dict) at a time, the raising operator and the phase basis vectors as dense
+arrays, and det m by Hankel condensation with the lcm(1 .. 2n - 1)**k scale.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import csv
 import io
 import itertools
 import json
+import math
+from fractions import Fraction
 from math import isfinite
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -41,6 +44,7 @@ from hyperstate.operators import (
     phase_angles,
     support_profile,
 )
+from hyperstate.moments import determinant
 from hyperstate.state import membership_signs
 from hyperstate.sweep import (
     CSV_HEADER,
@@ -78,6 +82,22 @@ def hypergraph_signs(graphs: Sequence[Hypergraph]) -> np.ndarray:
     edges = [e for g in graphs for e in g.edges]
     rows = np.repeat(np.eye(len(graphs)), [len(g.edges) for g in graphs], axis=1)
     return membership_signs(graphs[0].d, edges, rows)
+
+
+def creation(dim: int) -> np.ndarray:
+    """Raising operator: a-dagger|i> = sqrt(i+1)|i+1>, top state killed."""
+    if dim < 2:
+        raise ValueError(f"need dim >= 2, got {dim}")
+    return np.diag(np.sqrt(np.arange(1, dim)), k=-1).astype(np.complex128)
+
+
+def phase_state(dim: int, m: int) -> np.ndarray:
+    """Phase basis vector |theta_m>, amplitudes exp(i theta_m n)/sqrt(dim)."""
+    _require_power_of_two(dim)
+    if not 0 <= m < dim:
+        raise ValueError(f"phase index m={m} out of range for dim={dim}")
+    n = np.arange(dim)
+    return np.exp(2j * np.pi * m * n / dim) / np.sqrt(float(dim))
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -362,3 +382,29 @@ def read_results(path) -> list[SweepRecord]:
             records.append(_record_from_fields(path, row[0], row[1], values, cells=True))
         return records
     raise SchemaError(f"{path}: unknown results format (expected .csv or .json)")
+
+
+def lcm_scaled_m_hankel_determinant(big_n: int, n: int) -> Fraction:
+    """det [m_{i+j}] for m_j = (N)_j / (j + 1), 0 <= i, j < n, N >= 2n - 2, by condensation
+    of the minors G(s, k) = det [L (N - s - i)_j / (s + i + j + 1)] with L = lcm(1 .. 2n - 1).
+
+    The Desnanot-Jacobi recurrence G(s, k + 1) G(s + 2, k - 1) = (N - s - k) G(s, k) G(s + 2, k)
+    - (N - s) G(s + 1, k)**2 runs from G(s, 0) = 1 and G(s, 1) = L / (s + 1), and
+    det m = G(0, n) prod_{i<n} (N)_i / L**n.  A zero divisor falls back to ``determinant``
+    on the Hankel of ``math.perm`` moments.
+    """
+    top = 2 * n - 2
+    scale = math.lcm(*range(1, top + 2))
+    prev = [1] * (top + 3)
+    cur = [scale // (s + 1) for s in range(top + 1)]
+    for k in range(1, n):
+        nxt = []
+        for s in range(top + 1 - 2 * k):
+            divisor = prev[s + 2]
+            if divisor == 0:
+                m = [Fraction(math.perm(big_n, j), j + 1) for j in range(top + 1)]
+                return determinant([m[i : i + n] for i in range(n)])
+            nxt.append(((big_n - s - k) * cur[s] * cur[s + 2] - (big_n - s) * cur[s + 1] ** 2) // divisor)
+        prev, cur = cur, nxt
+    rows = math.prod(math.perm(big_n, i) for i in range(n))
+    return Fraction(cur[0] * rows, scale**n)

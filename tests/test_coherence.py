@@ -8,11 +8,10 @@ import pytest
 from hyperstate.coherence import coherence_report, l1_coherence, rel_entropy_coherence
 from hyperstate.errors import GuardError
 from hyperstate.hypergraph import Hypergraph, complete_k_graph, single_full_edge
-from hyperstate.operators import phase_state
 from hyperstate.state import hypergraph_state
 
 from conftest import random_hypergraph
-from oracles import phase_overlaps
+from oracles import phase_overlaps, phase_state
 
 
 def test_number_basis_l1_closed_form_exact():

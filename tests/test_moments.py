@@ -27,6 +27,8 @@ from hyperstate.operators import annihilation
 from hyperstate.reference_tables import witness_discrepancies
 from hyperstate.state import hypergraph_state
 
+import oracles
+
 
 # W factors
 
@@ -335,6 +337,54 @@ def test_m_hankel_condensation_matches_bareiss_at_general_n(monkeypatch):
             m = _falling_m(big_n, 2 * n - 2)
             assert moments_mod._m_hankel_determinant(big_n, n) == determinant(_hankel(m, n)), (big_n, n)
     assert fallbacks == [(18, n) for n in range(4, 11)] + [(28, n) for n in range(5, 16)]
+
+
+def test_m_hankel_condensation_matches_lcm_scaled_oracle(monkeypatch):
+    """The Cauchy-normalised recurrence equals the lcm(1 .. 2n - 1)-scaled one, and both fall
+    back to Bareiss at the same pairs: the zero divisors, never a nonzero remainder.  The pairs
+    are every N < 200 with n <= 10, then N = 2**d - 1 for every d <= 7 with n <= 40; 2n - 2 <= N."""
+    pairs = [(big_n, n) for big_n in range(200) for n in range(1, 11) if 2 * n - 2 <= big_n]
+    pairs += [((1 << d) - 1, n) for d in range(1, 8) for n in range(1, min(40, (1 << d) // 2) + 1)]
+    fallbacks = {"route": [], "oracle": []}
+
+    def recording(side):
+        def record(matrix):
+            fallbacks[side].append((big_n, n))
+            return determinant(matrix)
+
+        return record
+
+    monkeypatch.setattr(moments_mod, "determinant", recording("route"))
+    monkeypatch.setattr(oracles, "determinant", recording("oracle"))
+    for big_n, n in pairs:
+        want = oracles.lcm_scaled_m_hankel_determinant(big_n, n)
+        assert moments_mod._m_hankel_determinant(big_n, n) == want, (big_n, n)
+    assert fallbacks["route"] == fallbacks["oracle"]
+    # Measured: below N = 200 the Hankel minors vanish at N = j (j + 1) - 2 from n = (j + 1) // 2 + 2.
+    assert fallbacks["route"] == [(j * (j + 1) - 2, n) for j in range(4, 14) for n in range((j + 1) // 2 + 2, 11)]
+
+
+def test_m_hankel_remainder_falls_back_to_bareiss(monkeypatch):
+    """A nonzero condensation remainder hands the Hankel to Bareiss, so det m stays exact."""
+    fallbacks = []
+
+    def recording_determinant(matrix):
+        fallbacks.append(len(matrix))
+        return determinant(matrix)
+
+    monkeypatch.setattr(moments_mod, "determinant", recording_determinant)
+    monkeypatch.setattr(moments_mod, "divmod", lambda a, b: (a // b, 1), raising=False)
+    for d, n in [(3, 2), (4, 5), (8, 12)]:
+        m = _falling_m((1 << d) - 1, 2 * n - 2)
+        assert m_hankel_determinant(d, n) == determinant(_hankel(m, n)), (d, n)
+    assert fallbacks == [2, 5, 12]
+
+
+@pytest.mark.extended
+@pytest.mark.parametrize("d,n", [(7, 64), (8, 64)])
+def test_m_hankel_condensation_matches_lcm_scaled_oracle_at_dearest_witnesses(d, n):
+    assert n * n * d <= MAX_WITNESS_BITS
+    assert m_hankel_determinant(d, n) == oracles.lcm_scaled_m_hankel_determinant((1 << d) - 1, n)
 
 
 def test_m_hankel_condensation_range():

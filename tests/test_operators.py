@@ -9,7 +9,6 @@ from hyperstate.hypergraph import Hypergraph, single_full_edge
 from hyperstate.operators import (
     annihilation,
     apply_phase_operator,
-    creation,
     gershgorin_bound,
     momentum,
     number_operator,
@@ -17,7 +16,6 @@ from hyperstate.operators import (
     phase_angles,
     phase_operator_agreement,
     phase_operator_dense,
-    phase_state,
     position,
     quadrature_commutator,
     spectral_bound_check,
@@ -29,12 +27,14 @@ from hyperstate.state import hypergraph_state
 from conftest import EXAMPLE_EDGES
 from oracles import (
     commutator,
+    creation,
     expectation,
     gathered_phase_operator,
     gathered_structure,
     k_uniform_hypergraphs,
     number_phase_commutator_expectation,
     phase_overlaps,
+    phase_state,
 )
 
 

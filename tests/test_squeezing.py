@@ -8,14 +8,13 @@ from hyperstate.hypergraph import Hypergraph, single_full_edge
 from hyperstate.operators import (
     number_operator,
     number_phase_commutator_dense,
-    phase_state,
     spectral_profile,
     variance,
 )
 from hyperstate.squeezing import HALF_COMM_FLOOR, number_stats, squeeze_report
 from hyperstate.state import hypergraph_profile, hypergraph_state
 
-from oracles import k_uniform_hypergraphs, number_phase_commutator_expectation, phase_stats
+from oracles import k_uniform_hypergraphs, number_phase_commutator_expectation, phase_stats, phase_state
 
 
 @pytest.mark.parametrize(

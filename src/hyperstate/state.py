@@ -110,24 +110,28 @@ def _edge_weights(d: int, edges: Sequence[tuple[int, ...]]) -> np.ndarray:
     return np.array([min(1 << min(d - len(e), 64), cap) for e in edges], dtype=np.int64)
 
 
-def support_rows(d: int, edges: Sequence[tuple[int, ...]], rows: np.ndarray) -> np.ndarray:
+def support_rows(d: int, edges: Sequence[tuple[int, ...]], rows: np.ndarray,
+                 weights: np.ndarray | None = None) -> np.ndarray:
     """Rows that take the support route: d <= SUPPORT_MAX_D and support bound
     sum_{e in row} 2**(d - |e|) <= 2d.
 
     The bound caps |K|, the number of indices with f(n) = 1, and depends only
     on the sizes of the row's edges: every (d-1)-graph, the single full edge
     and the complete k-graphs with k >= d - 1 are in, most other states out.
+    ``weights`` is ``_edge_weights(d, edges)`` when the caller already built it.
     """
-    return (np.asarray(rows) @ _edge_weights(d, edges) <= 2 * d) & (d <= SUPPORT_MAX_D)
+    if weights is None:
+        weights = _edge_weights(d, edges)
+    return (np.asarray(rows) @ weights <= 2 * d) & (d <= SUPPORT_MAX_D)
 
 
-def _support_points(d: int, edges: Sequence[tuple[int, ...]]) -> tuple[list[int], np.ndarray]:
+def _support_points(d: int, edges: Sequence[tuple[int, ...]], weights: np.ndarray) -> tuple[list[int], np.ndarray]:
     """Ascending union U of the supports {n : n contains the bits of e} of the edges a support
-    row can use (support size <= 2d), and the float64 edge-by-U indicator matrix over all of
-    ``edges``."""
+    row can use (support size <= 2d, read from ``weights``, ``_edge_weights(d, edges)``), and
+    the float64 edge-by-U indicator matrix over all of ``edges``."""
     full = (1 << d) - 1
     points = set()
-    for edge, weight in zip(edges, _edge_weights(d, edges).tolist()):
+    for edge, weight in zip(edges, weights.tolist()):
         if weight > 2 * d:
             continue  # no support row has this edge: its column of rows is 0
         mask = vertex_mask(d, edge)
@@ -158,13 +162,13 @@ def membership_profile(d: int, edges: Sequence[tuple[int, ...]], rows: np.ndarra
     """
     rows = np.asarray(rows)
     dim = dimension(d)
-    small = support_rows(d, edges, rows)
+    weights = _edge_weights(d, edges)  # built once: the split, the guard and the points read it
+    small = support_rows(d, edges, rows, weights)
     count = int(small.sum())
     if count:
         # A support row uses only edges of support size <= 2d.  All such edges give
         # the points, so their support sizes add up to at least the number of points.
         # The rows are read as float64 to form t.
-        weights = _edge_weights(d, edges)
         require_bytes(f"support profile of {count} states at d={d}",
                       support_bytes(count, int(weights[weights <= 2 * d].sum()), dim)
                       + 8 * count * len(edges))
@@ -174,7 +178,7 @@ def membership_profile(d: int, edges: Sequence[tuple[int, ...]], rows: np.ndarra
                       profile_bytes(min(tile, len(rows) - count), dim))
     parts = []  # (rows, their profile)
     if count:
-        points, indicators = _support_points(d, edges)
+        points, indicators = _support_points(d, edges, weights)
         t = (rows[small].astype(np.float64) @ indicators) % 2
         parts.append((small, support_profile(d, points, t)))
     wide = np.flatnonzero(~small) if count < len(rows) else []

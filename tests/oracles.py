@@ -3,7 +3,8 @@
 Each one computes a quantity by a route independent of the package's own:
 the truth table edge by edge, every k-uniform hypergraph by a mask loop,
 the +-1 sign rows of hypergraphs batched over their own edges, commutators and
-expectations of dense matrices, the dense phase operator and the Toeplitz
+expectations of dense matrices, the spectral sum F diag(theta) F^dagger as a
+dim**3 product of Fourier matrices, the dense phase operator and the Toeplitz
 and circulant structure checks gathered through (k - l) index arrays, the
 phase-basis overlaps and moments of any complex state, the half-spectrum phase moments and coherences by the
 two-pass reduction with explicit mirror weights and normalized
@@ -120,6 +121,15 @@ def gathered_phase_operator(dim: int) -> np.ndarray:
     column = (2.0 * np.pi / dim**2) * np.conj(np.fft.fft(np.arange(dim, dtype=np.float64)))
     k = np.arange(dim)
     return column[(k[:, None] - k[None, :]) % dim]
+
+
+def fourier_spectral_sum(dim: int) -> np.ndarray:
+    """F diag(theta) F^dagger as a dim**3 product, with F_kn = exp(2 pi i kn / dim) / sqrt(dim)
+    gathered from a table of the dim roots of unity at kn mod dim."""
+    n = np.arange(dim)
+    roots = np.exp(2j * np.pi * n / dim) / np.sqrt(dim)
+    fourier = roots[np.outer(n, n) % dim]
+    return (fourier * phase_angles(dim)) @ fourier.conj().T
 
 
 def gathered_structure(op: np.ndarray) -> dict:

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from hyperstate import errors
 from hyperstate.errors import GuardError
 from hyperstate.hypergraph import Hypergraph, single_full_edge
 from hyperstate.operators import (
@@ -22,6 +21,7 @@ from hyperstate.operators import (
     variance,
     verify_structure,
 )
+from hyperstate.operators import _real_form
 from hyperstate.state import hypergraph_state
 
 from conftest import EXAMPLE_EDGES
@@ -29,6 +29,7 @@ from oracles import (
     commutator,
     creation,
     expectation,
+    fourier_spectral_sum,
     gathered_phase_operator,
     gathered_structure,
     k_uniform_hypergraphs,
@@ -246,14 +247,46 @@ def test_verify_structure_matches_the_gathered_oracle():
     assert report.toeplitz.holds and report.toeplitz.max_deviation == 0.0
 
 
-def test_phase_operator_agreement_spectral_error_is_at_round_off(monkeypatch):
-    monkeypatch.setattr(errors, "MAX_CUBIC_WORK", 1 << 30)  # up to dim 1024
+def test_phase_operator_agreement_spectral_error_is_at_round_off():
     rng = np.random.default_rng(7)
-    for dim in (1 << j for j in range(11)):
+    for dim in (1 << j for j in range(11)):  # dim 1 .. 1024
         state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         spectral_error, fft_error = phase_operator_agreement(phase_operator_dense(dim), [state / np.linalg.norm(state)])
         assert spectral_error < 4e-15, dim
         assert fft_error < 1e-12, dim
+
+
+def test_per_difference_spectral_sum_matches_the_fourier_product():
+    # With the dim**3 product as the phase operator, the spectral error is the
+    # largest gap between it and the circulant of the per-difference sums.
+    for dim in (1 << j for j in range(9)):  # dim 1 .. 256
+        product = fourier_spectral_sum(dim)
+        assert phase_operator_agreement(product, [np.eye(dim)[0]])[0] < 4e-15, dim
+
+
+def test_planted_phase_operator_error_fails_the_spectral_sum_and_c10(monkeypatch):
+    import hyperstate.reproduce as reproduce_mod
+
+    def planted(dim):
+        op = phase_operator_dense(dim)
+        if dim == 256:
+            op[3, 7] += 1e-9
+        return op
+
+    op = planted(256)
+    # Within the structure checks' tolerance 1e-10 * dim, but not the spectral sum's 1e-10.
+    assert verify_structure(op).hermitian.holds and verify_structure(op).circulant.holds
+    assert phase_operator_agreement(op, [np.eye(256)[0]])[0] > 1e-10
+    monkeypatch.setattr(reproduce_mod, "phase_operator_dense", planted)
+    result = reproduce_mod.Reproducer().check_structure_suite()
+    assert result.status == "FAIL"
+    assert result.detail.startswith("dim=256: entry formula differs from spectral sum")
+
+
+def test_phase_operator_agreement_guard_counts_bytes():
+    # A zero-stride view: the 16 dim**2 bytes of a dense operator at dim 8192 do not exist.
+    with pytest.raises(GuardError, match="spectral sum at dim=8192 needs .* beyond the byte budget"):
+        phase_operator_agreement(np.broadcast_to(0j, (8192, 8192)), [])
 
 
 def test_phase_operator_dense_guard():
@@ -333,6 +366,43 @@ def test_row_sum_bound_contains_spectrum():
         radius = np.max(np.abs(np.linalg.eigvalsh(1j * number_phase_commutator_dense(dim))))
         assert radius <= spectral_bound_check(dim).row_sum_bound * (1 + 1e-12)
         assert radius <= np.pi * (dim - 1) ** 2 / 2
+
+
+def _assert_real_form_spectrum(comm):
+    """The real form's spectrum is eigvalsh(1j * comm) within 1e-12 max(1, radius); returns the radius."""
+    want = np.linalg.eigvalsh(1j * comm)
+    radius = float(np.max(np.abs(want), initial=0.0))
+    assert np.max(np.abs(np.linalg.eigvalsh(_real_form(comm)) - want)) <= 1e-12 * max(1.0, radius)
+    return radius
+
+
+def test_real_form_spectrum_matches_complex_eigvalsh_for_number_phase_commutator():
+    k = np.arange(256)
+    for dim in range(1, 257):  # the entry formula holds at every dim, a power of two or not
+        comm = (k[:dim, None] - k[None, :dim]) * gathered_phase_operator(dim)
+        radius = _assert_real_form_spectrum(comm)
+        if not dim & (dim - 1):
+            got = spectral_bound_check(dim).spectral_radius
+            assert abs(got - radius) <= 1e-12 * max(1.0, radius), dim
+
+
+def test_real_form_spectrum_matches_complex_eigvalsh_for_random_hermitian_toeplitz():
+    rng = np.random.default_rng(27)
+    for dim in (*range(1, 65), 100, 127, 128, 255, 256):
+        k = np.arange(dim)
+        diff = k[:, None] - k[None, :]
+        for scale in (1e-3, 1.0, 1e3):
+            h = scale * (rng.normal(size=dim) + 1j * rng.normal(size=dim))
+            h[0] = h[0].real
+            hermitian = np.where(diff >= 0, h[np.abs(diff)], h[np.abs(diff)].conj())
+            _assert_real_form_spectrum(-1j * hermitian)  # the skew-Hermitian C with i C = H
+
+
+def test_spectral_bound_check_refuses_a_commutator_of_another_dim():
+    with pytest.raises(ValueError, match=r"dim=4 must have shape \(4, 4\), got \(8, 8\)"):
+        spectral_bound_check(4, number_phase_commutator_dense(8))
+    with pytest.raises(ValueError, match="shape"):
+        spectral_bound_check(4, number_phase_commutator_dense(4)[:, :3])
 
 
 def _bound_and_expectation(psi):

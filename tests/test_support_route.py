@@ -94,6 +94,17 @@ def test_every_connected_dminus1_row_agrees_on_both_routes(d):
         assert error.max() <= TOL, (name, int(error.argmax()), error.max())
 
 
+def test_membership_profile_builds_the_edge_weights_once(monkeypatch):
+    # The split, the support route's byte guard and its points read one array.
+    d = 6
+    edges = [tuple(range(d)), (0, 1), tuple(range(1, d))]
+    rows = np.array([[1, 0, 0], [1, 1, 0], [0, 0, 1], [1, 1, 1]], dtype=np.uint8)
+    built, edge_weights = [], state_mod._edge_weights
+    monkeypatch.setattr(state_mod, "_edge_weights", lambda d, edges: built.append(d) or edge_weights(d, edges))
+    membership_profile(d, edges, rows)
+    assert built == [d]
+
+
 def test_mixed_chunk_routes_each_row_on_its_own():
     d = 6
     edges = [tuple(range(d)), (0, 1), tuple(range(1, d))]
@@ -188,7 +199,8 @@ def test_support_profile_of_many_tiles_stays_within_its_byte_estimate(d, rows):
     # connected family is tiles of two rows at d = 15 and of one at d = 16, so what a
     # tile leaves behind is multiplied by about 2**d.
     family = dminus1_family(d)
-    points, indicators = state_mod._support_points(d, family.edges)
+    weights = state_mod._edge_weights(d, family.edges)
+    points, indicators = state_mod._support_points(d, family.edges, weights)
     chosen = family.rows[:rows] if rows else family.rows[connected_rows(d, family.edges, family.rows)]
     t = (chosen.astype(np.float64) @ indicators) % 2
     tracemalloc.start()
@@ -276,7 +288,8 @@ def _assert_half_comm_bits(d, points, t):
 @pytest.mark.parametrize("d", [10, 12])
 def test_half_comm_across_tile_blocks_equals_the_sorted_gather_bit_for_bit(d):
     family = dminus1_family(d)
-    points, indicators = state_mod._support_points(d, family.edges)
+    weights = state_mod._edge_weights(d, family.edges)
+    points, indicators = state_mod._support_points(d, family.edges, weights)
     rows = family.rows[connected_rows(d, family.edges, family.rows)]
     t = (rows.astype(np.float64) @ indicators) % 2
     whole = _assert_half_comm_bits(d, points, t)
@@ -350,7 +363,7 @@ def test_sweep_bytes_identical_under_blas_thread_counts():
 def test_every_large_record_matches_the_rfft_oracle(monkeypatch, d):
     records, summary = sweep_family(dminus1_family(d))
     # Every row takes the rfft route, a tile at a time.
-    monkeypatch.setattr(state_mod, "support_rows", lambda d, edges, rows: np.zeros(len(rows), dtype=bool))
+    monkeypatch.setattr(state_mod, "support_rows", lambda d, edges, rows, weights: np.zeros(len(rows), dtype=bool))
     oracle_records, oracle_summary = sweep_family(dminus1_family(d))
     assert [r.edges for r in records] == [r.edges for r in oracle_records]
     for record, oracle in zip(records, oracle_records):

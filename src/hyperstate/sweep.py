@@ -106,7 +106,15 @@ CACHE_ENV_VAR = "HYPERSTATE_CACHE"
 #    s_n moved by at most 3.3e-13 relative and s_p by 3.2e-12 (k-uniform (5, 2)
 #    and (5, 3)), var_p by 6.8e-16, c_l1_phase by 9.6e-16 and c_rel_phase by
 #    5.2e-16; var_p values of 7.9e-31 now read 0; support rows did not move.
-RESULTS_VERSION = 8
+# 9: support spectra folded to their period above d = 9, and the spread summed
+#    as row dots on both routes: over every connected dminus1 record at
+#    d = 3..14, var_p moved by at most 7.2e-16 relative, s_p by 1.7e-15,
+#    c_l1_phase by 1.7e-15 and c_rel_phase by 7.9e-16, the last two only at
+#    d >= 10; half_comm, s_n and var_n kept every bit.  single-full at d <= 16
+#    and complete-k (d, d - 1) at d <= 14 moved by at most 8.2e-16; s_p of
+#    k-uniform (4, 2) and (5, 2), near 0.011, by 1.0e-14 and 2.4e-14 (1 and 2
+#    ulps of var_p).
+RESULTS_VERSION = 9
 
 # Records per text block of a CSV or JSON render, about 50 kB of text at d = 12.
 # With blocks of 128 records the sweep-d12 benchmark peaked about 1 MiB lower
@@ -326,14 +334,19 @@ def _summarize(results: SweepResults, metrics: Sequence[str]) -> dict[str, Metri
     only_squeezed = squeezed.any(axis=0) & np.array([m in SQUEEZE_METRICS for m in metrics])
     values = np.where(only_squeezed & ~squeezed, np.nan, values)
     extrema = []
+    everyone = None  # every record's edge texts, sorted once for the ties that cover them all (var_n)
     for reduce in (np.fmin.reduce, np.fmax.reduce):  # both skip NaN
         at = values == reduce(values, axis=0, initial=np.nan)
         # The value at the first extremal index, as min() and max() pick between 0.0 and -0.0.
         first = values[at.argmax(axis=0), np.arange(len(metrics))].tolist()
+        whole = at.all(axis=0)
+        if whole.any() and everyone is None:
+            everyone = tuple(sorted(results.edges))
+        at[:, whole] = False
         tied: list[list[str]] = [[] for _ in metrics]
         for j, i in zip(*(index.tolist() for index in at.T.nonzero())):
             tied[j].append(results.edges[i])
-        extrema.append((first, [tuple(sorted(t)) for t in tied]))
+        extrema.append((first, [everyone if w else tuple(sorted(t)) for w, t in zip(whole.tolist(), tied)]))
     (lo, at_lo), (hi, at_hi) = extrema
     return {
         m: MetricSummary(m, lo[j], hi[j], at_lo[j], at_hi[j]) if at_lo[j] else MetricSummary(m, None, None)

@@ -99,29 +99,36 @@ def test_rfft_route_matches_the_two_pass_kernel(psi):
 def test_reduction_of_unnormalized_probabilities_matches_the_two_pass_kernel(psi, factor):
     # A state's total is 1 up to round-off, so only a scaled input shows the log T term.
     prob = factor * rfft_probabilities(psi)
-    got = operators_mod._phase_moments(*operators_mod._phase_sums(prob.copy(), np.empty_like(prob)))
+    d = psi.shape[-1].bit_length() - 1
+    got = operators_mod._phase_moments(*operators_mod._phase_sums(prob.copy(), np.empty_like(prob), d))
     for name, value, want in zip(MOMENTS, got, _phase_moments(prob.copy())):
         assert all(_close(a, b) for a, b in zip(value, want)), name
 
 
 def _reduced_probabilities(monkeypatch):
-    """Record a copy of every probability array the routes hand to the reduction."""
+    """Record a copy of every probability array the routes hand to the reduction, with its d,
+    fold level and extra term."""
     seen = []
     real = operators_mod._phase_sums
 
-    def recording(prob, scratch):
-        seen.append(prob.copy())
-        return real(prob, scratch)
+    def recording(prob, scratch, d, level=0, extra=None):
+        seen.append((prob.copy(), d, level, None if extra is None else extra.copy()))
+        return real(prob, scratch, d, level, extra)
 
     monkeypatch.setattr(operators_mod, "_phase_sums", recording)
     return seen
 
 
 def _assert_mirror_sums_are_one(seen):
+    # Under the orbit weights of its fold level, 1 at m = 0, 2g for 0 < m < P/2 and g at
+    # m = P/2, plus g - 1 times the extra term: the mirror weights at level 0.
     assert seen
-    for prob in seen:
-        mirror = _half_spectrum_weights(2 * (prob.shape[-1] - 1))[0]
-        total = np.sum(mirror * prob, axis=-1)
+    for prob, d, level, extra in seen:
+        g = 1 << level
+        assert 2 * (prob.shape[-1] - 1) * g == 1 << d
+        orbit = g * _half_spectrum_weights(2 * (prob.shape[-1] - 1))[0]
+        orbit[0] = 1.0
+        total = np.sum(orbit * prob, axis=-1) + (g - 1) * (0.0 if extra is None else extra)
         assert np.all(np.abs(total - 1.0) <= 1e-13), total
 
 

@@ -217,6 +217,8 @@ def test_support_profile_rejects_bad_input():
         support_profile(4, [15], np.ones((1, 2)))
     with pytest.raises(ValueError, match="more than 2d"):
         support_profile(3, list(range(8)), np.ones((1, 8)))
+    with pytest.raises(ValueError, match="d >= 1"):
+        support_profile(0, [], np.ones((1, 0)))
 
 
 def test_empty_hypergraph_is_the_zero_phase_state():

@@ -15,8 +15,6 @@ from .hypergraph import (
     Hypergraph,
     complete_k_graph,
     is_connected,
-    parse_hypergraph,
-    serialize_hypergraph,
     single_full_edge,
 )
 from .moments import AgarwalTaraResult, agarwal_tara, moment_sequences, w_factor
@@ -46,9 +44,7 @@ __all__ = [
     "l1_coherence",
     "moment_sequences",
     "number_stats",
-    "parse_hypergraph",
     "rel_entropy_coherence",
-    "serialize_hypergraph",
     "simulate_circuit",
     "single_full_edge",
     "squeeze_report",

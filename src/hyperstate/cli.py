@@ -67,6 +67,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def integer(text: str) -> int:
+    """An optional ``-`` and ASCII digits; ``int`` alone also reads ``+4``, ``1_0`` and other digits."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="hyperstate", description=__doc__)
     parser.add_argument("--version", action="version", version=f"hyperstate {__version__}")
@@ -77,47 +84,47 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", help="write the payload to this path instead of stdout")
 
     p_state = sub.add_parser("state", help="amplitudes of a hypergraph state")
-    p_state.add_argument("--d", type=int, required=True)
+    p_state.add_argument("--d", type=integer, required=True)
     p_state.add_argument("--edges", default="", help="edge list, e.g. '0,3;0,2,3;1,2,3'")
     add_output(p_state)
 
     p_circuit = sub.add_parser("circuit", help="generating circuit of a hypergraph state")
-    p_circuit.add_argument("--d", type=int, required=True)
+    p_circuit.add_argument("--d", type=integer, required=True)
     p_circuit.add_argument("--edges", default="")
     add_output(p_circuit)
 
     p_ops = sub.add_parser("operators", help="structural checks of the phase operators")
-    p_ops.add_argument("--d", type=int, required=True)
+    p_ops.add_argument("--d", type=integer, required=True)
     p_ops.add_argument("--check-all", action="store_true",
                        help="also run the spectral and FFT agreement checks")
     add_output(p_ops)
 
     p_squeeze = sub.add_parser("squeeze", help="number/phase squeezing report")
-    p_squeeze.add_argument("--d", type=int, required=True)
+    p_squeeze.add_argument("--d", type=integer, required=True)
     p_squeeze.add_argument("--edges", default="")
     add_output(p_squeeze)
 
     p_sweep = sub.add_parser("sweep", help="evaluate a hypergraph family exhaustively")
     p_sweep.add_argument("--family", choices=("dminus1", "complete-k", "single-full"),
                          required=True)
-    p_sweep.add_argument("--d", type=int, required=True)
-    p_sweep.add_argument("--k", type=int, help="edge size for complete-k")
+    p_sweep.add_argument("--d", type=integer, required=True)
+    p_sweep.add_argument("--k", type=integer, help="edge size for complete-k")
     p_sweep.add_argument("--metric", choices=METRIC_NAMES, action="append",
                          help="metric to summarize (repeatable; default all)")
     p_sweep.add_argument("--connected", choices=("auto", "on", "off"), default="auto",
                          help="connectivity filter (auto: on for dminus1)")
-    p_sweep.add_argument("--threads", type=int, default=1)
+    p_sweep.add_argument("--threads", type=integer, default=1)
     p_sweep.add_argument("--cache-dir", help="cache directory (default $HYPERSTATE_CACHE)")
     add_output(p_sweep)
 
     p_at = sub.add_parser("agarwal-tara", help="moment-determinant nonclassicality witness")
-    p_at.add_argument("--d", type=int, required=True)
-    p_at.add_argument("--n", type=int, required=True)
+    p_at.add_argument("--d", type=integer, required=True)
+    p_at.add_argument("--n", type=integer, required=True)
     p_at.add_argument("--exact", action="store_true", help="also print exact fractions")
     add_output(p_at)
 
     p_coh = sub.add_parser("coherence", help="l1 and relative-entropy coherence")
-    p_coh.add_argument("--d", type=int, required=True)
+    p_coh.add_argument("--d", type=integer, required=True)
     p_coh.add_argument("--edges", default="")
     p_coh.add_argument("--basis", choices=BASES, default="number")
     add_output(p_coh)
@@ -125,7 +132,7 @@ def _build_parser() -> _Parser:
     p_rep = sub.add_parser("reproduce", help="recompute and compare every published table")
     p_rep.add_argument("--extended", action="store_true",
                        help="include the d=9..12 sweeps and the remaining table rows")
-    p_rep.add_argument("--threads", type=int, default=1)
+    p_rep.add_argument("--threads", type=integer, default=1)
     p_rep.add_argument("--plot-dir", help="also write metric-vs-d series files here")
     p_rep.add_argument("--format", choices=("table", "json"), default="table")
     p_rep.add_argument("--out")

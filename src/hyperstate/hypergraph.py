@@ -1,4 +1,4 @@
-"""Hypergraphs, their generators, connectivity, and text form.
+"""Hypergraphs, their generators, connectivity, and edge-list text.
 
 A hypergraph on ``d`` vertices (labelled ``0 .. d-1``) carries a set of
 hyperedges, each a nonempty vertex subset.  Its Boolean function assigns to
@@ -8,7 +8,8 @@ signs (-1)**f(n), which only ``state.hypergraph_state`` scales by
 1 / sqrt(2**d).  Bit convention is MSB-first: vertex ``j`` reads the bit of
 weight ``2**(d-1-j)``, so vertex 0 is the most significant bit.  A family is
 one candidate edge list plus 0/1 membership rows, one row per hypergraph
-(``sweep.Family``); ``connected_rows`` is ``is_connected`` over such rows.
+(``sweep.Family``); ``is_connected`` is ``connected_rows`` of one row.  The
+one text form is the edge list: ``edges_text`` writes it, ``parse_edges`` reads it.
 """
 
 from __future__ import annotations
@@ -61,43 +62,14 @@ def vertex_mask(d: int, edge: Iterable[int]) -> int:
     return sum(1 << (d - 1 - v) for v in edge)
 
 
-def is_connected(g: Hypergraph) -> bool:
-    """Whether every vertex is covered and edge co-membership links them all.
-
-    Vertices are adjacent when they share some hyperedge.  Hypergraphs with
-    d <= 1 count as connected.
-    """
-    if g.d <= 1:
-        return True
-    covered: set[int] = set()
-    for edge in g.edges:
-        covered.update(edge)
-    if len(covered) != g.d:
-        return False
-    # Union-find over vertices; each edge merges its members.
-    parent = list(range(g.d))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for edge in g.edges:
-        anchor = find(edge[0])
-        for v in edge[1:]:
-            root = find(v)
-            if root != anchor:
-                parent[root] = anchor
-    return len({find(v) for v in range(g.d)}) == 1
-
-
 def connected_rows(d: int, edges: Sequence[tuple[int, ...]], rows: np.ndarray) -> np.ndarray:
-    """``is_connected`` of each 0/1 row over ``edges``: rounds of growth from vertex 0, until
-    no row's reach grows (at most d rounds)."""
-    masks = np.array([vertex_mask(d, e) for e in edges], dtype=np.int64)
+    """Whether edge co-membership links every vertex of each 0/1 row over ``edges``: rounds of
+    growth from vertex 0, until no row's reach grows (at most d rounds).  d = 1 counts as
+    connected.  Vertex masks are int64 below d = 63 and Python ints from d = 63 on."""
+    dtype = np.int64 if d < 63 else object
+    masks = np.array([vertex_mask(d, e) for e in edges], dtype=dtype)
     chosen = np.asarray(rows, dtype=bool)
-    reached = np.full(len(chosen), 1 << (d - 1), dtype=np.int64)
+    reached = np.full(len(chosen), 1 << (d - 1), dtype=dtype)
     for _ in range(d):
         meets = chosen & ((masks & reached[:, None]) != 0)
         grown = reached | np.bitwise_or.reduce(np.where(meets, masks, 0), axis=1)
@@ -105,6 +77,11 @@ def connected_rows(d: int, edges: Sequence[tuple[int, ...]], rows: np.ndarray) -
             break
         reached = grown
     return reached == (1 << d) - 1
+
+
+def is_connected(g: Hypergraph) -> bool:
+    """Whether ``g`` is connected: ``connected_rows`` of its one row."""
+    return bool(connected_rows(g.d, g.edges, np.ones((1, len(g.edges)), dtype=bool))[0])
 
 
 def single_full_edge(d: int) -> Hypergraph:
@@ -124,40 +101,21 @@ def edges_text(g: Hypergraph) -> str:
     return ";".join(",".join(str(v) for v in e) for e in g.edges)
 
 
-def serialize_hypergraph(g: Hypergraph) -> str:
-    """Canonical text form, e.g. ``d=4; edges=0,3;0,2,3;1,2,3``."""
-    return f"d={g.d}; edges={edges_text(g)}"
-
-
 def parse_edges(text: str) -> tuple[tuple[int, ...], ...]:
-    """Parse the edge-list portion of the grammar: ``<edge>(;<edge>)*``.
+    """Parse an edge list ``<edge>(;<edge>)*``, each edge ``<vertex>(,<vertex>)*`` and each
+    vertex a run of ASCII digits ``[0-9]+`` (no sign, ``_`` or other digits).
 
-    Whitespace is ignored; an empty string means no edges.
+    Whitespace around a vertex is ignored, but not within one (``1 0`` is malformed);
+    blank text means no edges.
     """
-    compact = "".join(text.split())
-    if not compact:
+    if not text.strip():
         return ()
     edges = []
-    for part in compact.split(";"):
-        if not part:
+    for part in text.split(";"):
+        if not part.strip():
             raise ValueError("empty hyperedge in edge list")
-        try:
-            edges.append(tuple(int(v) for v in part.split(",")))
-        except ValueError:
-            raise ValueError(f"malformed hyperedge {part!r}") from None
+        vertices = [v.strip() for v in part.split(",")]
+        if not all(v.isascii() and v.isdigit() for v in vertices):
+            raise ValueError(f"malformed hyperedge {part.strip()!r}")
+        edges.append(tuple(map(int, vertices)))
     return tuple(edges)
-
-
-def parse_hypergraph(text: str) -> Hypergraph:
-    """Parse ``d=<int>; edges=<edge>(;<edge>)*`` into a Hypergraph."""
-    compact = "".join(text.split())
-    head, sep, rest = compact.partition(";")
-    if not head.startswith("d=") or not sep:
-        raise ValueError(f"expected 'd=<int>; edges=...', got {text!r}")
-    try:
-        d = int(head[2:])
-    except ValueError:
-        raise ValueError(f"malformed vertex count in {text!r}") from None
-    if not rest.startswith("edges="):
-        raise ValueError(f"expected 'edges=' field in {text!r}")
-    return Hypergraph(d, parse_edges(rest[len("edges=") :]))

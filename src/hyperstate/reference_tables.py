@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
+from .hypergraph import complete_k_graph, edges_text
 from .moments import AgarwalTaraResult, agarwal_tara, moment_sequences
 
 # Tolerance above which a printed cell counts as a suspected misprint.
@@ -123,31 +124,25 @@ NUMBER_BASIS_ENTROPY = {
     4: 2.772, 5: 3.465, 6: 4.158, 7: 4.852, 8: 5.545, 9: 6.238, 10: 6.931,
 }
 
-def _complete_family_text(d: int) -> str:
-    # The complete (d-1)-graph: every (d-1)-subset, canonical order.
-    parts = [",".join(str(v) for v in range(d) if v != skip) for skip in range(d - 1, -1, -1)]
-    return ";".join(parts)
-
-
 # Phase-basis coherence extrema over connected (d-1)-graphs:
 # d -> (max, max edge sets, min, min edge sets).
 PHASE_BASIS_ENTROPY = {
-    4: (2.4889, (_complete_family_text(4),), 1.709, ("0,2,3;1,2,3",)),
-    5: (2.5315, (_complete_family_text(5),), 1.2645, ("0,2,3,4;1,2,3,4",)),
-    6: (1.9539, (_complete_family_text(6),), 0.8317, ("0,1,2,3,4;1,2,3,4,5",)),
-    7: (1.579, (_complete_family_text(7),), 0.496, ("0,1,2,4,5,6;1,2,3,4,5,6",)),
-    8: (0.9944, (_complete_family_text(8),), 0.2513, ("0,1,3,4,5,6,7;1,2,3,4,5,6,7",)),
-    9: (0.6774, (_complete_family_text(9),), 0.1324, ("0,2,3,4,5,6,7,8;1,2,3,4,5,6,7,8",)),
-    10: (0.3135, (_complete_family_text(10),), 0.0078,
+    4: (2.4889, (edges_text(complete_k_graph(4, 3)),), 1.709, ("0,2,3;1,2,3",)),
+    5: (2.5315, (edges_text(complete_k_graph(5, 4)),), 1.2645, ("0,2,3,4;1,2,3,4",)),
+    6: (1.9539, (edges_text(complete_k_graph(6, 5)),), 0.8317, ("0,1,2,3,4;1,2,3,4,5",)),
+    7: (1.579, (edges_text(complete_k_graph(7, 6)),), 0.496, ("0,1,2,4,5,6;1,2,3,4,5,6",)),
+    8: (0.9944, (edges_text(complete_k_graph(8, 7)),), 0.2513, ("0,1,3,4,5,6,7;1,2,3,4,5,6,7",)),
+    9: (0.6774, (edges_text(complete_k_graph(9, 8)),), 0.1324, ("0,2,3,4,5,6,7,8;1,2,3,4,5,6,7,8",)),
+    10: (0.3135, (edges_text(complete_k_graph(10, 9)),), 0.0078,
          ("0,2,3,4,5,6,7,8,9;1,2,3,4,5,6,7,8,9",)),
 }
 
 PHASE_BASIS_L1 = {
-    4: (12.8646, (_complete_family_text(4),), 7.4926, ("0,2,3;1,2,3",)),
-    5: (19.4148, (_complete_family_text(5),), 9.0122, ("0,2,3,4;1,2,3,4",)),
-    6: (25.6414, (_complete_family_text(6),), 10.8189, ("0,2,3,4,5;1,2,3,4,5",)),
-    7: (31.4497, (_complete_family_text(7),), 10.234, ("0,2,3,4,5,6;1,2,3,4,5,6",)),
-    8: (35.805, (_complete_family_text(8),), 11.4444, ("0,2,3,4,5,6,7;1,2,3,4,5,6,7",)),
+    4: (12.8646, (edges_text(complete_k_graph(4, 3)),), 7.4926, ("0,2,3;1,2,3",)),
+    5: (19.4148, (edges_text(complete_k_graph(5, 4)),), 9.0122, ("0,2,3,4;1,2,3,4",)),
+    6: (25.6414, (edges_text(complete_k_graph(6, 5)),), 10.8189, ("0,2,3,4,5;1,2,3,4,5",)),
+    7: (31.4497, (edges_text(complete_k_graph(7, 6)),), 10.234, ("0,2,3,4,5,6;1,2,3,4,5,6",)),
+    8: (35.805, (edges_text(complete_k_graph(8, 7)),), 11.4444, ("0,2,3,4,5,6,7;1,2,3,4,5,6,7",)),
 }
 
 

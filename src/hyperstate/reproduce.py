@@ -55,7 +55,6 @@ from .sweep import (
     SweepResults,
     SweepSummary,
     _require_threads,
-    dminus1_family,
     render_results,
     sweep_family,
 )
@@ -482,15 +481,15 @@ class Reproducer:
             undefined = np.isnan(s_n)
             count += len(results) - int(np.count_nonzero(undefined))
             for i in np.flatnonzero(undefined).tolist():
-                notes.append(f"s_n undefined at d={results.d[i]}, edges {results.edges[i]}")
+                notes.append(f"s_n undefined at d={results.d}, edges {results.edges[i]}")
             for i in np.flatnonzero(s_n < 0).tolist():
-                failures.append(f"S_N = {s_n[i].item()} < 0 at d={results.d[i]}, edges {results.edges[i]}")
+                failures.append(f"S_N = {s_n[i].item()} < 0 at d={results.d}, edges {results.edges[i]}")
         return _result("C12", "no number squeezing over swept families (d<=8)", failures,
                        f"S_N >= 0 on all {count} swept configurations", notes)
 
     def check_determinism(self) -> CheckResult:
         failures = []
-        family = dminus1_family(6)
+        family = Family("dminus1", 6)
         records_1, _ = sweep_family(family, threads=1)
         records_8, _ = sweep_family(family, threads=8)
         for fmt in ("csv", "json"):

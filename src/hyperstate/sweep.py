@@ -4,7 +4,7 @@ A family is one candidate edge list plus 0/1 membership rows (``Family``).
 A sweep evaluates every row (optionally filtered to connected hypergraphs,
 ``hypergraph.connected_rows``), producing one record per configuration in
 row order plus a per-metric extremal summary, and builds no Hypergraph.
-The records are one columnar ``SweepResults``: a ``d`` per record, the
+The records are one columnar ``SweepResults``: the family's ``d``, the
 joined edge texts and one (records x 7) float64 matrix in ``METRIC_NAMES``
 order, with NaN for an undefined value.  Indexing and iteration give
 ``SweepRecord`` views.  Results serialize to CSV/JSON with shortest
@@ -185,6 +185,7 @@ class Family:
 
 
 def dminus1_family(d: int) -> Family:
+    """``Family("dminus1", d)``; kept until ``bench/workloads.py`` is re-keyed (ROADMAP item 2)."""
     return Family("dminus1", d)
 
 
@@ -204,14 +205,14 @@ def _record(d: int, edges: str, row: list[float]) -> SweepRecord:
 class SweepResults(Sequence[SweepRecord]):
     """A sweep's records as columns.
 
-    ``d`` holds one Python int per record, ``edges`` the joined edge texts and
+    ``d`` is the one vertex count of every record, ``edges`` the joined edge texts and
     ``values`` one (records x 7) float64 matrix in ``METRIC_NAMES`` order, NaN
     where a metric is undefined.  Indexing and iteration give ``SweepRecord``
     views with Python float or None metrics; ``==`` compares two results
     column by column, telling -0.0 from 0.0 as their text does.
     """
 
-    def __init__(self, d: list[int], edges: list[str], values: np.ndarray) -> None:
+    def __init__(self, d: int, edges: list[str], values: np.ndarray) -> None:
         self.d, self.edges, self.values = d, edges, values
 
     def __len__(self) -> int:
@@ -219,10 +220,10 @@ class SweepResults(Sequence[SweepRecord]):
 
     def __getitem__(self, index: int) -> SweepRecord:
         index = operator.index(index)  # a slice would give a record of lists
-        return _record(self.d[index], self.edges[index], self.values[index].tolist())
+        return _record(self.d, self.edges[index], self.values[index].tolist())
 
     def __iter__(self) -> Iterator[SweepRecord]:
-        return map(_record, self.d, self.edges, self.values.tolist())
+        return map(partial(_record, self.d), self.edges, self.values.tolist())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SweepResults):
@@ -283,7 +284,7 @@ def _results(d: int, edges: Sequence[tuple[int, ...]], rows: np.ndarray, values:
     """Results of 0/1 ``rows`` over ``edges`` with their (rows x 7) ``values``."""
     texts = [",".join(map(str, e)) for e in edges]
     joined = [";".join(itertools.compress(texts, row)) for row in rows.tolist()]
-    return SweepResults([d] * len(joined), joined, values)
+    return SweepResults(d, joined, values)
 
 
 def _evaluate(d: int, edges: Sequence[tuple[int, ...]], rows: np.ndarray, workers: int = 1) -> SweepResults:
@@ -303,7 +304,7 @@ def _evaluate(d: int, edges: Sequence[tuple[int, ...]], rows: np.ndarray, worker
 
 
 def evaluate_record(g: Hypergraph) -> SweepRecord:
-    """Compute all sweep metrics for one hypergraph (a sweep of one row)."""
+    """All sweep metrics of one hypergraph; kept until ``bench/workloads.py`` is re-keyed (ROADMAP item 2)."""
     return _evaluate(g.d, g.edges, np.ones((1, len(g.edges))))[0]
 
 
@@ -450,7 +451,7 @@ def _csv_blocks(results: SweepResults) -> Iterator[str]:
     cells = results._cell_texts()
     for start in range(0, len(results), RENDER_BLOCK):
         block = slice(start, start + RENDER_BLOCK)
-        rows = zip(map(str, results.d[block]), map(_csv_field, results.edges[block]),
+        rows = zip(itertools.repeat(str(results.d)), map(_csv_field, results.edges[block]),
                    *(column[block] for column in cells))
         yield "\n".join(map(",".join, rows)) + "\n"
 
@@ -467,7 +468,7 @@ def _json_blocks(results: SweepResults, depth: int) -> Iterator[str]:
     yield "["
     for start in range(0, len(results), RENDER_BLOCK):
         block = slice(start, start + RENDER_BLOCK)
-        rows = zip(map(str, results.d[block]), map(encode_basestring_ascii, results.edges[block]),
+        rows = zip(itertools.repeat(str(results.d)), map(encode_basestring_ascii, results.edges[block]),
                    *([text or "null" for text in column[block]] for column in cells))
         yield ("," if start else "") + ",".join(starmap(record.format, rows))
     yield indent + "]"

@@ -2,6 +2,7 @@
 
 Each one computes a quantity by a route independent of the package's own:
 the truth table edge by edge, every k-uniform hypergraph by a mask loop,
+connectivity by union-find over the vertices,
 the +-1 sign rows of hypergraphs batched over their own edges, commutators and
 expectations of dense matrices, the spectral sum F diag(theta) F^dagger as a
 dim**3 product of Fourier matrices, the dense phase operator and the Toeplitz
@@ -76,6 +77,37 @@ def k_uniform_hypergraphs(d: int, k: int) -> Iterator[Hypergraph]:
     subsets = list(itertools.combinations(range(d), k))
     for mask in range(1, 1 << len(subsets)):
         yield Hypergraph(d, [subsets[i] for i in range(len(subsets)) if mask >> i & 1])
+
+
+def is_connected(g: Hypergraph) -> bool:
+    """Whether every vertex is covered and edge co-membership links them all, by union-find.
+
+    Vertices are adjacent when they share some hyperedge.  Hypergraphs with
+    d <= 1 count as connected.
+    """
+    if g.d <= 1:
+        return True
+    covered: set[int] = set()
+    for edge in g.edges:
+        covered.update(edge)
+    if len(covered) != g.d:
+        return False
+    # Union-find over vertices; each edge merges its members.
+    parent = list(range(g.d))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for edge in g.edges:
+        anchor = find(edge[0])
+        for v in edge[1:]:
+            root = find(v)
+            if root != anchor:
+                parent[root] = anchor
+    return len({find(v) for v in range(g.d)}) == 1
 
 
 def hypergraph_signs(graphs: Sequence[Hypergraph]) -> np.ndarray:
@@ -305,13 +337,17 @@ def _summarize(records: Sequence[SweepRecord], metric: str) -> MetricSummary:
 
 
 def columns(records: Iterable[SweepRecord]) -> SweepResults:
-    """``records`` as one columnar ``SweepResults``, NaN where a metric is None."""
+    """``records`` as one columnar ``SweepResults``, NaN where a metric is None.  Its ``d`` is
+    the records' one d (0 for no records); records of more than one d are a ValueError."""
     records = list(records)
+    ds = {r.d for r in records}
+    if len(ds) > 1:
+        raise ValueError(f"records of more than one d: {sorted(ds)}")
     values = np.array(
         [[np.nan if r.metrics[m] is None else r.metrics[m] for m in METRIC_NAMES] for r in records],
         dtype=np.float64,
     ).reshape(len(records), len(METRIC_NAMES))
-    return SweepResults([r.d for r in records], [r.edges for r in records], values)
+    return SweepResults(ds.pop() if ds else 0, [r.edges for r in records], values)
 
 
 def records_payload(records: Iterable[SweepRecord]) -> list[dict]:

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import builtins
+import contextlib
 import errno
 import io
 import json
@@ -10,8 +11,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hyperstate.cli import main
+from hyperstate.cli import main, run
 from hyperstate.sweep import METRIC_NAMES, Family, cached_sweep, render_results
 
 EXAMPLE_EDGES_FLAG = "0,3;0,2,3;1,2,3"
@@ -304,6 +307,55 @@ def test_malformed_edges_is_user_error(capsys):
     code, _, err = run_cli(capsys, "state", "--d", "4", "--edges", "0,,1")
     assert code == 1
     assert err.startswith("error:")
+
+
+# ASCII digits, three non-ASCII ones that int() reads (ARABIC-INDIC FOUR, FULLWIDTH ONE,
+# BENGALI THREE), and the separators, signs, underscore and space; and well-formed lists.
+_EDGE_TEXT = st.text(alphabet="0123456789\u0664\uff11\u09e9_+-,; ", max_size=12) | st.lists(
+    st.lists(st.integers(0, 4), min_size=1, max_size=4).map(lambda edge: ",".join(map(str, edge))),
+    max_size=4).map(";".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_EDGE_TEXT)
+def test_any_edges_text_works_or_fails_with_one_line(text):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(["squeeze", "--d", "4", "--edges", text])
+    assert code in (0, 1)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+    else:
+        assert set(text) <= set("0123,; ") and err.getvalue() == ""
+
+
+@pytest.mark.parametrize("edges", ["0,1_0", "0,1 0", "+1,2", "0,-1", "0,\u0664", "\uff11,2"])
+def test_edges_are_ascii_digits_only(capsys, edges):
+    code, out, err = run_cli(capsys, "squeeze", "--d", "11", "--edges", edges)
+    assert (code, out) == (1, "")
+    assert err == f"error: malformed hyperedge {edges!r}\n"
+
+
+@pytest.mark.parametrize("value", ["\u0664", "1_0", "+4", " 4", "4.0", ""])
+@pytest.mark.parametrize("argv", [
+    ("squeeze", "--d", "{}"),
+    ("sweep", "--family", "complete-k", "--d", "4", "--k", "{}"),
+    ("sweep", "--family", "dminus1", "--d", "4", "--threads", "{}"),
+    ("agarwal-tara", "--d", "3", "--n", "{}"),
+    ("reproduce", "--threads", "{}"),
+], ids=["d", "k", "threads", "n", "reproduce-threads"])
+def test_integer_flags_are_ascii_digits_only(capsys, argv, value):
+    code, out, err = run_cli(capsys, *(value if arg == "{}" else arg for arg in argv))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: usage: argument ") and err.count("\n") == 1
+
+
+def test_negative_integer_flags_keep_their_range_errors(capsys):
+    code, _, err = run_cli(capsys, "squeeze", "--d", "-1")
+    assert (code, err) == (1, "error: vertex count must be positive, got -1\n")
+    code, _, err = run_cli(capsys, "agarwal-tara", "--d", "-2", "--n", "2")
+    assert code == 1 and err.startswith("error:") and err.count("\n") == 1
 
 
 def test_guard_violation_exit_code(capsys):

@@ -1,4 +1,4 @@
-"""Unit tests for hypergraph structures, families, and text round-trips."""
+"""Unit tests for hypergraph structures, families, connectivity and edge-list text."""
 
 import itertools
 
@@ -14,12 +14,12 @@ from hyperstate.hypergraph import (
     connected_rows,
     edges_text,
     is_connected,
-    parse_hypergraph,
-    serialize_hypergraph,
+    parse_edges,
     single_full_edge,
 )
 from hyperstate.sweep import Family
 
+import oracles
 from conftest import EXAMPLE_EDGES, random_hypergraph
 from oracles import boolean_function, k_uniform_hypergraphs
 
@@ -150,8 +150,9 @@ def test_connected_rows_match_is_connected_on_every_k_uniform_subset(d, k):
     edges = tuple(itertools.combinations(range(d), k))
     masks = np.arange(1, 1 << len(edges))
     rows = (masks[:, None] >> np.arange(len(edges))) & 1
-    expected = [is_connected(g) for g in k_uniform_hypergraphs(d, k)]
+    expected = [oracles.is_connected(g) for g in k_uniform_hypergraphs(d, k)]
     assert connected_rows(d, edges, rows).tolist() == expected
+    assert [is_connected(g) for g in k_uniform_hypergraphs(d, k)] == expected
 
 
 @pytest.mark.parametrize("d", range(2, 11))
@@ -161,9 +162,33 @@ def test_connected_rows_grow_a_chain_for_d_minus_1_rounds(d):
     # d - 1, and no stop at the first row that stopped growing, gets every row right.
     edges = tuple((v, v + 1) for v in range(d - 1))
     rows = (np.arange(1, 1 << len(edges))[:, None] >> np.arange(len(edges))) & 1
-    expected = [is_connected(Hypergraph(d, itertools.compress(edges, row))) for row in rows.tolist()]
+    graphs = [Hypergraph(d, itertools.compress(edges, row)) for row in rows.tolist()]
+    expected = [oracles.is_connected(g) for g in graphs]
     assert expected[-1]  # the whole chain
     assert connected_rows(d, edges, rows).tolist() == expected
+    assert [is_connected(g) for g in graphs] == expected
+
+
+@st.composite
+def _candidate_edges(draw):
+    """(d, up to 6 distinct edges) with d on both sides of d = 63, where the vertex masks of
+    ``connected_rows`` turn from int64 into Python ints.  An edge is a few vertices or all
+    but a few, so that few edges can connect many vertices."""
+    d = draw(st.sampled_from([*range(1, 9), 62, 63, 64, 70, 130]))
+    few = st.sets(st.integers(0, d - 1), min_size=1, max_size=4)
+    edge = few | few.map(lambda leave_out: set(range(d)) - leave_out).filter(bool)
+    return d, Hypergraph(d, draw(st.lists(edge, max_size=6))).edges
+
+
+@settings(max_examples=200, deadline=None)
+@given(_candidate_edges())
+def test_connectivity_equals_the_union_find_oracle_across_mask_widths(case):
+    d, edges = case
+    rows = (np.arange(1 << len(edges))[:, None] >> np.arange(len(edges))) & 1  # every subset
+    graphs = [Hypergraph(d, itertools.compress(edges, row)) for row in rows.tolist()]
+    expected = [oracles.is_connected(g) for g in graphs]
+    assert connected_rows(d, edges, rows).tolist() == expected
+    assert [is_connected(g) for g in graphs] == expected
 
 
 # generators
@@ -200,32 +225,30 @@ def test_k_uniform_family_guard():
         list(Family("k-uniform", 8, 4).configurations())  # C(8,4) = 70 candidate edges
 
 
-# text form
+# edge-list text
 
 
 def test_parse_example():
-    g = parse_hypergraph("d=4; edges=0,3;0,2,3;1,2,3")
-    assert g == Hypergraph(4, EXAMPLE_EDGES)
+    assert Hypergraph(4, parse_edges("0,3;0,2,3;1,2,3")) == Hypergraph(4, EXAMPLE_EDGES)
 
 
 def test_parse_edgeless():
-    assert parse_hypergraph("d=3; edges=") == Hypergraph(3)
+    assert parse_edges("") == parse_edges("  ") == ()
+    assert Hypergraph(3, parse_edges("")) == Hypergraph(3)
 
 
 def test_parse_ignores_whitespace():
-    g = parse_hypergraph(" d = 4 ;  edges = 0 , 3 ; 1 , 2 ")
-    assert g.edges == ((0, 3), (1, 2))
+    assert parse_edges(" 0 , 3 ;  1 , 2 ") == parse_edges("\t0,3\n;1,2\u3000") == ((0, 3), (1, 2))
 
 
-def test_serialize_example():
-    text = serialize_hypergraph(Hypergraph(4, EXAMPLE_EDGES))
-    assert text == "d=4; edges=0,3;0,2,3;1,2,3"
+def test_edges_text_example():
+    assert edges_text(Hypergraph(4, EXAMPLE_EDGES)) == "0,3;0,2,3;1,2,3"
     assert edges_text(Hypergraph(3)) == ""
 
 
 def test_round_trip_on_families():
     for g in k_uniform_hypergraphs(4, 3):
-        assert parse_hypergraph(serialize_hypergraph(g)) == g
+        assert Hypergraph(g.d, parse_edges(edges_text(g))) == g
 
 
 @st.composite
@@ -243,29 +266,30 @@ def _raw_edge_lists(draw):
 def test_round_trip_on_random_edge_lists(raw):
     d, edges = raw
     g = Hypergraph(d, edges)
-    assert parse_hypergraph(serialize_hypergraph(g)) == g
+    assert Hypergraph(d, parse_edges(edges_text(g))) == g
     text = ";".join(",".join(map(str, edge)) for edge in edges)
-    assert parse_hypergraph(f"d={d}; edges={text}") == g
+    assert Hypergraph(d, parse_edges(text)) == g
 
 
 def test_round_trip_canonicalizes():
-    assert serialize_hypergraph(parse_hypergraph("d=4; edges=3,0;2,0,3")) == (
-        "d=4; edges=0,3;0,2,3"
-    )
+    assert edges_text(Hypergraph(4, parse_edges("3,0;2,0,3"))) == "0,3;0,2,3"
 
 
 @pytest.mark.parametrize(
     "text",
     [
-        "edges=0,1",           # missing d
-        "d=4 edges=0,1",       # missing separator
-        "d=x; edges=0,1",      # bad vertex count
-        "d=4; edges=0,1;",     # trailing empty edge
-        "d=4; edges=0,,1",     # empty vertex
-        "d=4; edges=0,9",      # vertex out of range
-        "d=4; edges=a,b",      # non-integers
+        "0,1;",    # trailing empty edge
+        "0,,1",    # empty vertex
+        "0,9",     # vertex out of range
+        "a,b",     # non-integers
+        "0,1_0",   # int() reads 10
+        "+1,2",    # int() reads 1
+        "0,-1",    # a sign
+        "0,1 0",   # a space within a vertex; removing it would read 10
+        "\u0664",  # ARABIC-INDIC DIGIT FOUR, which int() reads as 4
+        "0,\uff11",  # FULLWIDTH DIGIT ONE
     ],
 )
 def test_parse_rejects_malformed(text):
     with pytest.raises(ValueError):
-        parse_hypergraph(text)
+        Hypergraph(4, parse_edges(text))

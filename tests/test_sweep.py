@@ -26,8 +26,7 @@ from hyperstate.hypergraph import (
     connected_rows,
     edges_text,
     is_connected,
-    parse_hypergraph,
-    serialize_hypergraph,
+    parse_edges,
 )
 from hyperstate.reproduce import Reproducer
 from hyperstate.squeezing import squeeze_report
@@ -126,12 +125,12 @@ def _k_uniform_rows():
 def test_rows_agree_with_decoded_hypergraphs(case):
     d, edges, rows = case
     graphs = [Hypergraph(d, itertools.compress(edges, row)) for row in rows.tolist()]
-    assert connected_rows(d, edges, rows).tolist() == [is_connected(g) for g in graphs]
+    assert connected_rows(d, edges, rows).tolist() == [oracles.is_connected(g) for g in graphs]
     records = sweep_mod._evaluate(d, edges, rows)
     for record, g in zip(records, graphs):
         assert record.edges == edges_text(g)
         assert record == evaluate_record(g)
-        assert parse_hypergraph(serialize_hypergraph(g)) == g
+        assert Hypergraph(d, parse_edges(record.edges)) == g
 
 
 def test_sweep_builds_no_per_configuration_objects(monkeypatch):
@@ -298,12 +297,12 @@ _METRIC_VALUES = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([-0.0, 5e-324, -2.5e-310, 1.7976931348623157e308, -1.7976931348623157e308]),
 )
-_RECORDS = st.lists(st.builds(
+_RECORDS = st.integers(-(10**6), 10**6).flatmap(lambda d: st.lists(st.builds(
     SweepRecord,
-    d=st.integers(-(10**6), 10**6),
+    d=st.just(d),  # a results object holds one d
     edges=st.text(alphabet="0123456789,;", max_size=30),
     metrics=st.fixed_dictionaries({name: _METRIC_VALUES for name in METRIC_NAMES}),
-), max_size=5)
+), max_size=5))
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -630,12 +629,12 @@ def test_family_value_multiset_invariant_under_relabeling():
 
 # --- columnar results against the per-record oracles ---------------------------------
 
-_ODD_EDGE_RECORDS = st.lists(st.builds(
+_ODD_EDGE_RECORDS = st.integers(-3, 20).flatmap(lambda d: st.lists(st.builds(
     SweepRecord,
-    d=st.integers(-3, 20),
+    d=st.just(d),
     edges=st.text(max_size=12) | st.sampled_from(["", ",", '"', 'a"b,c', "x\ny", "x\r\ny", " ;", "é,ü"]),
     metrics=st.fixed_dictionaries({name: _METRIC_VALUES for name in METRIC_NAMES}),
-), max_size=5)
+), max_size=5))
 
 
 def _oracle_summary(records):
@@ -658,10 +657,12 @@ def test_columnar_text_equals_the_per_record_oracle(records):
 
 def test_columnar_text_of_no_records_and_of_extreme_values():
     values = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, None, 0.0, -2.5e-310]
-    records = [SweepRecord(4, 'a,"b"\n', dict(zip(METRIC_NAMES, values))), SweepRecord(-7, "", dict.fromkeys(METRIC_NAMES))]
+    records = [SweepRecord(-7, 'a,"b"\n', dict(zip(METRIC_NAMES, values))), SweepRecord(-7, "", dict.fromkeys(METRIC_NAMES))]
     for chosen in ([], records):
         for fmt in ("csv", "json"):
             assert render_results(oracles.columns(chosen), fmt) == oracles.render_results(chosen, fmt)
+    with pytest.raises(ValueError, match="more than one d"):
+        oracles.columns([records[0], SweepRecord(4, "", records[1].metrics)])
 
 
 def test_columnar_text_of_constant_undefined_and_signed_zero_columns():
@@ -676,13 +677,14 @@ def test_columnar_text_of_constant_undefined_and_signed_zero_columns():
 
 
 def test_results_equality_tells_negative_zero_from_zero():
-    zero, negative_zero = (sweep_mod.SweepResults([4], ["a"], sign * np.zeros((1, 7))) for sign in (1.0, -1.0))
+    zero, negative_zero = (sweep_mod.SweepResults(4, ["a"], sign * np.zeros((1, 7))) for sign in (1.0, -1.0))
     assert render_results(zero, "csv") != render_results(negative_zero, "csv")
-    assert zero != negative_zero and zero == sweep_mod.SweepResults([4], ["a"], np.zeros((1, 7)))
+    assert zero != negative_zero and zero == sweep_mod.SweepResults(4, ["a"], np.zeros((1, 7)))
+    assert zero != sweep_mod.SweepResults(5, ["a"], np.zeros((1, 7)))
     # NaN is an undefined metric, an empty cell whatever its sign.
     undefined = np.full((1, 7), np.nan)
-    assert sweep_mod.SweepResults([4], ["a"], undefined) == sweep_mod.SweepResults([4], ["a"], -undefined)
-    assert sweep_mod.SweepResults([4], ["a"], undefined) != zero
+    assert sweep_mod.SweepResults(4, ["a"], undefined) == sweep_mod.SweepResults(4, ["a"], -undefined)
+    assert sweep_mod.SweepResults(4, ["a"], undefined) != zero
 
 
 _TIED_VALUES = st.sampled_from([None, 0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 5e-324, -5e-324])

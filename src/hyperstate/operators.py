@@ -16,12 +16,11 @@ unnormalised +-1 sign rows x = 1 - 2 1_K (``state.membership_signs``) as the
 states x / sqrt(dim), and scale their sums by exact powers of two: p_m =
 |F_m|**2 / dim**2 and half_comm = |Im <N x|P x>| / dim, with F = fft(x).
 ``_phase_sums`` reduces rows of bins m = 0 .. P/2 under orbit weights
-(below; at P = dim, the mirror weights of the half spectrum).  The spread is
-a row dot with its weights (``_row_dots``): each row its own BLAS dot, over
-column blocks of at most DOT_BLOCK = 8192 bins added in ascending order,
-since OpenBLAS threads a dot above 10000 elements (at 10001 the bits moved
-between 1 and 2 BLAS threads, at 8193 they did not).  The sums of p, sqrt p
-and p log p are plain row sums, doubled and scaled by exact powers of two.
+(below; at P = dim, the mirror weights of the half spectrum), each with
+numpy's row reduction ``np.add.reduce``: the spread sums p times its weights
+over whole rows, and the sums of p, sqrt p and p log p are plain row sums,
+doubled and scaled by exact powers of two.  No sum goes through BLAS, so no
+bit depends on the BLAS kernel or its thread count.
 ``_phase_moments`` finishes the sums, with the relative entropy as
 log T - (sum p log p) / T for the total T (p = 0 adds exactly 0).
 ``spectral_profile`` (the rfft route) takes the half spectra of x and n x
@@ -83,10 +82,6 @@ from .errors import dimension, require_bytes, require_cubic_work
 # Rows per tile of a profile call: a tile's rfft stacks the half spectra of psi
 # and n psi, 2 (2**(d-1) + 1) complex128 values per row, about 1 MiB per tile.
 CHUNK_BYTES = 1 << 20
-
-# Columns per BLAS row dot of ``_row_dots``: OpenBLAS threads a dot above
-# 10000 elements, whose bits then depend on its thread count.
-DOT_BLOCK = 1 << 13
 
 # The support route folds a row's spectrum at most d - FOLD_FLOOR levels, so a
 # folded row keeps at least 2**(FOLD_FLOOR - 1) + 1 bins.
@@ -210,9 +205,9 @@ def spectral_profile(psi: np.ndarray) -> SpectralProfile:
     F and G come from one ``rfft`` of length dim over the stacked rows of
     psi and n psi.  ``_phase_sums`` reduces p at fold level 0, with the
     squared imaginary parts' array as its scratch, and ``_phase_moments``
-    finishes the sums.  Every reduction (a row-wise ``np.sum``, or a row
-    dot of ``_row_dots``) reads one row alone, so a state's values do not
-    depend on which other states share its batch.
+    finishes the sums.  Every reduction is a row-wise ``np.add.reduce`` that
+    reads one row alone, so a state's values do not depend on which other
+    states share its batch.
     """
     psi = np.asarray(psi)
     if np.iscomplexobj(psi):
@@ -258,33 +253,19 @@ def _fold_weights(d: int, level: int) -> tuple[np.ndarray, float]:
     The spread weight of a bin is the sum of (theta - pi)**2 over its orbit,
     m + jP and -m + jP for 0 <= j < g (2g bins for 0 < m < P/2, g at
     m = P/2), taken as twice the sum over the half {m + jP}, which the other
-    half mirrors; at m = 0, which the sums skip, it is (theta_0 - pi)**2.  At
-    level 0 the weights are mirror_m (theta_m - pi)**2, mirror_m = 1 at m = 0
-    and m = dim/2, else 2, and the extra weight is 0.
+    half mirrors; at m = 0 it is 0, since p_0 enters var_p as p_0 mean**2
+    (``_phase_moments``).  At level 0 the weights are 2 (theta_m - pi)**2
+    for 0 < m < dim/2 and (theta_m - pi)**2 at m = dim/2, and the extra
+    weight is 0.
     """
     g, period = 1 << level, 1 << d >> level
     half = period // 2
     square = (phase_angles(1 << d) - np.pi) ** 2
     orbit = square.reshape(g, period).sum(axis=0)  # sum over j of (theta_{r + jP} - pi)**2
     spread = 2.0 * orbit[: half + 1]
-    spread[0], spread[half] = square[0], orbit[half]
+    spread[0], spread[half] = 0.0, orbit[half]
     spread.flags.writeable = False
     return spread, float(np.sum(square[period::period]))
-
-
-def _row_dots(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_j a[r, j] w[j] for each row r: per column block of at most DOT_BLOCK, each row its own
-    (1 x n)(n x 1) ``np.matmul``, a BLAS dot, and the blocks' partials added in ascending order.
-
-    A row's dot does not depend on the other rows or on the row's alignment,
-    and OpenBLAS runs a dot of up to 10000 elements on one thread, so a block
-    does not depend on the BLAS thread count (at 10001 elements the bits
-    moved between 1 and 2 threads).
-    """
-    out = np.matmul(a[:, None, :DOT_BLOCK], w[:DOT_BLOCK, None])[:, 0, 0]
-    for start in range(DOT_BLOCK, a.shape[1], DOT_BLOCK):
-        out += np.matmul(a[:, None, start : start + DOT_BLOCK], w[start : start + DOT_BLOCK, None])[:, 0, 0]
-    return out
 
 
 def _orbit_sum(x: np.ndarray, level: int) -> np.ndarray:
@@ -309,25 +290,23 @@ def _phase_sums(prob: np.ndarray, scratch: np.ndarray, d: int, level: int = 0,
     0), which adds with weight g - 1 to the sums of p, sqrt p and p log p,
     and with the sum of its (theta - pi)**2 to the spread.  The weights are
     ``_fold_weights(d, level)``.  ``scratch``, of the shape of ``prob``,
-    holds in turn the square roots and the logs.  The spread is a row dot
-    with its weights (``_row_dots``: a BLAS dot per row over column blocks
-    of at most DOT_BLOCK = 8192 bins, which OpenBLAS keeps on one thread,
-    added in ascending order); the sums of p, sqrt p and p log p,
-    whose weights are the orbit sizes, are plain row sums doubled and scaled
-    by g (``_orbit_sum``), at level 0 bit for bit the mirror-weighted sums of
-    the half spectrum.  (A BLAS dot there moved a d = 6 s_p by 4.9e-15 and
-    broke the d = 3 ties of c_rel_phase; an einsum moved a d = 14
-    c_rel_phase by 5.7e-15.)  Sums over m >= 1 are taken directly, not as
-    T - p_0, which would cancel when p_0 is close to 1.  The log is taken of
-    max(p_m, tiny), the smallest normal float, so a bin with p_m = 0 adds
-    exactly 0.  Every sum reads one row alone, so a state's sums do not
-    depend on its batch.
+    holds in turn the spread terms, the square roots and the logs.  The
+    spread sums p times its weights over whole contiguous rows (the m = 0
+    weight is 0); the sums of p, sqrt p and p log p, whose weights are the
+    orbit sizes, are plain row sums doubled and scaled by g
+    (``_orbit_sum``), at level 0 bit for bit the mirror-weighted sums of the
+    half spectrum.  (A BLAS dot's bits followed the OpenBLAS kernel and its
+    thread count, and an einsum's, on wide rows, the batch.)  Sums over
+    m >= 1 are taken directly, not as T - p_0, which would cancel when p_0
+    is close to 1.  The log is taken of max(p_m, tiny), the smallest normal
+    float, so a bin with p_m = 0 adds exactly 0.  Every sum reads one row
+    alone, so a state's sums do not depend on its batch.
     """
     spread, extra_spread = _fold_weights(d, level)
     sums = np.empty((5, len(prob)))
     sums[0] = prob[:, 0]
     sums[1] = 2.0 * np.add.reduce(prob[:, 1:], axis=-1) - prob[:, -1]
-    sums[2] = _row_dots(prob[:, 1:], spread[1:])
+    sums[2] = np.add.reduce(np.multiply(prob, spread, out=scratch), axis=-1)
     sums[3] = _orbit_sum(np.sqrt(prob, out=scratch), level)
     logs = np.log(np.maximum(prob, _TINY, out=scratch), out=scratch)
     logs *= prob

@@ -460,11 +460,11 @@ class Reproducer:
             psi = hypergraph_state(g)
             for k in (3, 4):
                 value = complex(np.vdot(psi, commutator(g.dim, k) @ psi))
-                notes.append(
-                    f"claim verification: <[X^{k},P^{k}]> on d={g.d} edges {edges_text(g)} "
-                    f"= {value.real:.6g}{value.imag:+.6g}j"
-                    + ("" if abs(value) <= 1e-10 else " (nonzero; the all-k claim fails here)")
-                )
+                # Within the check's tolerance a value is round-off (exactly 0 for k = 4 on a
+                # real state: the commutator is real antisymmetric), so its digits are not printed.
+                shown = ("0 (within 1e-10)" if abs(value) <= 1e-10 else
+                         f"{value.real:.6g}{value.imag:+.6g}j (nonzero; the all-k claim fails here)")
+                notes.append(f"claim verification: <[X^{k},P^{k}]> on d={g.d} edges {edges_text(g)} = {shown}")
         return _result("C11", "quadrature commutator nullity (k=1,2)", failures,
                        f"zero within 1e-10 on {count} hypergraph states", notes)
 

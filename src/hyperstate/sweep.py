@@ -114,7 +114,16 @@ CACHE_ENV_VAR = "HYPERSTATE_CACHE"
 #    and complete-k (d, d - 1) at d <= 14 moved by at most 8.2e-16; s_p of
 #    k-uniform (4, 2) and (5, 2), near 0.011, by 1.0e-14 and 2.4e-14 (1 and 2
 #    ulps of var_p).
-RESULTS_VERSION = 9
+# 10: the spread is numpy's row reduction of p times its weights, not a BLAS
+#    dot, on both routes, so no bit depends on the OpenBLAS kernel: over every
+#    connected dminus1 record at d = 3..14 (32646), var_p moved in 5030 by at
+#    most 3.6e-16 relative and s_p in 33 by 1.7e-15; half_comm, s_n, var_n and
+#    the coherences kept every bit, as did every summary's extremal edge sets.
+#    single-full at d <= 16 kept every bit, complete-k (d, d - 1) at d <= 14
+#    moved once (var_p, 1.8e-16); k-uniform at d <= 5 moved var_p by at most
+#    3.9e-16, and s_p of (5, 2) near 0.0064 by 2.1e-14 and of (5, 3) near
+#    -7.5e-5 by 3.1e-12, an ulp of var_p amplified.
+RESULTS_VERSION = 10
 
 # Records per text block of a CSV or JSON render, about 50 kB of text at d = 12.
 # With blocks of 128 records the sweep-d12 benchmark peaked about 1 MiB lower

@@ -258,7 +258,8 @@ def test_c11_quadrature_nullity(reproducer):
     result = reproducer.check_quadrature_claims()
     assert result.status == "PASS", result.detail
     assert any("X^3" in note and "nonzero" in note for note in result.notes)
-    assert any("X^4" in note for note in result.notes)
+    # <[X^4,P^4]> is exactly 0 on a real state: its round-off is not printed as data.
+    assert [note.endswith("= 0 (within 1e-10)") for note in result.notes if "X^4" in note] == [True] * 3
     _announce("C11", f"k=1,2 commutators vanish on {len(states)} states; k=3,4 recorded")
 
 

@@ -5,9 +5,9 @@ bits, |F_m| has period P = dim / 2**v, and ``support_profile`` reads a row
 over m = 0 .. P/2 only, at level min(v, d - FOLD_FLOOR), with orbit weights.
 Patching ``FOLD_FLOOR`` down folds small states too, so that every support
 row at d <= 4 can be held against the unfolded kernel and the rfft oracle.
-The weighted sums are row dots over column blocks of at most ``DOT_BLOCK``,
-so the bits do not depend on the batch, the tiles, the worker threads or
-OpenBLAS's thread count.
+Every sum is numpy's row reduction over one row, so the bits do not depend
+on the batch, the tiles, the worker threads, or OpenBLAS's thread count or
+kernel.
 """
 
 import functools
@@ -106,11 +106,13 @@ def test_fold_levels_of_a_row_do_not_depend_on_its_batch(monkeypatch):
 def test_level_zero_fold_weights_are_the_mirror_weighted_spread_bit_for_bit(d):
     dim = 1 << d
     spread, extra_spread = operators_mod._fold_weights(d, 0)
-    # The spread weights of the half-spectrum reduction before folding.
+    # The spread weights of the half-spectrum reduction before folding; bin 0 enters var_p
+    # as p_0 mean**2, so its weight is 0.
     want = np.full(dim // 2 + 1, 2.0)
     want[[0, -1]] = 1.0
     want *= (phase_angles(dim)[: dim // 2 + 1] - np.pi) ** 2
-    assert spread.tobytes() == want.tobytes()
+    assert spread[0] == 0.0
+    assert spread[1:].tobytes() == want[1:].tobytes()
     assert extra_spread == 0.0
 
 
@@ -257,23 +259,22 @@ def test_folded_rows_of_each_level_match_a_40_digit_oracle_at_d12():
             assert abs(got - want) <= 1e-14 * max(abs(want), 1), (r, name, got, want)
 
 
-# --- row dots, tiles and threads -------------------------------------------------------
+# --- row reductions, tiles and threads ------------------------------------------------
 
 
-def test_row_dots_add_blocks_of_dot_block_columns_in_ascending_order():
-    rng = np.random.default_rng(7)
-    block = operators_mod.DOT_BLOCK
-    for width in (1, 33, block, block + 1, 2 * block + 5):
-        a, w = rng.random((5, width + 1)), rng.random(width + 1)
-        got = operators_mod._row_dots(a[:, 1:], w[1:])
-        for r in range(5):
-            partials = [np.dot(a[r, 1 + s : 1 + s + block], w[1 + s : 1 + s + block]) for s in range(0, width, block)]
-            want = partials[0]
-            for partial in partials[1:]:
-                want += partial
-            assert got[r].tobytes() == want.tobytes(), (width, r)
-            alone = operators_mod._row_dots(a[r : r + 1, 1:].copy(), w[1:])
-            assert alone[0].tobytes() == got[r].tobytes(), (width, r)
+@pytest.mark.parametrize("d, level", [(1, 0), (14, 0), (15, 0), (15, 1)])
+def test_phase_sums_read_each_row_alone(d, level):
+    # Rows of 2 (the narrowest half spectrum), 8193 and 16385 bins: an einsum gave a row bits
+    # that depended on its batch at 8193 and 16385 columns.
+    width = (1 << d - level >> 1) + 1
+    rng = np.random.default_rng(width)
+    prob, extra = rng.random((5, width)), rng.random(5) if level else None
+    got = operators_mod._phase_sums(prob, np.empty_like(prob), d, level, extra)
+    for r in range(5):
+        row = prob[r : r + 1].copy()
+        one = None if extra is None else extra[r : r + 1]
+        alone = operators_mod._phase_sums(row, np.empty_like(row), d, level, one)
+        assert alone[:, 0].tobytes() == got[:, r].tobytes(), (width, r)
 
 
 FOLD_FAMILY = dminus1_family(10)
@@ -302,8 +303,9 @@ def test_fold_invariance_under_tile_and_thread_count(monkeypatch, floor, tile, t
         assert render_results(results, fmt) == want[fmt]
 
 
-def test_row_dot_output_bytes_identical_under_blas_thread_counts():
-    # d = 15 takes the rfft route over 16385 bins, so its spread dot spans two blocks.
+def test_output_bytes_identical_under_blas_thread_counts_and_kernels():
+    # d = 15 takes the rfft route over 16385 bins.  Haswell and Prescott need at most AVX2;
+    # under either, a BLAS dot of the spread gave other squeeze and sweep bits.
     commands = [
         ["coherence", "--basis", "phase", "--d", "15", "--edges", "0,1;2,3", "--format", "json"],
         ["squeeze", "--d", "15", "--edges", "0,1;2,3", "--format", "json"],
@@ -311,9 +313,12 @@ def test_row_dot_output_bytes_identical_under_blas_thread_counts():
     ]
     for argv in commands:
         outputs = set()
-        for blas in ("1", "2"):
+        for blas, core in (("1", None), ("2", None), ("1", "Haswell"), ("1", "Prescott")):
             env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS=blas, OMP_NUM_THREADS=blas)
             env.pop("HYPERSTATE_CACHE", None)
+            env.pop("OPENBLAS_CORETYPE", None)
+            if core:
+                env["OPENBLAS_CORETYPE"] = core
             done = subprocess.run([sys.executable, "-m", "hyperstate.cli", *argv], env=env,
                                   capture_output=True, check=True)
             outputs.add(done.stdout)
